@@ -123,7 +123,7 @@ def write_run_meta(path, meta):
         fh.write("\n")
 
 
-def _emit(out_dir, report, steps=None):
+def _emit(out_dir, report):
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
@@ -321,13 +321,6 @@ def _benchmark_phi0(grid):
                   + np.sin(5 * grid.x) * np.sin(5 * grid.y))
 
 
-def _history_for_run(alpha, grid, mode, eps, dt_min, T, direct_levels=0):
-    if alpha == 1.0:
-        return make_history(1.0, grid.shape)
-    return make_history(alpha, grid.shape, mode=mode, dt_min=dt_min, T=T,
-                        eps=eps, direct_levels=direct_levels)
-
-
 def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
                        M=1.0, beta=4.0, eps2=0.1, C0=1.0,
                        tol=1e-3, rho=0.9, tau_min=1e-3, tau_max=1e-1,
@@ -362,8 +355,8 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    history = _history_for_run(alpha, grid, soe_mode, soe_eps, dt_min, T,
-                               direct_levels=direct_levels)
+    history = make_history(alpha, grid.shape, mode=soe_mode, dt_min=dt_min,
+                           T=T, eps=soe_eps, direct_levels=direct_levels)
     state = init_state(grid, phi0, params, history)
     e0 = modified_energy(grid, state.phi, state.aux, params)
 
@@ -420,8 +413,8 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023,
     shrink = 1.0 - ((prefix_n0 - 1) / prefix_n0) ** prefix_gamma
     prefix = build_graded(tau_min / shrink, prefix_n0, prefix_gamma)
 
-    history = _history_for_run(alpha, grid, soe_mode, soe_eps, tau_min, T,
-                               direct_levels=prefix.n_steps)
+    history = make_history(alpha, grid.shape, mode=soe_mode, dt_min=tau_min,
+                           T=T, eps=soe_eps, direct_levels=prefix.n_steps)
     state = init_state(grid, phi0, params, history)
     e0 = modified_energy(grid, state.phi, state.aux, params)
     aparams = AdaptiveParams(rho=rho, tol=tol, tau_min=tau_min,

@@ -33,7 +33,6 @@ from .timemesh import TimeMesh
 __all__ = [
     "L1",
     "L1PLUS",
-    "KernelRow",
     "rl_weight",
     "l1_row",
     "l1plus_row",

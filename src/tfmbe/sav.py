@@ -18,6 +18,11 @@ Both steps return a candidate without touching the convolution history;
 ``commit_candidate`` advances the state, so rejected adaptive trials leave
 everything bit-identical.
 
+The convolution history is one object, ``CaputoHistory``: an exact prefix
+(the graded initial layer, summed through the kernel rows) followed by the
+exponential-sum bank of ``tfmbe.soe``.  ``make_history(mode="direct")``
+(``--soe-mode direct``) keeps every level exact.
+
 Each solve is decoupled by a rank-one correction: with
 L = a0 I + c M (eps2 Lap^2 - beta Lap) (diagonal in transform space) and a
 frozen flux W, the implicit system L phi + c' M (W, phi) W = g reduces to
@@ -43,10 +48,7 @@ from .soe import HistoryBank, _l1_terms, _l1plus_terms, build_soe
 from .spectral import SLOPE, sav_u_functional, sav_v_functional
 
 __all__ = [
-    "DirectCaputoHistory",
-    "FastCaputoHistory",
-    "HybridCaputoHistory",
-    "ClassicalHistory",
+    "CaputoHistory",
     "make_history",
     "SAVState",
     "StepCandidate",
@@ -60,20 +62,46 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Convolution history backends
+# Convolution history
 # ---------------------------------------------------------------------------
 
-class DirectCaputoHistory:
-    """Exact history: stores all committed increments, O(n) work per level."""
+class CaputoHistory:
+    """Caputo convolution history: an exact prefix, then an exponential-sum bank.
 
-    def __init__(self, alpha, shape=()):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"fractional order must lie in (0,1), got {alpha}")
+    The first ``exact_levels`` committed increments are stored and summed
+    exactly through the kernel rows.  With an ``soe`` they are then replayed
+    through the bank recursion (exact per node) and later levels use the
+    fast formulas, which only ever see gaps at or above the floor the sum
+    was certified for; graded prefixes take steps far below that floor.
+    With no ``soe`` every level stays exact (O(n) work per level).
+    ``alpha == 1`` is the memoryless classical limit (CN / backward Euler).
+    """
+
+    def __init__(self, alpha, shape=(), soe=None, exact_levels=0):
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"fractional order must lie in (0,1], got {alpha}")
+        if soe is not None and soe.alpha != alpha:
+            raise ValueError("exponential sum was built for a different order")
         self.alpha = alpha
         self.shape = tuple(shape)
+        self.soe = soe
+        self.exact_levels = int(exact_levels)
+        self.n_committed = 0
+        self.bank = None
         self._levels = [0.0]
         self._buf = np.zeros((16,) + self.shape)
-        self.n_committed = 0
+        self._bank_if_due()
+
+    def _bank_if_due(self):
+        """Once the exact prefix is full, replay it into a bank and drop it."""
+        if self.soe is None or self.bank is not None \
+                or self.n_committed < self.exact_levels:
+            return
+        self.bank = HistoryBank(self.soe, self.shape)
+        levels = self._levels
+        for k in range(1, self.n_committed + 1):
+            self.bank.commit(levels[k] - levels[k - 1], self._buf[k - 1])
+        self._levels = self._buf = None
 
     def caputo_terms(self, scheme, tau_n):
         """Local coefficient and known history sum at the trial level.
@@ -82,6 +110,11 @@ class DirectCaputoHistory:
         kernels; the returned pair (a0, hist) satisfies
         caputo_value = a0 * (new increment) + hist.
         """
+        if self.alpha == 1.0:
+            return 1.0 / tau_n, np.zeros(self.shape)
+        if self.bank is not None:
+            terms = _l1plus_terms if scheme == "cn" else _l1_terms
+            return terms(self.bank, tau_n)
         n = self.n_committed + 1
         levels = np.append(self._levels, self._levels[-1] + tau_n)
         row = (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, n)
@@ -91,130 +124,42 @@ class DirectCaputoHistory:
         return row.weights[0], hist
 
     def commit(self, tau, increment, level=None):
-        if level is not None and level != self.n_committed + 1:
-            raise StateError(
-                f"commit for level {level} but history holds {self.n_committed}")
-        if self.n_committed == self._buf.shape[0]:
-            grown = np.zeros((2 * self._buf.shape[0],) + self.shape)
-            grown[:self.n_committed] = self._buf
-            self._buf = grown
-        self._buf[self.n_committed] = increment
-        self._levels.append(self._levels[-1] + float(tau))
-        self.n_committed += 1
-
-
-class FastCaputoHistory:
-    """Compressed history through an exponential-sum bank."""
-
-    def __init__(self, alpha, soe, shape=()):
-        if soe.alpha != alpha:
-            raise ValueError("exponential sum was built for a different order")
-        self.alpha = alpha
-        self.shape = tuple(shape)
-        self.bank = HistoryBank(soe, shape)
-
-    @property
-    def n_committed(self):
-        return self.bank.n_committed
-
-    def caputo_terms(self, scheme, tau_n):
-        terms = _l1plus_terms if scheme == "cn" else _l1_terms
-        return terms(self.bank, tau_n)
-
-    def commit(self, tau, increment, level=None):
-        self.bank.commit(tau, increment, level=level)
-
-
-class HybridCaputoHistory:
-    """Exact history for an initial segment, compressed afterwards.
-
-    Graded prefixes take steps far below the controller floor; certifying
-    the exponential sum down to those gaps would inflate the node count for
-    no benefit.  Instead the first ``switch_level`` steps are stored and
-    summed exactly; at the switch the increments are replayed through the
-    bank recursion (which is exact per node) and later evaluations only
-    ever see gaps at or above the floor the sum was certified for.
-    """
-
-    def __init__(self, alpha, soe, shape=(), switch_level=0):
-        self.alpha = alpha
-        self.shape = tuple(shape)
-        self.soe = soe
-        self.switch_level = int(switch_level)
-        self._direct = DirectCaputoHistory(alpha, shape)
-        self._fast = None
-        if self.switch_level == 0:
-            self._switch()
-
-    @property
-    def n_committed(self):
-        back = self._fast if self._fast is not None else self._direct
-        return back.n_committed
-
-    def _switch(self):
-        fast = FastCaputoHistory(self.alpha, self.soe, self.shape)
-        levels = self._direct._levels
-        for k in range(1, self._direct.n_committed + 1):
-            fast.commit(levels[k] - levels[k - 1], self._direct._buf[k - 1],
-                        level=k)
-        self._fast = fast
-        self._direct = None
-
-    def caputo_terms(self, scheme, tau_n):
-        back = self._fast if self._fast is not None else self._direct
-        return back.caputo_terms(scheme, tau_n)
-
-    def commit(self, tau, increment, level=None):
-        if self._fast is not None:
-            self._fast.commit(tau, increment, level=level)
-            return
-        self._direct.commit(tau, increment, level=level)
-        if self._direct.n_committed >= self.switch_level:
-            self._switch()
-
-
-class ClassicalHistory:
-    """Degenerate order-one limit: no memory, classical CN / backward Euler."""
-
-    def __init__(self, shape=()):
-        self.alpha = 1.0
-        self.shape = tuple(shape)
-        self.n_committed = 0
-
-    def caputo_terms(self, scheme, tau_n):
-        return 1.0 / tau_n, np.zeros(self.shape)
-
-    def commit(self, tau, increment, level=None):
-        if level is not None and level != self.n_committed + 1:
-            raise StateError(
-                f"commit for level {level} but history holds {self.n_committed}")
-        self.n_committed += 1
+        """Append the increment of an accepted step; levels arrive in order."""
+        n = self.n_committed
+        if level is not None and level != n + 1:
+            raise StateError(f"commit for level {level} but history holds {n}")
+        if self.bank is not None:
+            self.bank.commit(tau, increment)
+        elif self.alpha < 1.0:
+            if n == self._buf.shape[0]:
+                grown = np.zeros((2 * n,) + self.shape)
+                grown[:n] = self._buf
+                self._buf = grown
+            self._buf[n] = increment
+            self._levels.append(self._levels[-1] + float(tau))
+        self.n_committed = n + 1
+        self._bank_if_due()
 
 
 def make_history(alpha, shape=(), mode="direct", soe=None,
                  dt_min=None, T=None, eps=1e-10, direct_levels=0):
-    """History backend factory.
+    """History factory.
 
-    alpha = 1 always yields the memoryless classical backend.  mode "fast"
-    builds (or reuses) an exponential-sum approximation certified on
-    [dt_min, T]; mode "direct" stores increments exactly.  A positive
-    ``direct_levels`` keeps the first levels exact before switching to the
-    compressed bank (for graded prefixes whose steps undercut dt_min).
+    mode "direct" keeps every level exact; mode "fast" builds (or reuses)
+    an exponential-sum approximation certified on [dt_min, T] and keeps
+    only the first ``direct_levels`` levels exact (for graded prefixes
+    whose steps undercut dt_min).  alpha = 1 always yields the memoryless
+    classical history.
     """
-    if alpha == 1.0:
-        return ClassicalHistory(shape)
-    if mode == "direct":
-        return DirectCaputoHistory(alpha, shape)
-    if mode == "fast":
-        if soe is None:
-            if dt_min is None or T is None:
-                raise ValueError("fast mode needs an soe or (dt_min, T, eps)")
-            soe = build_soe(alpha, eps, dt_min, T)
-        if direct_levels > 0:
-            return HybridCaputoHistory(alpha, soe, shape,
-                                       switch_level=direct_levels)
-        return FastCaputoHistory(alpha, soe, shape)
-    raise ValueError(f"unknown history mode {mode!r}")
+    if mode not in ("direct", "fast"):
+        raise ValueError(f"unknown history mode {mode!r}")
+    if alpha == 1.0 or mode == "direct":
+        return CaputoHistory(alpha, shape)
+    if soe is None:
+        if dt_min is None or T is None:
+            raise ValueError("fast mode needs an soe or (dt_min, T, eps)")
+        soe = build_soe(alpha, eps, dt_min, T)
+    return CaputoHistory(alpha, shape, soe=soe, exact_levels=direct_levels)
 
 
 # ---------------------------------------------------------------------------

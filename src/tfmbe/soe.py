@@ -24,6 +24,11 @@ weights and use the compressed sum only for lags >= the previous step.
 Keeping the adjacent cell exact matters: the exponential sum is accurate
 only for arguments above dt_min, while the kernel mass of the adjacent
 cell concentrates at arbitrarily small lags.
+
+The solver's history (``tfmbe.sav.CaputoHistory``) sums an exact prefix
+first, for steps below dt_min, and then replays it into one bank that
+carries every later level; ``--soe-mode direct`` keeps every level exact
+and uses no bank.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ __all__ = [
     "build_soe",
     "verify_soe",
     "HistoryBank",
-    "history_advance",
     "fast_l1plus_apply",
     "fast_l1_apply",
 ]
@@ -172,19 +176,6 @@ class HistoryBank:
         self.pending = (float(tau), inc)
         self.n_committed += 1
 
-    def clone(self):
-        other = HistoryBank(self.soe, self.shape)
-        other.h = self.h.copy()
-        other.pending = None if self.pending is None else (
-            self.pending[0], self.pending[1].copy())
-        other.n_committed = self.n_committed
-        return other
-
-
-def history_advance(bank, tau_k, increment, level=None):
-    """Commit one accepted step into the bank (see HistoryBank.commit)."""
-    bank.commit(tau_k, increment, level=level)
-    return bank
 
 
 def _l1plus_terms(bank, tau_n):

@@ -121,10 +121,6 @@ class Grid2D:
         return (self.ifft(self._dx * self.fft(self._check(fx)))
                 + self.ifft(self._dy * self.fft(self._check(fy))))
 
-    def solve_diagonal(self, rhs, symbol):
-        """Invert a positive diagonal symbol: returns ifft(fft(rhs)/symbol)."""
-        return self.ifft(self.fft(rhs) / symbol)
-
     # -- quadrature ----------------------------------------------------
 
     def integrate(self, f):

@@ -85,6 +85,14 @@ def test_benchmark_alpha_one_runs():
     assert energy_bound_violation(rep.accepted, e0) <= 1e-9 * abs(e0)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_unknown_soe_mode_rejected(alpha):
+    with pytest.raises(ValueError, match="history mode"):
+        adaptive_benchmark("slope", alpha, soe_mode="bogus", grid_n=16, T=0.05)
+    with pytest.raises(ValueError, match="history mode"):
+        coarsening("slope", alpha, grid_n=16, T=0.01, soe_mode="bogus")
+
+
 def test_coarsening_small(tmp_path):
     rep = coarsening("slope", 0.7, grid_n=16, T=3.0, seed=7,
                      fit_window=(0.5, 3.0), out_dir=tmp_path / "c",

@@ -7,8 +7,7 @@ import pytest
 from tfmbe import (Grid2D, ModelParams, StateError, be_l1_sav_step, build_soe,
                    build_uniform, cn_sav_step, commit_candidate, init_state,
                    make_history, modified_energy, original_energy, run_fixed)
-from tfmbe.sav import (ClassicalHistory, DirectCaputoHistory, FastCaputoHistory,
-                       HybridCaputoHistory, trajectory_observables)
+from tfmbe.sav import CaputoHistory, trajectory_observables
 
 
 @pytest.fixture(scope="module")
@@ -134,11 +133,24 @@ def test_step_validates_tau(grid):
         be_l1_sav_step(state, -0.1, params, grid)
 
 
-def test_history_commit_order_enforced(grid):
-    hist = make_history(0.6, grid.shape)
-    hist.commit(0.1, np.zeros(grid.shape), level=1)
-    with pytest.raises(StateError):
-        hist.commit(0.1, np.zeros(grid.shape), level=3)
+@pytest.mark.parametrize("alpha,exact_levels,with_soe", [
+    (0.6, 0, False),   # every level exact
+    (0.6, 0, True),    # bank from level 0
+    (0.6, 2, True),    # exact prefix, then bank
+    (1.0, 0, False),   # memoryless
+], ids=["exact", "bank", "prefix-then-bank", "alpha-one"])
+def test_history_commit_order_enforced(alpha, exact_levels, with_soe):
+    soe = build_soe(alpha, 1e-10, 1e-2, 1.0) if with_soe else None
+    hist = CaputoHistory(alpha, (2,), soe=soe, exact_levels=exact_levels)
+    for level in (1, 2, 3):
+        hist.commit(0.05, np.full(2, 0.1 * level), level=level)
+    for bad in (3, 5):  # repeated, skipped
+        with pytest.raises(StateError):
+            hist.commit(0.05, np.zeros(2), level=bad)
+    assert hist.n_committed == 3
+    assert (hist.bank is not None) == with_soe
+    hist.commit(0.05, np.zeros(2), level=4)
+    assert hist.n_committed == 4
 
 
 @pytest.mark.parametrize("model", ["slope", "noslope"])
@@ -176,11 +188,15 @@ def test_estimator_pair_differs(grid):
 
 
 def test_alpha_one_is_classical(grid):
+    # no exponential sum is built (there is no memory to compress)
+    assert make_history(1.0, grid.shape, mode="fast").soe is None
     hist = make_history(1.0, grid.shape)
-    assert isinstance(hist, ClassicalHistory)
-    a0, h = hist.caputo_terms("cn", 0.05)
-    assert a0 == pytest.approx(20.0)
-    assert np.max(np.abs(h)) == 0.0
+    hist.commit(0.1, np.ones(grid.shape), level=1)
+    for scheme in ("cn", "be"):
+        a0, h = hist.caputo_terms(scheme, 0.05)
+        assert a0 == pytest.approx(20.0)
+        assert np.max(np.abs(h)) == 0.0
+    hist = make_history(1.0, grid.shape)
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
     state = init_state(grid, two_mode(grid), params, hist)
     e0 = modified_energy(grid, state.phi, state.aux, params)
@@ -204,23 +220,26 @@ def test_direct_vs_fast_trajectories(grid):
     assert np.max(np.abs(phis["direct"] - phis["fast"])) <= 10 * eps * T
 
 
-def test_hybrid_history_matches_direct(grid):
+def test_hybrid_history_matches_direct():
     alpha = 0.45
     rng = np.random.default_rng(5)
     taus = np.concatenate([np.geomspace(1e-6, 1e-2, 10),
                            rng.uniform(1e-2, 3e-2, 15)])
     soe = build_soe(alpha, 1e-10, 1e-2, 1.0)
-    hybrid = HybridCaputoHistory(alpha, soe, (), switch_level=10)
-    direct = DirectCaputoHistory(alpha, ())
+    hybrid = CaputoHistory(alpha, (), soe=soe, exact_levels=10)
+    direct = CaputoHistory(alpha, ())
     incs = rng.standard_normal(taus.size)
     for i, (tau, inc) in enumerate(zip(taus, incs), start=1):
-        a_h, h_h = hybrid.caputo_terms("cn", 0.02)
-        a_d, h_d = direct.caputo_terms("cn", 0.02)
-        assert a_h == pytest.approx(a_d, rel=1e-13)
-        assert float(h_h) == pytest.approx(float(h_d), abs=1e-8)
+        assert (hybrid.bank is not None) == (i > 10)
+        for scheme in ("cn", "be"):
+            a_h, h_h = hybrid.caputo_terms(scheme, 0.02)
+            a_d, h_d = direct.caputo_terms(scheme, 0.02)
+            assert a_h == pytest.approx(a_d, rel=1e-13), scheme
+            assert float(h_h) == pytest.approx(float(h_d), abs=1e-8), scheme
         hybrid.commit(tau, inc, level=i)
         direct.commit(tau, inc, level=i)
-    assert isinstance(hybrid._fast, FastCaputoHistory)
+    assert hybrid.bank.n_committed == taus.size
+    assert direct.bank is None
 
 
 def test_rank_one_denominator_guard(grid):

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tfmbe import (HistoryBank, SOEApprox, StateError, apply_direct, build_soe,
-                   fast_l1_apply, fast_l1plus_apply, history_advance, rl_weight,
-                   verify_soe)
+                   fast_l1_apply, fast_l1plus_apply, rl_weight, verify_soe)
 from tfmbe.soe import _relexp
 
 from conftest import random_mesh
@@ -86,10 +85,10 @@ def test_advance_coefficient_matches_quadrature():
 def test_zero_increment_decays_history():
     soe = build_soe(0.5, 1e-8, 1e-3, 5.0)
     bank = HistoryBank(soe)
-    history_advance(bank, 0.1, 1.0, level=1)
-    history_advance(bank, 0.2, 0.0, level=2)  # folds the first increment in
+    bank.commit(0.1, 1.0, level=1)
+    bank.commit(0.2, 0.0, level=2)  # folds the first increment in
     h_before = bank.h.copy()
-    history_advance(bank, 0.15, 0.0, level=3)
+    bank.commit(0.15, 0.0, level=3)
     assert np.allclose(bank.h, np.exp(-soe.nodes * 0.2) * h_before, rtol=1e-14)
 
 
