@@ -102,16 +102,20 @@ def _record(n, t, cand, state_phi, params, grid, accepted, e_est):
 
 
 def run_fixed(state, mesh, params, grid, source=None, records=None):
-    """March the second-order scheme over a prescribed mesh, committing all steps."""
+    """March the second-order scheme over a prescribed mesh, committing all steps.
+
+    The mesh levels count from ``state.t`` at entry, so a run continues a
+    committed state without accumulating the clock step by step.
+    """
     records = [] if records is None else records
-    offset = state.n
+    t0 = state.t
     for k in range(1, mesh.n_steps + 1):
         tau = float(mesh.taus[k - 1])
         cand = cn_sav_step(state, tau, params, grid, source=source)
         records.append(_record(state.n + 1, state.t + tau, cand, state.phi,
                                params, grid, True, math.nan))
         commit_candidate(state, cand)
-        state.t = float(mesh.levels[k]) if offset == 0 else state.t
+        state.t = t0 + float(mesh.levels[k])
     return records
 
 

@@ -128,6 +128,9 @@ class CaputoHistory:
         n = self.n_committed
         if level is not None and level != n + 1:
             raise StateError(f"commit for level {level} but history holds {n}")
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"step size for level {n + 1} must be finite and "
+                             f"positive, got {tau}")
         if self.bank is not None:
             self.bank.commit(tau, increment)
         elif self.alpha < 1.0:

@@ -153,6 +153,25 @@ def test_history_commit_order_enforced(alpha, exact_levels, with_soe):
     assert hist.n_committed == 4
 
 
+@pytest.mark.parametrize("tau", [-0.1, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("alpha,exact_levels,with_soe", [
+    (0.5, 0, False),   # every level exact
+    (0.5, 0, True),    # bank from level 0
+    (0.5, 5, True),    # still inside the exact prefix
+    (1.0, 0, False),   # memoryless
+], ids=["direct", "bank", "exact-prefix", "alpha-one"])
+def test_history_rejects_invalid_step(alpha, exact_levels, with_soe, tau):
+    soe = build_soe(alpha, 1e-10, 1e-2, 1.0) if with_soe else None
+    hist = CaputoHistory(alpha, (2,), soe=soe, exact_levels=exact_levels)
+    for level in (1, 2, 3):
+        hist.commit(0.05, np.full(2, 0.1 * level), level=level)
+    with pytest.raises(ValueError, match="level 4"):
+        hist.commit(tau, np.ones(2), level=4)
+    assert hist.n_committed == 3
+    for scheme in ("cn", "be"):
+        assert np.all(np.isfinite(hist.caputo_terms(scheme, 0.05)[1]))
+
+
 @pytest.mark.parametrize("model", ["slope", "noslope"])
 def test_energy_bound_fixed_mesh(grid, model):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
@@ -176,6 +195,16 @@ def test_telescoping_identity_fixed_mesh(grid, model):
     # dip negative)
     partial = np.cumsum([r.caputo_dot for r in records])
     assert partial.min() >= -1e-10 * max(1.0, partial.max())
+
+
+def test_run_fixed_continuation_keeps_clock(grid):
+    params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
+    state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.shape))
+    mesh = build_uniform(0.3, 30)
+    run_fixed(state, mesh, params, grid)
+    run_fixed(state, mesh, params, grid)
+    assert state.n == 60
+    assert state.t == 0.6
 
 
 def test_estimator_pair_differs(grid):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 
 from tfmbe import (HistoryBank, SOEApprox, StateError, apply_direct, build_soe,
                    fast_l1_apply, fast_l1plus_apply, rl_weight, verify_soe)
-from tfmbe.soe import _relexp
+from tfmbe.soe import _COMMIT_BLOCK_BYTES, _relexp
 
 from conftest import random_mesh
 
@@ -117,6 +118,71 @@ def test_commit_batching_invariance():
         b.commit(taus[i], incs[i], level=i + 1)
     assert np.array_equal(a.h, b.h)
     assert a.pending[0] == b.pending[0]
+
+
+def _fold_reference(h, soe, tau_p, inc_p):
+    """The bank update as two whole-bank passes (the pre-blocking commit)."""
+    x = soe.nodes * tau_p
+    pad = (-1,) + (1,) * (h.ndim - 1)
+    h *= np.exp(-x).reshape(pad)
+    h += _relexp(x).reshape(pad) * inc_p
+
+
+def _truncated_soe(n_terms):
+    soe = build_soe(0.7, 1e-10, 1e-3, 30.0)
+    assert soe.n_terms >= n_terms
+    return SOEApprox(soe.alpha, soe.eps, soe.dt_min, soe.T,
+                     soe.nodes[:n_terms], soe.weights[:n_terms])
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (48, 48)],
+                         ids=["scalar", "1d", "2d-blocks"])
+def test_blocked_commit_matches_whole_bank_update(shape):
+    n_terms = 151
+    if shape == (48, 48):  # several blocks, the last one partial
+        rows = _COMMIT_BLOCK_BYTES // (8 * 48 * 48)
+        assert rows < n_terms and n_terms % rows
+    soe = _truncated_soe(n_terms)
+    rng = np.random.default_rng(11)
+    bank = HistoryBank(soe, shape)
+    buffer = bank.h.ctypes.data
+    ref, pending = np.zeros((n_terms,) + shape), None
+    for level in range(1, 41):
+        tau = float(np.exp(rng.uniform(math.log(1e-4), math.log(0.5))))
+        inc = rng.standard_normal(shape)
+        bank.commit(tau, inc, level=level)
+        if pending is not None:
+            _fold_reference(ref, soe, *pending)
+        pending = (tau, inc)
+    assert np.array_equal(bank.h, ref)
+    assert bank.h.ctypes.data == buffer
+
+
+def test_commit_allocates_no_bank_sized_temporary():
+    soe = build_soe(0.7, 1e-10, 1e-3, 30.0)
+    assert soe.n_terms >= 150
+    rng = np.random.default_rng(2)
+    incs = rng.standard_normal((3, 64, 64))
+    bank = HistoryBank(soe, (64, 64))
+    bank.commit(0.01, incs[0], level=1)
+    bank.commit(0.02, incs[1], level=2)
+    tracemalloc.start()
+    try:
+        bank.commit(0.01, incs[2], level=3)  # folds level 2 into every row
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bank.h.nbytes / 8
+
+
+@pytest.mark.parametrize("tau", [-0.1, 0.0, math.nan, math.inf])
+def test_bank_rejects_invalid_step(tau):
+    bank = HistoryBank(build_soe(0.5, 1e-8, 1e-3, 5.0))
+    bank.commit(0.1, 1.0, level=1)
+    with pytest.raises(ValueError, match="level 2"):
+        bank.commit(tau, 1.0, level=2)
+    bank.commit(0.1, 1.0, level=2)
+    assert np.all(np.isfinite(bank.h))
 
 
 def test_bank_shape_check():
