@@ -15,19 +15,18 @@ __version__ = "0.1.0"
 from .timemesh import (TimeMesh, build_uniform, build_graded, extend_random,
                        extend_uniform, default_t0, mesh_from_config)
 from .kernels import (L1, L1PLUS, rl_weight, l1_row, l1plus_row,
-                      apply_direct, quadratic_form, kernel_sign_gap,
-                      multiterm_apply)
+                      apply_direct, quadratic_form, kernel_sign_gap)
 from .soe import (SOEApprox, build_soe, verify_soe, HistoryBank,
                   fast_l1plus_apply, fast_l1_apply)
 from .spectral import (Grid2D, ModelParams, slope_nonlinearity,
                        noslope_nonlinearity, sav_u_functional,
                        sav_v_functional, write_field, read_field)
 from .sav import (SAVState, StepCandidate, init_state, cn_sav_step,
-                  be_l1_sav_step, commit_candidate, modified_energy,
-                  original_energy, make_history)
+                  be_l1_sav_step, commit_candidate, trajectory_observables,
+                  make_history)
 from .adaptive import AdaptiveParams, StepRecord, tau_ada, adaptive_run, run_fixed
-from .diagnostics import (roughness, convergence_order, powerlaw_fit,
-                          loglinear_fit, singularity_slope)
+from .diagnostics import (convergence_order, powerlaw_fit, loglinear_fit,
+                          singularity_slope)
 from .harness import (ode_convergence, pde_convergence, adaptive_benchmark,
                       coarsening, singularity_run, solve_caputo_ode, table_mesh)
 from .errors import (ModelViolationError, SolverError, StateError,

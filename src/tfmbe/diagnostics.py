@@ -1,22 +1,15 @@
-"""Scalar observables and fits: roughness, convergence orders, power laws."""
+"""Fits: convergence orders, power laws, the initial-layer slope."""
 
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = [
-    "roughness",
     "convergence_order",
     "powerlaw_fit",
     "loglinear_fit",
     "singularity_slope",
 ]
-
-
-def roughness(grid, phi):
-    """Spatial standard deviation sqrt(mean((phi - mean(phi))^2))."""
-    d = phi - grid.mean(phi)
-    return float(np.sqrt(grid.integrate(d * d) / grid.area))
 
 
 def convergence_order(errors, taus):

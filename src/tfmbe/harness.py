@@ -19,10 +19,11 @@ import numpy as np
 from . import __version__
 from .adaptive import AdaptiveParams, StepRecord, adaptive_run, run_fixed
 from .diagnostics import (convergence_order, loglinear_fit, powerlaw_fit,
-                          roughness, singularity_slope)
+                          singularity_slope)
 from .errors import SolverError
-from .kernels import l1plus_row, rl_weight
-from .sav import init_state, make_history, modified_energy
+from .kernels import rl_weight
+from .sav import (CaputoHistory, init_state, make_history,
+                  trajectory_observables)
 from .spectral import (NOSLOPE, SLOPE, Grid2D, ModelParams, noslope_nonlinearity,
                        slope_nonlinearity, write_field)
 from .timemesh import (TimeMesh, build_graded, build_uniform, default_t0,
@@ -166,16 +167,14 @@ def table_mesh(T, N, gamma, seed, tail="random"):
 def solve_caputo_ode(mesh, alpha, source_mid, u0=0.0):
     """Midpoint collocation for d_t^a u = f: cell-averaged derivative = f(t_mid)."""
     levels = mesh.levels
-    n_steps = mesh.n_steps
-    u = np.empty(n_steps + 1)
+    history = CaputoHistory(alpha)
+    u = np.empty(mesh.n_steps + 1)
     u[0] = u0
-    incs = np.empty(n_steps)
-    for n in range(1, n_steps + 1):
-        row = l1plus_row(levels, alpha, n)
-        hist = float(np.dot(row.weights[:0:-1], incs[:n - 1])) if n > 1 else 0.0
+    for n, tau in enumerate(mesh.taus, start=1):
+        a0, hist = history.caputo_terms("cn", tau)
         t_mid = 0.5 * (levels[n - 1] + levels[n])
-        du = (source_mid(t_mid) - hist) / row.weights[0]
-        incs[n - 1] = du
+        du = (source_mid(t_mid) - hist) / a0
+        history.commit(tau, du, level=n)
         u[n] = u[n - 1] + du
     return u
 
@@ -283,7 +282,7 @@ def singularity_run(alpha, model=SLOPE, grid_n=32, T0=1e-3, N0=200, gamma=3.0,
     mesh = build_graded(T0, N0, gamma)
     history = make_history(alpha, grid.shape, mode="direct")
     state = init_state(grid, phi0, params, history)
-    e0 = modified_energy(grid, state.phi, state.aux, params)
+    e0 = trajectory_observables(grid, state.phi, state.aux, params)[0]
     records = run_fixed(state, mesh, params, grid)
     _check_energy_bound(records, e0)
     t_mid = np.array([r.t - 0.5 * r.tau for r in records])
@@ -358,7 +357,7 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
     history = make_history(alpha, grid.shape, mode=soe_mode, dt_min=dt_min,
                            T=T, eps=soe_eps, direct_levels=direct_levels)
     state = init_state(grid, phi0, params, history)
-    e0 = modified_energy(grid, state.phi, state.aux, params)
+    e0 = trajectory_observables(grid, state.phi, state.aux, params)[0]
 
     if strategy == "adaptive":
         aparams = AdaptiveParams(rho=rho, tol=tol, tau_min=tau_min,
@@ -416,7 +415,7 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023,
     history = make_history(alpha, grid.shape, mode=soe_mode, dt_min=tau_min,
                            T=T, eps=soe_eps, direct_levels=prefix.n_steps)
     state = init_state(grid, phi0, params, history)
-    e0 = modified_energy(grid, state.phi, state.aux, params)
+    e0 = trajectory_observables(grid, state.phi, state.aux, params)[0]
     aparams = AdaptiveParams(rho=rho, tol=tol, tau_min=tau_min,
                              tau_max=tau_max, tau_init=tau_min,
                              max_retries=max_retries)

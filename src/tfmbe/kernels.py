@@ -39,7 +39,6 @@ __all__ = [
     "apply_direct",
     "quadratic_form",
     "kernel_sign_gap",
-    "multiterm_apply",
 ]
 
 L1 = "l1"
@@ -167,20 +166,3 @@ def kernel_sign_gap(alpha, rho, tau_n):
     bracket = 1.0 + rho + rho ** (2.0 - alpha) - (1.0 + rho) ** (2.0 - alpha)
     return bracket / (math.gamma(3.0 - alpha) * tau_n ** alpha * rho)
 
-
-def multiterm_apply(terms, mesh, increments, n):
-    """Weighted combination sum_i w_i * (cell-averaged Caputo of order a_i).
-
-    ``terms`` is a sequence of (weight, order) pairs with positive weights
-    and orders in (0,1).
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("need at least one (weight, order) term")
-    out = None
-    for w_i, alpha_i in terms:
-        if w_i <= 0:
-            raise ValueError(f"term weights must be positive, got {w_i}")
-        val = w_i * apply_direct(mesh, alpha_i, increments, n, kind=L1PLUS)
-        out = val if out is None else out + val
-    return out

@@ -3,15 +3,16 @@
 The height equation d_t^a phi = -M (eps2 Lap^2 phi + f(grad phi)) is
 reformulated with a scalar auxiliary variable (u for the slope model, v for
 the no-slope model) so that every step solves a linear, constant-coefficient
-system.  Two schemes are provided:
+system.  Both schemes are one theta-weighted linear solve:
 
-* ``cn_sav_step``    - second order; the fractional derivative is replaced
-  by its cell average over (t_{n-1}, t_n) (positive semi-definite kernels),
-  the linear terms by midpoint values, and the nonlinear flux is frozen at
-  a local extrapolation of phi to the midpoint.  The resulting trajectory
-  satisfies the discrete energy bound E(n) <= E(0) on arbitrary meshes.
-* ``be_l1_sav_step`` - first order (backward Euler with the collocation
-  kernels); it shares the auxiliary-variable structure and serves as the
+* ``cn_sav_step``    - theta = 1/2, second order; the fractional derivative
+  is replaced by its cell average over (t_{n-1}, t_n) (positive
+  semi-definite kernels), the linear terms by midpoint values, and the
+  nonlinear flux is frozen at a local extrapolation of phi to the midpoint.
+  The resulting trajectory satisfies the discrete energy bound
+  E(n) <= E(0) on arbitrary meshes.
+* ``be_l1_sav_step`` - theta = 1, first order (backward Euler with the
+  collocation kernels, flux frozen at phi^{n-1}); it serves as the
   embedded low-order estimator for adaptive step control.
 
 Both steps return a candidate without touching the convolution history;
@@ -24,10 +25,11 @@ exponential-sum bank of ``tfmbe.soe``.  ``make_history(mode="direct")``
 (``--soe-mode direct``) keeps every level exact.
 
 Each solve is decoupled by a rank-one correction: with
-L = a0 I + c M (eps2 Lap^2 - beta Lap) (diagonal in transform space) and a
-frozen flux W, the implicit system L phi + c' M (W, phi) W = g reduces to
-two diagonal solves chi = L^{-1} W, gam = L^{-1} g and a scalar division
-with denominator 1 + c' M (W, chi).  For the slope model c' > 0 and the
+L = a0 I + theta M (eps2 Lap^2 - beta Lap) (diagonal in transform space)
+and a frozen flux W, the implicit system L phi + c' M (W, phi) W = g,
+c' = +-theta/2, reduces to two diagonal solves chi = L^{-1} W,
+gam = L^{-1} g and a scalar division with denominator
+1 + c' M (W, chi).  For the slope model c' > 0 and the
 denominator is at least one; the no-slope auxiliary energy enters with the
 opposite sign (its potential is the negative log), so c' < 0 there and the
 denominator is checked at runtime (it stays near one for production
@@ -56,8 +58,7 @@ __all__ = [
     "cn_sav_step",
     "be_l1_sav_step",
     "commit_candidate",
-    "modified_energy",
-    "original_energy",
+    "trajectory_observables",
 ]
 
 
@@ -201,44 +202,20 @@ def init_state(grid, phi0, params, history):
     return SAVState(phi=phi0, aux=float(np.sqrt(radicand)), history=history)
 
 
-def modified_energy(grid, phi, aux, params, consistent=False):
-    """Quadratic auxiliary-variable energy.
-
-    slope:    int(eps2/2 |Lap phi|^2 + beta/2 |grad phi|^2) + aux^2 - C0
-    no-slope: same integral - aux^2 + C0
-
-    The gradient term is evaluated with the full Laplacian symbol (it is
-    the quadratic form the schemes provably dissipate; the pointwise
-    gradient convention would drop Nyquist content and break the bound on
-    fields that carry it).  With consistent=True the slope form
-    additionally drops the constant (beta/2 + beta^2/4)|Omega|, which
-    makes it equal to the physical energy whenever aux is consistent
-    with phi.
-    """
-    lap = grid.laplacian(phi)
-    quad = 0.5 * params.eps2 * grid.inner(lap, lap) \
-        + 0.5 * params.beta * grid.dirichlet_energy(phi)
-    if params.model == SLOPE:
-        e = quad + aux * aux - params.C0
-        if consistent:
-            e -= (0.5 * params.beta + 0.25 * params.beta ** 2) * grid.area
-        return e
-    return quad - aux * aux + params.C0
-
-
-def original_energy(grid, phi, params):
-    """Physical free energy: int(eps2/2 |Lap phi|^2 + F(grad phi))."""
-    lap = grid.laplacian(phi)
-    gx, gy = grid.gradient(phi)
-    x2 = gx * gx + gy * gy
-    e = 0.5 * params.eps2 * grid.inner(lap, lap)
-    if params.model == SLOPE:
-        return e + 0.25 * grid.integrate((x2 - 1.0) ** 2)
-    return e - 0.5 * grid.integrate(np.log1p(x2))
-
-
 def trajectory_observables(grid, phi, aux, params):
-    """(modified energy, physical energy, roughness) sharing one transform."""
+    """(modified energy, physical energy, roughness) sharing one transform.
+
+    modified (the energy the schemes provably dissipate):
+        slope:    int(eps2/2 |Lap phi|^2 + beta/2 |grad phi|^2) + aux^2 - C0
+        no-slope: same integral - aux^2 + C0
+    The gradient term is evaluated with the full Laplacian symbol, Nyquist
+    modes included (the pointwise gradient would drop them and break the
+    bound on fields that carry them).  With aux consistent with phi the
+    no-slope form equals the physical energy, and the slope form exceeds
+    it by the constant (beta/2 + beta^2/4)|Omega|.
+    physical: int(eps2/2 |Lap phi|^2 + F(grad phi)), pointwise gradient.
+    roughness: the spatial standard deviation of phi.
+    """
     fh = grid.fft(phi)
     lap = grid.ifft(-grid.k2 * fh)
     gx = grid.ifft(grid._dx * fh)
@@ -277,19 +254,22 @@ def _rank_one_solve(grid, symbol, rhs, w_field, coupling):
     return grid.ifft(gam_h - coupling * w_phi * chi_h)
 
 
-def cn_sav_step(state, tau_n, params, grid, source=None):
-    """Second-order trial step of size tau_n from the committed state.
+def _sav_step(state, tau_n, params, grid, source, theta, scheme):
+    """Theta-weighted SAV trial step of size tau_n from the committed state.
 
-    ``source`` (optional) is a callable t -> field added to the height
-    equation; it is sampled at the cell midpoint.
+    ``scheme`` ("cn" or "be") names the Caputo kernels.  The linear terms
+    are weighted theta at the new level and 1 - theta at the old one, and
+    ``source`` (optional callable t -> field added to the height equation)
+    is sampled at t + theta * tau_n.  theta = 1/2 freezes the flux at the
+    midpoint extrapolation of phi; theta = 1 freezes it at phi itself and
+    skips the explicit linear term.
     """
-    if tau_n <= 0:
-        raise ValueError(f"step size must be positive, got {tau_n}")
-    a0, hist = state.history.caputo_terms("cn", tau_n)
+    if not (math.isfinite(tau_n) and tau_n > 0):
+        raise ValueError(f"step size must be finite and positive, got {tau_n}")
+    a0, hist = state.history.caputo_terms(scheme, tau_n)
     phi = state.phi
-    if state.n == 0:
-        phi_hat = phi
-    else:
+    phi_hat = phi
+    if theta < 1.0 and state.n > 0:
         phi_hat = phi + (phi - state.prev_phi) * (tau_n / (2.0 * state.prev_tau))
     functional = sav_u_functional if params.model == SLOPE else sav_v_functional
     w_field, _ = functional(grid, phi_hat, params)
@@ -300,51 +280,33 @@ def cn_sav_step(state, tau_n, params, grid, source=None):
     s_aux = 1.0 if params.model == SLOPE else -1.0
     m = params.M
 
-    symbol = a0 + 0.5 * m * (params.eps2 * grid.k4 + params.beta * grid.k2)
     lin_sym = params.eps2 * grid.k4 + params.beta * grid.k2
-    lin_prev = grid.ifft(lin_sym * grid.fft(phi))
-    rhs = (a0 * phi - hist - 0.5 * m * lin_prev
-           + (s_aux * m * state.aux) * w_field
-           + s_aux * 0.25 * m * grid.inner(w_field, phi) * w_field)
+    symbol = a0 + theta * m * lin_sym
+    coupling = s_aux * 0.5 * theta * m
+    rhs = a0 * phi - hist
+    if theta < 1.0:
+        rhs = rhs - (1.0 - theta) * m * grid.ifft(lin_sym * grid.fft(phi))
+    rhs = (rhs + (s_aux * m * state.aux) * w_field
+           + coupling * grid.inner(w_field, phi) * w_field)
     if source is not None:
-        rhs = rhs + source(state.t + 0.5 * tau_n)
+        rhs = rhs + source(state.t + theta * tau_n)
 
-    phi_new = _rank_one_solve(grid, symbol, rhs, w_field, s_aux * 0.25 * m)
+    phi_new = _rank_one_solve(grid, symbol, rhs, w_field, coupling)
     dphi = phi_new - phi
     aux_new = state.aux - 0.5 * grid.inner(w_field, dphi)
     caputo_dot = grid.inner(a0 * dphi + hist, dphi)
     return StepCandidate(phi=phi_new, aux=aux_new, tau=float(tau_n),
-                         caputo_dot=caputo_dot, scheme="cn")
+                         caputo_dot=caputo_dot, scheme=scheme)
+
+
+def cn_sav_step(state, tau_n, params, grid, source=None):
+    """Second-order trial step (theta = 1/2, cell-averaged kernels)."""
+    return _sav_step(state, tau_n, params, grid, source, 0.5, "cn")
 
 
 def be_l1_sav_step(state, tau_n, params, grid, source=None):
-    """First-order trial step (backward Euler, collocation kernels).
-
-    The flux is frozen at phi^{n-1} and the auxiliary variable enters
-    implicitly; used as the low-order half of the adaptive estimator pair.
-    """
-    if tau_n <= 0:
-        raise ValueError(f"step size must be positive, got {tau_n}")
-    a0, hist = state.history.caputo_terms("be", tau_n)
-    phi = state.phi
-    functional = sav_u_functional if params.model == SLOPE else sav_v_functional
-    w_field, _ = functional(grid, phi, params)
-    s_aux = 1.0 if params.model == SLOPE else -1.0
-    m = params.M
-
-    symbol = a0 + m * (params.eps2 * grid.k4 + params.beta * grid.k2)
-    rhs = (a0 * phi - hist
-           + (s_aux * m * state.aux) * w_field
-           + s_aux * 0.5 * m * grid.inner(w_field, phi) * w_field)
-    if source is not None:
-        rhs = rhs + source(state.t + tau_n)
-
-    phi_new = _rank_one_solve(grid, symbol, rhs, w_field, s_aux * 0.5 * m)
-    dphi = phi_new - phi
-    aux_new = state.aux - 0.5 * grid.inner(w_field, dphi)
-    caputo_dot = grid.inner(a0 * dphi + hist, dphi)
-    return StepCandidate(phi=phi_new, aux=aux_new, tau=float(tau_n),
-                         caputo_dot=caputo_dot, scheme="be")
+    """First-order trial step (theta = 1, collocation kernels)."""
+    return _sav_step(state, tau_n, params, grid, source, 1.0, "be")
 
 
 def commit_candidate(state, cand):

@@ -8,8 +8,7 @@ real first derivatives.  Quadrature is the scaled grid sum, which is
 spectrally accurate on periodic grids.
 
 Nonlinear fluxes are formed pointwise on the grid and differentiated in
-transform space.  No dealiasing is applied by default; a 2/3-rule filter
-can be switched on per grid for robustness studies.
+transform space; no dealiasing is applied.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ NOSLOPE = "noslope"
 class Grid2D:
     """Uniform periodic grid with precomputed spectral multipliers."""
 
-    def __init__(self, nx, ny=None, lx=TWO_PI, ly=None, dealias=False):
+    def __init__(self, nx, ny=None, lx=TWO_PI, ly=None):
         ny = nx if ny is None else ny
         ly = lx if ly is None else ly
         for label, n in (("nx", nx), ("ny", ny)):
@@ -51,7 +50,6 @@ class Grid2D:
         self.lx, self.ly = float(lx), float(ly)
         self.hx = self.lx / self.nx
         self.hy = self.ly / self.ny
-        self.dealias = bool(dealias)
 
         kx = TWO_PI * np.fft.fftfreq(self.nx, d=self.hx)
         ky = TWO_PI * np.fft.rfftfreq(self.ny, d=self.hy)
@@ -64,10 +62,6 @@ class Grid2D:
         dy[-1] = 0.0
         self._dx = dx[:, None]
         self._dy = dy[None, :]
-        if self.dealias:
-            keep_x = np.abs(np.fft.fftfreq(self.nx) * self.nx) <= self.nx // 3
-            keep_y = np.abs(np.fft.rfftfreq(self.ny) * self.ny) <= self.ny // 3
-            self._mask = keep_x[:, None] & keep_y[None, :]
         # column weights for Parseval sums over the half-spectrum
         wcol = np.full(self.ny // 2 + 1, 2.0)
         wcol[0] = 1.0
@@ -98,12 +92,6 @@ class Grid2D:
         if f.shape != self.shape:
             raise ValueError(f"field shape {f.shape} does not match grid {self.shape}")
         return f
-
-    def dealias_filter(self, f):
-        """2/3-rule truncation of a grid field (identity when disabled)."""
-        if not self.dealias:
-            return f
-        return self.ifft(self.fft(f) * self._mask)
 
     # -- operators -----------------------------------------------------
 
@@ -140,17 +128,6 @@ class Grid2D:
         s = float(np.sum(self._wcol * (fh.real * gh.real + fh.imag * gh.imag)))
         return s * self.hx * self.hy / (self.nx * self.ny)
 
-    def dirichlet_energy(self, f):
-        """int |grad f|^2 evaluated with the full Laplacian symbol.
-
-        Uses sum k^2 |f_k|^2 including the Nyquist modes, so it is exactly
-        (f, -Lap f); this is the quadratic form the implicit steppers damp
-        (the pointwise gradient drops the unpaired Nyquist mode instead).
-        """
-        fh = self.fft(self._check(f))
-        s = float(np.sum(self._wcol * self.k2 * (fh.real ** 2 + fh.imag ** 2)))
-        return s * self.hx * self.hy / (self.nx * self.ny)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -180,16 +157,14 @@ def slope_nonlinearity(grid, phi):
     gx, gy = grid.gradient(phi)
     x2 = gx * gx + gy * gy
     fac = x2 - 1.0
-    out = -grid.divergence(fac * gx, fac * gy)
-    return grid.dealias_filter(out)
+    return -grid.divergence(fac * gx, fac * gy)
 
 
 def noslope_nonlinearity(grid, phi):
     """Variational flux of the logarithmic potential: div(grad/(1 + |grad|^2))."""
     gx, gy = grid.gradient(phi)
     fac = 1.0 / (1.0 + gx * gx + gy * gy)
-    out = grid.divergence(fac * gx, fac * gy)
-    return grid.dealias_filter(out)
+    return grid.divergence(fac * gx, fac * gy)
 
 
 def sav_u_functional(grid, phi, params):
@@ -205,8 +180,7 @@ def sav_u_functional(grid, phi, params):
     if radicand <= 0.0:
         raise ModelViolationError(
             f"nonpositive radicand {radicand}; increase C0 (= {params.C0})")
-    u = grid.divergence(m * gx, m * gy) / np.sqrt(radicand)
-    return grid.dealias_filter(u), radicand
+    return grid.divergence(m * gx, m * gy) / np.sqrt(radicand), radicand
 
 
 def sav_v_functional(grid, phi, params):
@@ -223,8 +197,7 @@ def sav_v_functional(grid, phi, params):
         raise ModelViolationError(
             f"nonpositive radicand {radicand}; increase C0 (= {params.C0})")
     fac = 1.0 / (1.0 + x2) + params.beta
-    v = grid.divergence(fac * gx, fac * gy) / np.sqrt(radicand)
-    return grid.dealias_filter(v), radicand
+    return grid.divergence(fac * gx, fac * gy) / np.sqrt(radicand), radicand
 
 
 # -- field snapshots ----------------------------------------------------

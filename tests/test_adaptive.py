@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfmbe import (AdaptiveParams, Grid2D, ModelParams, adaptive_run,
-                   build_graded, init_state, make_history, tau_ada)
+                   build_graded, init_state, make_history, tau_ada,
+                   trajectory_observables)
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +136,7 @@ def test_prefix_mesh_marched_unconditionally(grid):
 def test_energy_bound_over_adaptive_run(grid):
     for model in ("slope", "noslope"):
         state, params = small_state(grid, model=model)
-        from tfmbe import modified_energy
-        e0 = modified_energy(grid, state.phi, state.aux, params)
+        e0 = trajectory_observables(grid, state.phi, state.aux, params)[0]
         ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1,
                             tau_init=1e-3)
         records = adaptive_run(state, params, grid, ap, 1.0)

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfmbe import (Grid2D, convergence_order, loglinear_fit, powerlaw_fit,
-                   rl_weight, roughness, singularity_slope)
+from tfmbe import (Grid2D, ModelParams, convergence_order, loglinear_fit,
+                   powerlaw_fit, rl_weight, singularity_slope,
+                   trajectory_observables)
 
 
 @pytest.fixture(scope="module")
 def grid():
     return Grid2D(32)
+
+
+def roughness(grid, phi):
+    return trajectory_observables(grid, phi, 0.0, ModelParams())[2]
 
 
 def test_roughness_constant_is_zero(grid):

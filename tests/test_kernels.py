@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tfmbe import (apply_direct, build_uniform, convergence_order,
-                   kernel_sign_gap, l1_row, l1plus_row, multiterm_apply,
-                   quadratic_form, rl_weight)
+                   kernel_sign_gap, l1_row, l1plus_row, quadratic_form,
+                   rl_weight)
 
 from conftest import random_mesh
 
@@ -220,19 +220,6 @@ def test_apply_direct_fields(rng):
     for k in range(1, 5):
         ref += row.weights[4 - k] * incs[k - 1]
     assert np.allclose(out, ref, rtol=1e-13)
-
-
-def test_multiterm_degenerate_cases(rng):
-    mesh = random_mesh(rng, 8)
-    incs = rng.standard_normal(8)
-    single = multiterm_apply([(1.0, 0.4)], mesh, incs, 7)
-    assert single == pytest.approx(apply_direct(mesh, 0.4, incs, 7), rel=1e-14)
-    halves = multiterm_apply([(0.5, 0.4), (0.5, 0.4)], mesh, incs, 7)
-    assert halves == pytest.approx(single, rel=1e-14)
-    with pytest.raises(ValueError):
-        multiterm_apply([], mesh, incs, 7)
-    with pytest.raises(ValueError):
-        multiterm_apply([(-1.0, 0.4)], mesh, incs, 7)
 
 
 def test_multiterm_midpoint_solve_second_order():

@@ -6,8 +6,8 @@ import pytest
 
 from tfmbe import (Grid2D, ModelParams, StateError, be_l1_sav_step, build_soe,
                    build_uniform, cn_sav_step, commit_candidate, init_state,
-                   make_history, modified_energy, original_energy, run_fixed)
-from tfmbe.sav import CaputoHistory, trajectory_observables
+                   make_history, run_fixed, trajectory_observables)
+from tfmbe.sav import CaputoHistory
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +18,19 @@ def grid():
 def two_mode(grid):
     return 0.1 * (np.sin(3 * grid.x) * np.sin(2 * grid.y)
                   + np.sin(5 * grid.x) * np.sin(5 * grid.y))
+
+
+def two_mode_derivatives(grid):
+    """Exact gradient and Laplacian of ``two_mode`` at the grid points."""
+    x, y = grid.x, grid.y
+    gx = 0.1 * (3 * np.cos(3 * x) * np.sin(2 * y) + 5 * np.cos(5 * x) * np.sin(5 * y))
+    gy = 0.1 * (2 * np.sin(3 * x) * np.cos(2 * y) + 5 * np.sin(5 * x) * np.cos(5 * y))
+    lap = -0.1 * (13 * np.sin(3 * x) * np.sin(2 * y) + 50 * np.sin(5 * x) * np.sin(5 * y))
+    return gx, gy, lap
+
+
+def initial_energy(grid, state, params):
+    return trajectory_observables(grid, state.phi, state.aux, params)[0]
 
 
 def state_digest(state):
@@ -52,18 +65,16 @@ def test_energies_at_flat_state(grid):
     params = ModelParams(M=1.0, eps2=1.0, beta=1.0, C0=1.0, model="slope")
     zero = np.zeros(grid.shape)
     u0 = math.sqrt((1 + params.beta) ** 2 * grid.area / 4 + params.C0)
+    e_mod, e_orig, rough = trajectory_observables(grid, zero, u0, params)
     # quadratic bound form carries the stabilizer constant
-    assert modified_energy(grid, zero, u0, params) == pytest.approx(
-        (1 + params.beta) ** 2 * grid.area / 4, rel=1e-12)
-    # the consistent form matches the physical energy
-    assert modified_energy(grid, zero, u0, params, consistent=True) == \
-        pytest.approx(original_energy(grid, zero, params), rel=1e-12)
-    assert original_energy(grid, zero, params) == pytest.approx(
-        grid.area / 4, rel=1e-12)
+    assert e_mod == pytest.approx((1 + params.beta) ** 2 * grid.area / 4, rel=1e-12)
+    assert e_orig == pytest.approx(grid.area / 4, rel=1e-12)
+    assert rough == 0.0
 
     params_n = ModelParams(M=1.0, eps2=1.0, beta=1.0, C0=1.0, model="noslope")
-    assert modified_energy(grid, zero, 1.0, params_n) == pytest.approx(0.0, abs=1e-12)
-    assert original_energy(grid, zero, params_n) == pytest.approx(0.0, abs=1e-12)
+    e_mod, e_orig, _ = trajectory_observables(grid, zero, 1.0, params_n)
+    assert e_mod == pytest.approx(0.0, abs=1e-12)
+    assert e_orig == pytest.approx(0.0, abs=1e-12)
 
 
 def test_modified_energy_matches_original_for_consistent_aux(grid):
@@ -71,19 +82,48 @@ def test_modified_energy_matches_original_for_consistent_aux(grid):
     for model in ("slope", "noslope"):
         params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
         state = init_state(grid, phi, params, make_history(0.5, grid.shape))
-        consistent = modified_energy(grid, phi, state.aux, params, consistent=True)
-        assert consistent == pytest.approx(
-            original_energy(grid, phi, params), rel=1e-10)
+        e_mod, e_orig, _ = trajectory_observables(grid, phi, state.aux, params)
+        # the slope form carries the stabilizer constant, the no-slope form none
+        offset = (0.5 * params.beta + 0.25 * params.beta ** 2) * grid.area \
+            if model == "slope" else 0.0
+        assert e_mod - offset == pytest.approx(e_orig, rel=1e-10)
 
 
 def test_observables_match_standalone(grid):
     phi = two_mode(grid)
-    params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="noslope")
-    e_mod, e_orig, rough = trajectory_observables(grid, phi, 2.0, params)
-    assert e_mod == pytest.approx(modified_energy(grid, phi, 2.0, params), rel=1e-12)
-    assert e_orig == pytest.approx(original_energy(grid, phi, params), rel=1e-12)
-    from tfmbe import roughness
-    assert rough == pytest.approx(roughness(grid, phi), rel=1e-12)
+    gx, gy, lap = two_mode_derivatives(grid)
+    x2 = gx * gx + gy * gy
+    dA = grid.hx * grid.hy
+    aux = 2.0
+    for model in ("slope", "noslope"):
+        params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
+        e_mod, e_orig, rough = trajectory_observables(grid, phi, aux, params)
+        bend = 0.5 * params.eps2 * np.sum(lap * lap) * dA
+        quad = bend + 0.5 * params.beta * np.sum(x2) * dA
+        if model == "slope":
+            assert e_mod == pytest.approx(quad + aux ** 2 - params.C0, rel=1e-12)
+            assert e_orig == pytest.approx(
+                bend + 0.25 * np.sum((x2 - 1.0) ** 2) * dA, rel=1e-12)
+        else:
+            assert e_mod == pytest.approx(quad - aux ** 2 + params.C0, rel=1e-12)
+            assert e_orig == pytest.approx(
+                bend - 0.5 * np.sum(np.log1p(x2)) * dA, rel=1e-12)
+        assert rough == pytest.approx(np.std(phi), rel=1e-12)
+    noisy = phi + 0.01 * np.random.default_rng(3).standard_normal(grid.shape)
+    assert trajectory_observables(grid, noisy, aux, params)[2] == \
+        pytest.approx(np.std(noisy), rel=1e-12)
+
+
+def test_modified_energy_keeps_nyquist_mode(grid):
+    """The bound form differentiates the Nyquist mode; the physical form drops it."""
+    params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
+    k = grid.nx // 2
+    phi = np.cos(k * grid.x)  # +-1 at the grid points
+    e_mod, e_orig, _ = trajectory_observables(grid, phi, 0.0, params)
+    bend = 0.5 * params.eps2 * k ** 4 * grid.area
+    assert e_mod == pytest.approx(
+        bend + 0.5 * params.beta * k ** 2 * grid.area - params.C0, rel=1e-12)
+    assert e_orig == pytest.approx(bend + 0.25 * grid.area, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +166,13 @@ def test_commit_advances_state_and_history(grid):
 
 def test_step_validates_tau(grid):
     params = ModelParams(model="slope")
-    state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.shape))
-    with pytest.raises(ValueError):
-        cn_sav_step(state, 0.0, params, grid)
-    with pytest.raises(ValueError):
-        be_l1_sav_step(state, -0.1, params, grid)
+    for mode in ("direct", "fast"):
+        history = make_history(0.7, grid.shape, mode=mode, dt_min=1e-3, T=1.0)
+        state = init_state(grid, two_mode(grid), params, history)
+        for step in (cn_sav_step, be_l1_sav_step):
+            for tau in (math.nan, math.inf, 0.0, -0.1):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    step(state, tau, params, grid)
 
 
 @pytest.mark.parametrize("alpha,exact_levels,with_soe", [
@@ -176,7 +218,7 @@ def test_history_rejects_invalid_step(alpha, exact_levels, with_soe, tau):
 def test_energy_bound_fixed_mesh(grid, model):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
     state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.shape))
-    e0 = modified_energy(grid, state.phi, state.aux, params)
+    e0 = initial_energy(grid, state, params)
     records = run_fixed(state, build_uniform(1.0, 100), params, grid)
     energies = [r.energy_mod for r in records]
     assert max(energies) <= e0 + 1e-9 * abs(e0)
@@ -186,7 +228,7 @@ def test_energy_bound_fixed_mesh(grid, model):
 def test_telescoping_identity_fixed_mesh(grid, model):
     params = ModelParams(M=0.5, eps2=0.1, beta=4.0, C0=1.0, model=model)
     state = init_state(grid, two_mode(grid), params, make_history(0.4, grid.shape))
-    e0 = modified_energy(grid, state.phi, state.aux, params)
+    e0 = initial_energy(grid, state, params)
     records = run_fixed(state, build_uniform(0.5, 60), params, grid)
     lhs = records[-1].energy_mod - e0
     rhs = -sum(r.caputo_dot for r in records) / params.M
@@ -228,7 +270,7 @@ def test_alpha_one_is_classical(grid):
     hist = make_history(1.0, grid.shape)
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
     state = init_state(grid, two_mode(grid), params, hist)
-    e0 = modified_energy(grid, state.phi, state.aux, params)
+    e0 = initial_energy(grid, state, params)
     records = run_fixed(state, build_uniform(0.5, 50), params, grid)
     assert records[-1].energy_mod <= e0 + 1e-9 * abs(e0)
 

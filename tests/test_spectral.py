@@ -186,15 +186,6 @@ def test_parseval_consistency(grid, rng):
     assert spec == pytest.approx(grid.inner(f, g), rel=1e-11)
 
 
-def test_dealias_filter_flag(rng):
-    plain = Grid2D(32)
-    filt = Grid2D(32, dealias=True)
-    f = band_limited(plain, rng, kmax=4)
-    assert np.array_equal(plain.dealias_filter(f), f)
-    high = np.sin(15 * filt.x)
-    assert np.max(np.abs(filt.dealias_filter(high))) < 1e-12
-
-
 def test_snapshot_roundtrip(tmp_path, grid, rng):
     f = band_limited(grid, rng)
     path = tmp_path / "field.bin"
