@@ -13,7 +13,7 @@ fits (diagnostics), and reproducible experiment drivers (harness, cli).
 __version__ = "0.1.0"
 
 from .timemesh import (TimeMesh, build_uniform, build_graded, extend_random,
-                       extend_uniform, default_t0, mesh_from_config)
+                       extend_uniform)
 from .kernels import (L1, L1PLUS, rl_weight, l1_row, l1plus_row,
                       apply_direct, quadratic_form, kernel_sign_gap)
 from .soe import (SOEApprox, build_soe, verify_soe, HistoryBank,

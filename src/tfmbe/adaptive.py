@@ -46,8 +46,8 @@ class AdaptiveParams:
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"safety factor must be in (0,1], got {self.rho}")
-        if self.tol <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if not 0.0 < self.tau_min <= self.tau_max:
             raise ValueError("require 0 < tau_min <= tau_max")
 
@@ -101,17 +101,18 @@ def _record(n, t, cand, state_phi, params, grid, accepted, e_est):
         dphi_dt_max=dphi_dt, caputo_dot=cand.caputo_dot)
 
 
-def run_fixed(state, mesh, params, grid, source=None, records=None):
+def run_fixed(state, mesh, params, grid):
     """March the second-order scheme over a prescribed mesh, committing all steps.
 
     The mesh levels count from ``state.t`` at entry, so a run continues a
-    committed state without accumulating the clock step by step.
+    committed state without accumulating the clock step by step.  Returns
+    the list of StepRecords.
     """
-    records = [] if records is None else records
+    records = []
     t0 = state.t
     for k in range(1, mesh.n_steps + 1):
         tau = float(mesh.taus[k - 1])
-        cand = cn_sav_step(state, tau, params, grid, source=source)
+        cand = cn_sav_step(state, tau, params, grid)
         records.append(_record(state.n + 1, state.t + tau, cand, state.phi,
                                params, grid, True, math.nan))
         commit_candidate(state, cand)
@@ -119,8 +120,7 @@ def run_fixed(state, mesh, params, grid, source=None, records=None):
     return records
 
 
-def adaptive_run(state, params, grid, aparams, T, source=None,
-                 prefix_mesh=None, records=None):
+def adaptive_run(state, params, grid, aparams, T, prefix_mesh=None):
     """Drive the estimator pair from state.t to T per the accuracy criterion.
 
     ``prefix_mesh`` (optional) is marched unconditionally with the
@@ -128,9 +128,9 @@ def adaptive_run(state, params, grid, aparams, T, source=None,
     tau_init (default tau_min).  Returns the list of StepRecords,
     rejected trials included.
     """
-    records = [] if records is None else records
+    records = []
     if prefix_mesh is not None:
-        run_fixed(state, prefix_mesh, params, grid, source=source, records=records)
+        records = run_fixed(state, prefix_mesh, params, grid)
     tau_next = aparams.tau_init if aparams.tau_init is not None else aparams.tau_min
     tau_next = aparams.clamp(tau_next)
     norm = grid.norm_l2
@@ -140,8 +140,8 @@ def adaptive_run(state, params, grid, aparams, T, source=None,
         retries = 0
         forced = False
         while True:
-            cand2 = cn_sav_step(state, tau_n, params, grid, source=source)
-            cand1 = be_l1_sav_step(state, tau_n, params, grid, source=source)
+            cand2 = cn_sav_step(state, tau_n, params, grid)
+            cand1 = be_l1_sav_step(state, tau_n, params, grid)
             denom = norm(cand2.phi)
             e = norm(cand2.phi - cand1.phi) / denom if denom > 0 else 0.0
             at_floor = tau_n <= aparams.tau_min * (1.0 + 1e-12)

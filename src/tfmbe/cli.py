@@ -2,7 +2,8 @@
 
 Subcommands: ode-conv, pde-conv, benchmark, coarsen, soe-verify.  Options
 may come from a JSON config file (one section per subcommand) with
-explicit flags taking precedence; every run writes its resolved parameters
+explicit flags taking precedence; an option set by neither takes the
+driver's own keyword default.  Every run writes its resolved parameters
 to run.json next to the CSV output.
 """
 
@@ -29,13 +30,16 @@ def _load_section(path, section):
 
 
 def _resolve(args, cfg, defaults):
-    """defaults < config file < explicit flags (argparse leaves None when unset)."""
+    """defaults < config file < explicit flags (argparse leaves None when unset).
+
+    An option in none of the three is not passed, so the driver's keyword
+    default applies; config keys that are not flags of the subcommand are
+    ignored.
+    """
+    flags = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
     out = dict(defaults)
-    out.update({k: v for k, v in cfg.items() if k in defaults})
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
+    out.update({k: v for k, v in cfg.items() if k in flags})
+    out.update({k: v for k, v in flags.items() if v is not None})
     return out
 
 
@@ -116,32 +120,22 @@ def main(argv=None):
 
     if args.cmd == "ode-conv":
         opts = _resolve(args, cfg, dict(
-            alpha=0.5, sigma=2.5, n_list=[64, 128, 256, 512], gamma=1.0,
-            T=1.0, seed=0, tail="random", out_dir=None))
+            alpha=0.5, sigma=2.5, n_list=[64, 128, 256, 512]))
         report = harness.ode_convergence(**opts)
         _print_orders(report)
     elif args.cmd == "pde-conv":
         opts = _resolve(args, cfg, dict(
             model="slope", alpha=0.8, sigma=0.4, gamma=5.0,
-            n_list=[64, 128, 256, 512], grid_n=64, T=1.0, seed=1,
-            tail="random", out_dir=None))
+            n_list=[64, 128, 256, 512]))
         report = harness.pde_convergence(**opts)
         _print_orders(report)
     elif args.cmd == "benchmark":
-        opts = _resolve(args, cfg, dict(
-            model="slope", alpha=0.7, strategy="adaptive", grid_n=128, T=30.0,
-            tol=1e-3, rho=0.9, tau_min=1e-3, tau_max=1e-1, soe_eps=1e-10,
-            soe_mode="fast", save_field=False, out_dir=None))
+        opts = _resolve(args, cfg, dict(model="slope", alpha=0.7))
         report = harness.adaptive_benchmark(**opts)
         print(f"accepted steps: {report.n_accepted} "
               f"(records incl. rejected trials: {len(report.records)})")
     elif args.cmd == "coarsen":
-        opts = _resolve(args, cfg, dict(
-            model="slope", alpha=0.7, grid_n=128, T=500.0, seed=2023,
-            tau_min=None, tau_max=1e-1, fit_window=None, save_field=False,
-            out_dir=None))
-        if opts["fit_window"] is not None:
-            opts["fit_window"] = tuple(opts["fit_window"])
+        opts = _resolve(args, cfg, dict(model="slope", alpha=0.7))
         report = harness.coarsening(**opts)
         print(f"accepted steps: {report.n_accepted}  fits: {report.fits}")
     elif args.cmd == "soe-verify":

@@ -17,17 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .adaptive import AdaptiveParams, StepRecord, adaptive_run, run_fixed
+from .adaptive import AdaptiveParams, adaptive_run, run_fixed
 from .diagnostics import (convergence_order, loglinear_fit, powerlaw_fit,
                           singularity_slope)
 from .errors import SolverError
 from .kernels import rl_weight
-from .sav import (CaputoHistory, init_state, make_history,
-                  trajectory_observables)
-from .spectral import (NOSLOPE, SLOPE, Grid2D, ModelParams, noslope_nonlinearity,
+from .sav import (CaputoHistory, cn_sav_step, commit_candidate, init_state,
+                  make_history, trajectory_observables)
+from .spectral import (SLOPE, Grid2D, ModelParams, noslope_nonlinearity,
                        slope_nonlinearity, write_field)
-from .timemesh import (TimeMesh, build_graded, build_uniform, default_t0,
-                       extend_random, extend_uniform)
+from .timemesh import build_graded, build_uniform, extend_random, extend_uniform
 
 __all__ = [
     "OrderRow",
@@ -148,7 +147,7 @@ def table_mesh(T, N, gamma, seed, tail="random"):
     default).  gamma = 1 (or any T0 >= T) degenerates to a single graded
     segment, i.e. the uniform mesh for gamma = 1.
     """
-    T0 = default_t0(gamma, T)
+    T0 = min(1.0 / gamma, T)
     if T0 >= T:
         return build_graded(T, N, gamma)
     n0 = N // 2
@@ -236,8 +235,6 @@ def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
                 + params.M * (params.eps2 * rl_weight(1.0 + sigma, t) * bih
                               + nonlin(grid, phi_ex)))
 
-    from .sav import cn_sav_step, commit_candidate
-
     rows = []
     for N in n_list:
         mesh = table_mesh(T, N, gamma, seed + N, tail=tail)
@@ -308,6 +305,10 @@ def energy_bound_violation(records, e0):
 
 
 def _check_energy_bound(records, e0):
+    for r in records:
+        if r.accepted and not math.isfinite(r.energy_mod):
+            raise SolverError(f"energy_mod = {r.energy_mod} at accepted step "
+                              f"{r.n} (t = {r.t:.6g})")
     slack = 1e-9 * abs(e0)
     worst = energy_bound_violation(records, e0)
     if worst > slack:

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SolverError, StateError
-from .kernels import L1, L1PLUS, l1_row, l1plus_row
+from .kernels import l1_row, l1plus_row
 from .soe import HistoryBank, _l1_terms, _l1plus_terms, build_soe
 from .spectral import SLOPE, sav_u_functional, sav_v_functional
 
@@ -145,12 +145,12 @@ class CaputoHistory:
         self._bank_if_due()
 
 
-def make_history(alpha, shape=(), mode="direct", soe=None,
-                 dt_min=None, T=None, eps=1e-10, direct_levels=0):
+def make_history(alpha, shape=(), mode="direct", dt_min=None, T=None,
+                 eps=1e-10, direct_levels=0):
     """History factory.
 
-    mode "direct" keeps every level exact; mode "fast" builds (or reuses)
-    an exponential-sum approximation certified on [dt_min, T] and keeps
+    mode "direct" keeps every level exact; mode "fast" builds an
+    exponential-sum approximation certified on [dt_min, T] and keeps
     only the first ``direct_levels`` levels exact (for graded prefixes
     whose steps undercut dt_min).  alpha = 1 always yields the memoryless
     classical history.
@@ -159,10 +159,9 @@ def make_history(alpha, shape=(), mode="direct", soe=None,
         raise ValueError(f"unknown history mode {mode!r}")
     if alpha == 1.0 or mode == "direct":
         return CaputoHistory(alpha, shape)
-    if soe is None:
-        if dt_min is None or T is None:
-            raise ValueError("fast mode needs an soe or (dt_min, T, eps)")
-        soe = build_soe(alpha, eps, dt_min, T)
+    if dt_min is None or T is None:
+        raise ValueError("fast mode needs dt_min and T")
+    soe = build_soe(alpha, eps, dt_min, T)
     return CaputoHistory(alpha, shape, soe=soe, exact_levels=direct_levels)
 
 
@@ -191,7 +190,6 @@ class StepCandidate:
     aux: float
     tau: float
     caputo_dot: float   # (discrete Caputo value, phi^n - phi^{n-1}), for audits
-    scheme: str
 
 
 def init_state(grid, phi0, params, history):
@@ -296,7 +294,7 @@ def _sav_step(state, tau_n, params, grid, source, theta, scheme):
     aux_new = state.aux - 0.5 * grid.inner(w_field, dphi)
     caputo_dot = grid.inner(a0 * dphi + hist, dphi)
     return StepCandidate(phi=phi_new, aux=aux_new, tau=float(tau_n),
-                         caputo_dot=caputo_dot, scheme=scheme)
+                         caputo_dot=caputo_dot)
 
 
 def cn_sav_step(state, tau_n, params, grid, source=None):

@@ -65,6 +65,9 @@ _BUILD_MARGIN = 16.0
 # per-block call overhead stays small next to the arithmetic
 _COMMIT_BLOCK_BYTES = 1 << 19
 
+# log-spaced sample count at which build_soe verifies each candidate rule
+_BUILD_SAMPLES = 4001
+
 
 @dataclass(frozen=True)
 class SOEApprox:
@@ -105,7 +108,7 @@ def _panel_rule(alpha, s0, s_max, n_base, n_panel):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def build_soe(alpha, eps, dt_min, T, samples=4001):
+def build_soe(alpha, eps, dt_min, T):
     """Build a certified exponential-sum approximation of w_{1-a} on [dt_min, T].
 
     Panel orders are escalated until the verifier reports an error at or
@@ -127,7 +130,7 @@ def build_soe(alpha, eps, dt_min, T, samples=4001):
     for n_base, n_panel in ((24, 10), (32, 14), (40, 18), (48, 22), (64, 28)):
         nodes, weights = _panel_rule(alpha, s0, s_max, n_base, n_panel)
         soe = SOEApprox(alpha, eps, dt_min, T, nodes, weights)
-        err = verify_soe(soe, samples)
+        err = verify_soe(soe, _BUILD_SAMPLES)
         if err < best_err:
             best_err, best = err, soe
         if err <= eps_target:

@@ -13,6 +13,7 @@ transform space; no dealiasing is applied.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -146,8 +147,10 @@ class ModelParams:
     model: str = SLOPE
 
     def __post_init__(self):
-        if self.M <= 0 or self.eps2 <= 0 or self.C0 <= 0 or self.beta < 0:
-            raise ValueError("require M, eps2, C0 > 0 and beta >= 0")
+        if not (0 < self.M < math.inf and 0 < self.eps2 < math.inf
+                and 0 < self.C0 < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("require finite M, eps2, C0 > 0 and beta >= 0, got "
+                             f"{self}")
         if self.model not in (SLOPE, NOSLOPE):
             raise ValueError(f"model must be 'slope' or 'noslope', got {self.model!r}")
 

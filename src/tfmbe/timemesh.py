@@ -22,8 +22,6 @@ __all__ = [
     "build_graded",
     "extend_random",
     "extend_uniform",
-    "default_t0",
-    "mesh_from_config",
 ]
 
 
@@ -128,33 +126,3 @@ def extend_uniform(mesh, T, N1):
     levels = np.concatenate([mesh.levels, tail])
     levels[-1] = T
     return TimeMesh(levels)
-
-
-def default_t0(gamma, T):
-    """Conventional split point T0 = min(1/gamma, T) for composite meshes."""
-    return min(1.0 / gamma, T)
-
-
-def mesh_from_config(cfg):
-    """Build a mesh from a config mapping.
-
-    Recognised kinds: "uniform" (T, N), "graded" (T0, N0, gamma), and the
-    composites "graded+random-tail" / "graded+uniform-tail" (T, N, T0, N0,
-    gamma, and seed for the random tail).
-    """
-    kind = cfg["kind"]
-    if kind == "uniform":
-        return build_uniform(cfg["T"], cfg["N"])
-    if kind == "graded":
-        return build_graded(cfg.get("T0", cfg.get("T")),
-                            cfg.get("N0", cfg.get("N")), cfg["gamma"])
-    if kind in ("graded+random-tail", "graded+uniform-tail"):
-        T, N = cfg["T"], cfg["N"]
-        gamma = cfg["gamma"]
-        T0 = cfg.get("T0", default_t0(gamma, T))
-        N0 = cfg.get("N0", N // 2)
-        prefix = build_graded(T0, N0, gamma)
-        if kind == "graded+random-tail":
-            return extend_random(prefix, T, N - N0, cfg["seed"])
-        return extend_uniform(prefix, T, N - N0)
-    raise ValueError(f"unknown mesh kind {kind!r}")

@@ -33,6 +33,12 @@ def test_params_validation():
         AdaptiveParams(tau_min=0.1, tau_max=0.01)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_params_reject_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        AdaptiveParams(tol=tol)
+
+
 def test_tau_ada_values():
     p = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-6, tau_max=1.0)
     assert tau_ada(4e-3, 0.01, p) == pytest.approx(0.0045, rel=1e-12)

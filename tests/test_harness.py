@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from tfmbe import (adaptive_benchmark, coarsening, ode_convergence,
-                   pde_convergence, read_field, singularity_run)
+from tfmbe import (SolverError, StepRecord, adaptive_benchmark, build_graded,
+                   coarsening, ode_convergence, pde_convergence, read_field,
+                   singularity_run)
 from tfmbe.cli import main as cli_main
-from tfmbe.harness import energy_bound_violation, table_mesh
+from tfmbe.harness import _check_energy_bound, energy_bound_violation, table_mesh
 
 
 def test_ode_convergence_rejects_bad_sigma():
@@ -38,6 +39,9 @@ def test_table_mesh_conventions():
     assert np.allclose(fixed.taus[32:], 0.75 / 32)
     with pytest.raises(ValueError):
         table_mesh(1.0, 64, 4.0, seed=0, tail="sorted")
+    # T0 = min(1/gamma, T): a horizon within 1/gamma is one graded segment
+    short = table_mesh(0.1, 16, 2.0, seed=0)
+    assert np.array_equal(short.levels, build_graded(0.1, 16, 2.0).levels)
 
 
 def test_pde_convergence_small(tmp_path):
@@ -153,6 +157,22 @@ def test_energy_bound_violation_helper():
     assert energy_bound_violation([R(1.5, acc=0)], 1.0) == 0.0
 
 
+def _record(n, energy_mod, accepted=1):
+    return StepRecord(n=n, t=0.1 * n, tau=0.1, energy_mod=energy_mod,
+                      energy_orig=0.0, roughness=0.0, aux=1.0,
+                      accepted=accepted, e_est=math.nan, dphi_dt_max=0.0,
+                      caputo_dot=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_energy_check_names_first_non_finite_step(bad):
+    records = [_record(1, 0.9), _record(2, bad, accepted=0), _record(2, 0.8),
+               _record(3, bad), _record(4, bad)]
+    with pytest.raises(SolverError, match=r"accepted step 3 \(t = 0\.3\)"):
+        _check_energy_bound(records, 1.0)
+    _check_energy_bound(records[:3], 1.0)  # a rejected trial is not checked
+
+
 # ---------------------------------------------------------------------------
 # determinism: identical config + seed => byte-identical CSV
 # ---------------------------------------------------------------------------
@@ -254,3 +274,39 @@ def test_cli_config_file(tmp_path, capsys):
     assert rc == 0
     meta = json.loads((tmp_path / "cfg2" / "run.json").read_text())
     assert meta["alpha"] == 0.1
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# subcommand, flags shrinking the run, the driver, its positional values (the
+# CLI's defaults) and the same shrinking keywords
+CLI_DRIVERS = [
+    ("ode-conv", [], ode_convergence, (0.5, 2.5, [64, 128, 256, 512]), {}),
+    ("pde-conv", ["--N", "8,16", "--grid", "16", "--T", "0.1"], pde_convergence,
+     ("slope", 0.8, 0.4, 5.0, [8, 16]), dict(grid_n=16, T=0.1)),
+    ("benchmark", ["--grid", "16", "--T", "0.02"], adaptive_benchmark,
+     ("slope", 0.7), dict(grid_n=16, T=0.02)),
+    ("coarsen", ["--grid", "16", "--T", "0.01"], coarsening,
+     ("slope", 0.7), dict(grid_n=16, T=0.01)),
+]
+
+
+@pytest.mark.parametrize("cmd,flags,driver,args,kwargs", CLI_DRIVERS,
+                         ids=[c[0] for c in CLI_DRIVERS])
+def test_cli_uses_driver_defaults(tmp_path, cmd, flags, driver, args, kwargs):
+    assert cli_main([cmd, *flags, "--out", str(tmp_path / "cli")]) == 0
+    driver(*args, **kwargs, out_dir=tmp_path / "direct")
+    assert _tree_bytes(tmp_path / "cli") == _tree_bytes(tmp_path / "direct")
+
+
+def test_cli_config_ignores_keys_that_are_not_flags(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"benchmark": {
+        "grid_n": 16, "T": 0.02, "M": 5.0, "out_dir": str(tmp_path / "cli")}}))
+    assert cli_main(["--config", str(cfg_path), "benchmark"]) == 0
+    adaptive_benchmark("slope", 0.7, grid_n=16, T=0.02,
+                       out_dir=tmp_path / "direct")
+    assert _tree_bytes(tmp_path / "cli") == _tree_bytes(tmp_path / "direct")

@@ -171,6 +171,13 @@ def test_model_params_validation():
         ModelParams(model="cubic")
 
 
+@pytest.mark.parametrize("name", ["M", "eps2", "beta", "C0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_model_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError):
+        ModelParams(**{name: value})
+
+
 def test_inner_products(grid):
     one = np.ones(grid.shape)
     sx = np.sin(grid.x) * np.ones_like(grid.y)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfmbe import (TimeMesh, build_graded, build_uniform, default_t0,
-                   extend_random, extend_uniform, mesh_from_config)
+from tfmbe import (TimeMesh, build_graded, build_uniform, extend_random,
+                   extend_uniform)
 
 
 def test_uniform_levels():
@@ -108,26 +108,6 @@ def test_extend_random_pure_function(seed, n1):
     b = extend_random(base, 2.0, n1, seed)
     assert np.array_equal(a.levels, b.levels)
     assert a.taus.sum() == pytest.approx(2.0, rel=1e-12)
-
-
-def test_default_t0():
-    assert default_t0(4.0, 1.0) == 0.25
-    assert default_t0(2.0, 0.1) == 0.1
-
-
-def test_mesh_from_config_kinds():
-    uni = mesh_from_config({"kind": "uniform", "T": 1.0, "N": 8})
-    assert uni.n_steps == 8
-    gr = mesh_from_config({"kind": "graded", "T0": 1.0, "N0": 8, "gamma": 2.0})
-    assert gr.taus[0] == pytest.approx(1 / 64, rel=1e-12)
-    rt = mesh_from_config({"kind": "graded+random-tail", "T": 2.0, "N": 10,
-                           "T0": 0.5, "N0": 5, "gamma": 2.0, "seed": 3})
-    assert rt.n_steps == 10 and rt.levels[-1] == 2.0
-    ut = mesh_from_config({"kind": "graded+uniform-tail", "T": 2.0, "N": 10,
-                           "T0": 0.5, "N0": 5, "gamma": 2.0})
-    assert np.allclose(ut.taus[5:], 0.3)
-    with pytest.raises(ValueError):
-        mesh_from_config({"kind": "chebyshev"})
 
 
 def test_mesh_immutable():
