@@ -2,8 +2,9 @@
 
 Each iteration computes a first-order candidate (backward Euler estimator)
 and a second-order candidate from the same committed state, measures their
-relative distance e = ||phi2 - phi1|| / ||phi2|| in the discrete L2 norm,
-and either accepts the second-order candidate or retries with the step
+relative distance e = ||phi2 - phi1|| / ||phi2|| in the discrete L2 norm
+(by Parseval, on the candidates' half-spectra), and either accepts the
+second-order candidate or retries with the step
 
     tau_ada(e, tau) = rho * sqrt(tol / e) * tau
 
@@ -50,6 +51,9 @@ class AdaptiveParams:
             raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if not 0.0 < self.tau_min <= self.tau_max:
             raise ValueError("require 0 < tau_min <= tau_max")
+        if self.tau_init is not None and not 0.0 < self.tau_init < math.inf:
+            raise ValueError(f"tau_init must be None or finite and positive, "
+                             f"got {self.tau_init}")
 
     def clamp(self, tau):
         return min(max(self.tau_min, tau), self.tau_max)
@@ -75,7 +79,8 @@ class StepRecord:
     caputo_dot is the inner product of the discrete fractional derivative
     with the step increment; summed over accepted steps it telescopes the
     modified energy (E(n) - E(0) = -sum/M), and every partial sum is
-    nonnegative by the kernel positivity.
+    nonnegative by the kernel positivity.  sav_drift is the relative
+    distance of aux from sqrt(radicand(phi)) (``trajectory_observables``).
     """
 
     n: int
@@ -89,16 +94,17 @@ class StepRecord:
     e_est: float
     dphi_dt_max: float
     caputo_dot: float
+    sav_drift: float
 
 
 def _record(n, t, cand, state_phi, params, grid, accepted, e_est):
     dphi_dt = float(np.max(np.abs(cand.phi - state_phi))) / cand.tau
-    e_mod, e_orig, rough = trajectory_observables(grid, cand.phi, cand.aux, params)
+    e_mod, e_orig, rough, drift = trajectory_observables(grid, cand, params)
     return StepRecord(
         n=n, t=t, tau=cand.tau,
         energy_mod=e_mod, energy_orig=e_orig, roughness=rough,
         aux=cand.aux, accepted=int(accepted), e_est=e_est,
-        dphi_dt_max=dphi_dt, caputo_dot=cand.caputo_dot)
+        dphi_dt_max=dphi_dt, caputo_dot=cand.caputo_dot, sav_drift=drift)
 
 
 def run_fixed(state, mesh, params, grid):
@@ -133,7 +139,6 @@ def adaptive_run(state, params, grid, aparams, T, prefix_mesh=None):
         records = run_fixed(state, prefix_mesh, params, grid)
     tau_next = aparams.tau_init if aparams.tau_init is not None else aparams.tau_min
     tau_next = aparams.clamp(tau_next)
-    norm = grid.norm_l2
 
     while T - state.t > 1e-12 * T:
         tau_n = min(tau_next, T - state.t)
@@ -142,8 +147,9 @@ def adaptive_run(state, params, grid, aparams, T, prefix_mesh=None):
         while True:
             cand2 = cn_sav_step(state, tau_n, params, grid)
             cand1 = be_l1_sav_step(state, tau_n, params, grid)
-            denom = norm(cand2.phi)
-            e = norm(cand2.phi - cand1.phi) / denom if denom > 0 else 0.0
+            norm2 = math.sqrt(grid.inner_spec(cand2.phi_h, cand2.phi_h))
+            d_h = cand2.phi_h - cand1.phi_h
+            e = math.sqrt(grid.inner_spec(d_h, d_h)) / norm2 if norm2 > 0 else 0.0
             at_floor = tau_n <= aparams.tau_min * (1.0 + 1e-12)
             if e < aparams.tol or at_floor or forced:
                 if forced and e >= aparams.tol:

@@ -99,12 +99,13 @@ def write_steps_csv(path, records):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "t", "tau", "energy_mod", "energy_orig", "roughness",
-                    "aux", "accepted", "e_est", "dphi_dt_max", "caputo_dot"])
+                    "aux", "accepted", "e_est", "dphi_dt_max", "caputo_dot",
+                    "sav_drift"])
         for r in records:
             w.writerow([r.n, _fmt(r.t), _fmt(r.tau), _fmt(r.energy_mod),
                         _fmt(r.energy_orig), _fmt(r.roughness), _fmt(r.aux),
                         r.accepted, _fmt(r.e_est), _fmt(r.dphi_dt_max),
-                        _fmt(r.caputo_dot)])
+                        _fmt(r.caputo_dot), _fmt(r.sav_drift)])
 
 
 def write_orders_csv(path, rows):
@@ -225,15 +226,13 @@ def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
         raise ValueError(f"regularity parameter must be positive, got {sigma}")
     grid = Grid2D(grid_n)
     params = ModelParams(M=M, eps2=eps2, beta=beta, C0=C0, model=model)
-    shape_field = np.sin(grid.x) * np.sin(grid.y)
-    bih = grid.biharmonic(shape_field)
+    shape_field = np.sin(grid.x) * np.sin(grid.y)  # Lap^2 shape_field = 4 shape_field
     nonlin = _nonlinearity(model)
 
     def source(t):
         phi_ex = rl_weight(1.0 + sigma, t) * shape_field
         return (rl_weight(1.0 + sigma - alpha, t) * shape_field
-                + params.M * (params.eps2 * rl_weight(1.0 + sigma, t) * bih
-                              + nonlin(grid, phi_ex)))
+                + params.M * (4.0 * params.eps2 * phi_ex + nonlin(grid, phi_ex)))
 
     rows = []
     for N in n_list:
@@ -279,7 +278,7 @@ def singularity_run(alpha, model=SLOPE, grid_n=32, T0=1e-3, N0=200, gamma=3.0,
     mesh = build_graded(T0, N0, gamma)
     history = make_history(alpha, grid.shape, mode="direct")
     state = init_state(grid, phi0, params, history)
-    e0 = trajectory_observables(grid, state.phi, state.aux, params)[0]
+    e0 = trajectory_observables(grid, state, params)[0]
     records = run_fixed(state, mesh, params, grid)
     _check_energy_bound(records, e0)
     t_mid = np.array([r.t - 0.5 * r.tau for r in records])
@@ -346,6 +345,11 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
         dt_min, direct_levels = float(np.min(mesh.taus)), 0
     elif strategy == "graded":
         n_total = int(round(T / uniform_tau))
+        if n_total <= prefix.n_steps:
+            raise ValueError(
+                f"strategy 'graded' needs more than prefix_n0 = {prefix_n0} "
+                f"steps of uniform_tau = {uniform_tau} up to T = {T}, got "
+                f"round(T/uniform_tau) = {n_total}")
         mesh = extend_uniform(prefix, T, n_total - prefix.n_steps)
         dt_min = float(np.min(mesh.taus[prefix.n_steps:]))
         direct_levels = prefix.n_steps
@@ -358,7 +362,7 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
     history = make_history(alpha, grid.shape, mode=soe_mode, dt_min=dt_min,
                            T=T, eps=soe_eps, direct_levels=direct_levels)
     state = init_state(grid, phi0, params, history)
-    e0 = trajectory_observables(grid, state.phi, state.aux, params)[0]
+    e0 = trajectory_observables(grid, state, params)[0]
 
     if strategy == "adaptive":
         aparams = AdaptiveParams(rho=rho, tol=tol, tau_min=tau_min,
@@ -416,7 +420,7 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023,
     history = make_history(alpha, grid.shape, mode=soe_mode, dt_min=tau_min,
                            T=T, eps=soe_eps, direct_levels=prefix.n_steps)
     state = init_state(grid, phi0, params, history)
-    e0 = trajectory_observables(grid, state.phi, state.aux, params)[0]
+    e0 = trajectory_observables(grid, state, params)[0]
     aparams = AdaptiveParams(rho=rho, tol=tol, tau_min=tau_min,
                              tau_max=tau_max, tau_init=tau_min,
                              max_retries=max_retries)

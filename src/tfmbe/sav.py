@@ -34,12 +34,23 @@ denominator is at least one; the no-slope auxiliary energy enters with the
 opposite sign (its potential is the negative log), so c' < 0 there and the
 denominator is checked at runtime (it stays near one for production
 step sizes).
+
+The step runs in transform space: the state carries the half-spectrum of
+phi^n and the grid gradients of phi^n and phi^{n-1}, the flux divergence
+and the right-hand side are formed as half-spectra, and every inner
+product is taken by Parseval.  A candidate's grid values and gradient are
+transformed back on first use.  An adaptive trial costs 9 transforms: the
+second-order step 4 (flux 2, history sum 1, grid values 1), the estimator
+3 (it is never transformed back) and the observables 2 (the gradient,
+which the next step reuses); a fixed-mesh step costs 6.  The history sum
+stays on the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -47,7 +58,7 @@ import numpy as np
 from .errors import SolverError, StateError
 from .kernels import l1_row, l1plus_row
 from .soe import HistoryBank, _l1_terms, _l1plus_terms, build_soe
-from .spectral import SLOPE, sav_u_functional, sav_v_functional
+from .spectral import SLOPE, sav_radicand, sav_u_functional, sav_v_functional
 
 __all__ = [
     "CaputoHistory",
@@ -89,8 +100,10 @@ class CaputoHistory:
         self.exact_levels = int(exact_levels)
         self.n_committed = 0
         self.bank = None
-        self._levels = [0.0]
+        # exact prefix: the committed increments, and the level times t_0..t_n
+        # with one slot more for the trial level; both grow by doubling
         self._buf = np.zeros((16,) + self.shape)
+        self._levels = np.zeros(self._buf.shape[0] + 2)
         self._bank_if_due()
 
     def _bank_if_due(self):
@@ -117,12 +130,14 @@ class CaputoHistory:
             terms = _l1plus_terms if scheme == "cn" else _l1_terms
             return terms(self.bank, tau_n)
         n = self.n_committed + 1
-        levels = np.append(self._levels, self._levels[-1] + tau_n)
+        levels = self._levels[:n + 1]
+        levels[n] = levels[n - 1] + tau_n  # the trial level; a commit overwrites it
         row = (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, n)
         if n == 1:
             return row.weights[0], np.zeros(self.shape)
-        hist = np.tensordot(row.weights[:0:-1], self._buf[:n - 1], axes=1)
-        return row.weights[0], hist
+        # np.dot copies the reversed weights to BLAS; ``@`` would loop over them
+        hist = np.dot(row.weights[:0:-1], self._buf[:n - 1].reshape(n - 1, -1))
+        return row.weights[0], hist.reshape(self.shape)
 
     def commit(self, tau, increment, level=None):
         """Append the increment of an accepted step; levels arrive in order."""
@@ -136,13 +151,18 @@ class CaputoHistory:
             self.bank.commit(tau, increment)
         elif self.alpha < 1.0:
             if n == self._buf.shape[0]:
-                grown = np.zeros((2 * n,) + self.shape)
-                grown[:n] = self._buf
-                self._buf = grown
+                self._buf, self._levels = _doubled(self._buf), _doubled(self._levels)
             self._buf[n] = increment
-            self._levels.append(self._levels[-1] + float(tau))
+            self._levels[n + 1] = self._levels[n] + float(tau)
         self.n_committed = n + 1
         self._bank_if_due()
+
+
+def _doubled(a):
+    """``a`` copied into a zeroed array with twice as many rows."""
+    grown = np.zeros((2 * a.shape[0],) + a.shape[1:])
+    grown[:a.shape[0]] = a
+    return grown
 
 
 def make_history(alpha, shape=(), mode="direct", dt_min=None, T=None,
@@ -166,90 +186,124 @@ def make_history(alpha, shape=(), mode="direct", dt_min=None, T=None,
 
 
 # ---------------------------------------------------------------------------
-# State, energies
+# State, observables
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SAVState:
-    """Committed trajectory head: phi^n, the auxiliary scalar, and history."""
+    """Committed trajectory head and history.
+
+    phi^n as grid values and as a half-spectrum, the grid gradients of
+    phi^n and phi^{n-1} (the second-order step extrapolates the flux from
+    them), the auxiliary scalar and the convolution history.
+    """
 
     phi: np.ndarray
+    phi_h: np.ndarray
+    grad: tuple
     aux: float
     history: object
     n: int = 0
     t: float = 0.0
-    prev_phi: Optional[np.ndarray] = None
+    prev_grad: Optional[tuple] = None
     prev_tau: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class StepCandidate:
-    """Result of one trial step; harmless to discard."""
+    """Result of one trial step; harmless to discard.
 
-    phi: np.ndarray = field(repr=False)
+    The new field is its half-spectrum ``phi_h``; its grid values ``phi``
+    and gradient ``grad`` are transformed back on first use, so a
+    candidate that is only compared costs no inverse transform.
+    """
+
+    grid: object = field(repr=False)
+    phi_h: np.ndarray = field(repr=False)
     aux: float
     tau: float
     caputo_dot: float   # (discrete Caputo value, phi^n - phi^{n-1}), for audits
+
+    @cached_property
+    def phi(self):
+        return self.grid.ifft(self.phi_h)
+
+    @cached_property
+    def grad(self):
+        return self.grid.gradient_from_spectrum(self.phi_h)
+
+
+def _functional(params):
+    return sav_u_functional if params.model == SLOPE else sav_v_functional
 
 
 def init_state(grid, phi0, params, history):
     """Initial state with the auxiliary scalar set to sqrt(radicand(phi0))."""
     phi0 = np.array(phi0, dtype=float, copy=True)
-    functional = sav_u_functional if params.model == SLOPE else sav_v_functional
-    _, radicand = functional(grid, phi0, params)
-    return SAVState(phi=phi0, aux=float(np.sqrt(radicand)), history=history)
+    if phi0.shape != grid.shape:
+        raise ValueError(f"field shape {phi0.shape} does not match grid {grid.shape}")
+    phi_h = grid.fft(phi0)
+    grad = grid.gradient_from_spectrum(phi_h)
+    _, radicand = _functional(params)(grid, grad, params)
+    return SAVState(phi=phi0, phi_h=phi_h, grad=grad, aux=float(np.sqrt(radicand)),
+                    history=history)
 
 
-def trajectory_observables(grid, phi, aux, params):
-    """(modified energy, physical energy, roughness) sharing one transform.
+def trajectory_observables(grid, head, params):
+    """(modified energy, physical energy, roughness, SAV drift) of a field.
 
+    ``head`` is a ``SAVState`` or a ``StepCandidate``: the field's
+    half-spectrum, grid values and gradient, and its auxiliary scalar.
     modified (the energy the schemes provably dissipate):
         slope:    int(eps2/2 |Lap phi|^2 + beta/2 |grad phi|^2) + aux^2 - C0
         no-slope: same integral - aux^2 + C0
-    The gradient term is evaluated with the full Laplacian symbol, Nyquist
-    modes included (the pointwise gradient would drop them and break the
-    bound on fields that carry them).  With aux consistent with phi the
-    no-slope form equals the physical energy, and the slope form exceeds
-    it by the constant (beta/2 + beta^2/4)|Omega|.
+    The integral is taken by Parseval, with the full Laplacian symbol,
+    Nyquist modes included (the pointwise gradient would drop them and
+    break the bound on fields that carry them).  With aux consistent with
+    phi the no-slope form equals the physical energy, and the slope form
+    exceeds it by the constant (beta/2 + beta^2/4)|Omega|.
     physical: int(eps2/2 |Lap phi|^2 + F(grad phi)), pointwise gradient.
     roughness: the spatial standard deviation of phi.
+    SAV drift: |aux - sqrt(radicand(phi))| / sqrt(radicand(phi)), how far
+    the auxiliary scalar has moved from the functional it stands for (0 at
+    ``init_state``).
     """
-    fh = grid.fft(phi)
-    lap = grid.ifft(-grid.k2 * fh)
-    gx = grid.ifft(grid._dx * fh)
-    gy = grid.ifft(grid._dy * fh)
+    fh = head.phi_h
+    gx, gy = head.grad
     x2 = gx * gx + gy * gy
-    bend = 0.5 * params.eps2 * grid.inner(lap, lap)
-    quad = bend + 0.5 * params.beta * grid.inner_spec(fh, grid.k2 * fh)
+    k2fh = grid.k2 * fh
+    bend = 0.5 * params.eps2 * grid.inner_spec(k2fh, k2fh)
+    quad = bend + 0.5 * params.beta * grid.inner_spec(fh, k2fh)
+    aux = head.aux
     if params.model == SLOPE:
         e_mod = quad + aux * aux - params.C0
         e_orig = bend + 0.25 * grid.integrate((x2 - 1.0) ** 2)
     else:
         e_mod = quad - aux * aux + params.C0
         e_orig = bend - 0.5 * grid.integrate(np.log1p(x2))
-    d = phi - grid.mean(phi)
+    root = math.sqrt(sav_radicand(grid, x2, params))
+    d = head.phi - grid.mean(head.phi)
     rough = float(np.sqrt(grid.integrate(d * d) / grid.area))
-    return e_mod, e_orig, rough
+    return e_mod, e_orig, rough, abs(aux - root) / root
 
 
 # ---------------------------------------------------------------------------
 # Steps
 # ---------------------------------------------------------------------------
 
-def _rank_one_solve(grid, symbol, rhs, w_field, coupling):
+def _rank_one_solve(grid, symbol, rhs_h, w_h, coupling):
     """Solve (L + coupling * (W, .) W) phi = rhs with L diagonal.
 
-    Both back-substitutions and the two inner products run on the
-    half-spectrum; only the final combination is transformed back.
+    Takes and returns half-spectra; the two inner products are taken by
+    Parseval.
     """
-    gam_h = grid.fft(rhs) / symbol
-    chi_h = grid.fft(w_field) / symbol
-    w_h = symbol * chi_h
+    gam_h = rhs_h / symbol
+    chi_h = w_h / symbol
     denom = 1.0 + coupling * grid.inner_spec(w_h, chi_h)
     if denom <= 0.0:
         raise SolverError(f"rank-one denominator {denom} <= 0")
     w_phi = grid.inner_spec(w_h, gam_h) / denom
-    return grid.ifft(gam_h - coupling * w_phi * chi_h)
+    return gam_h - coupling * w_phi * chi_h
 
 
 def _sav_step(state, tau_n, params, grid, source, theta, scheme):
@@ -259,18 +313,18 @@ def _sav_step(state, tau_n, params, grid, source, theta, scheme):
     are weighted theta at the new level and 1 - theta at the old one, and
     ``source`` (optional callable t -> field added to the height equation)
     is sampled at t + theta * tau_n.  theta = 1/2 freezes the flux at the
-    midpoint extrapolation of phi; theta = 1 freezes it at phi itself and
-    skips the explicit linear term.
+    midpoint extrapolation of phi (taken on the gradients); theta = 1
+    freezes it at phi itself.
     """
     if not (math.isfinite(tau_n) and tau_n > 0):
         raise ValueError(f"step size must be finite and positive, got {tau_n}")
     a0, hist = state.history.caputo_terms(scheme, tau_n)
-    phi = state.phi
-    phi_hat = phi
+    gx, gy = state.grad
     if theta < 1.0 and state.n > 0:
-        phi_hat = phi + (phi - state.prev_phi) * (tau_n / (2.0 * state.prev_tau))
-    functional = sav_u_functional if params.model == SLOPE else sav_v_functional
-    w_field, _ = functional(grid, phi_hat, params)
+        r = tau_n / (2.0 * state.prev_tau)
+        px, py = state.prev_grad
+        gx, gy = gx + (gx - px) * r, gy + (gy - py) * r
+    w_h, _ = _functional(params)(grid, (gx, gy), params)
     # sign of the frozen-flux source: -M(... - W u) for slope, -M(... + W v)
     # for no-slope.  The auxiliary scalar obeys aux_t = -(1/2)(W, phi_t) in
     # both cases (chain rule on sqrt(radicand)), so the implicit rank-one
@@ -281,19 +335,18 @@ def _sav_step(state, tau_n, params, grid, source, theta, scheme):
     lin_sym = params.eps2 * grid.k4 + params.beta * grid.k2
     symbol = a0 + theta * m * lin_sym
     coupling = s_aux * 0.5 * theta * m
-    rhs = a0 * phi - hist
-    if theta < 1.0:
-        rhs = rhs - (1.0 - theta) * m * grid.ifft(lin_sym * grid.fft(phi))
-    rhs = (rhs + (s_aux * m * state.aux) * w_field
-           + coupling * grid.inner(w_field, phi) * w_field)
+    phi_h = state.phi_h
+    hist_h = grid.fft(hist)
+    rhs_h = ((a0 - (1.0 - theta) * m * lin_sym) * phi_h - hist_h
+             + (s_aux * m * state.aux + coupling * grid.inner_spec(w_h, phi_h)) * w_h)
     if source is not None:
-        rhs = rhs + source(state.t + theta * tau_n)
+        rhs_h = rhs_h + grid.fft(source(state.t + theta * tau_n))
 
-    phi_new = _rank_one_solve(grid, symbol, rhs, w_field, coupling)
-    dphi = phi_new - phi
-    aux_new = state.aux - 0.5 * grid.inner(w_field, dphi)
-    caputo_dot = grid.inner(a0 * dphi + hist, dphi)
-    return StepCandidate(phi=phi_new, aux=aux_new, tau=float(tau_n),
+    phi_new_h = _rank_one_solve(grid, symbol, rhs_h, w_h, coupling)
+    dphi_h = phi_new_h - phi_h
+    aux_new = state.aux - 0.5 * grid.inner_spec(w_h, dphi_h)
+    caputo_dot = grid.inner_spec(a0 * dphi_h + hist_h, dphi_h)
+    return StepCandidate(grid=grid, phi_h=phi_new_h, aux=aux_new, tau=float(tau_n),
                          caputo_dot=caputo_dot)
 
 
@@ -310,9 +363,9 @@ def be_l1_sav_step(state, tau_n, params, grid, source=None):
 def commit_candidate(state, cand):
     """Accept a candidate: advance the convolution history and the clock."""
     state.history.commit(cand.tau, cand.phi - state.phi, level=state.n + 1)
-    state.prev_phi = state.phi
+    state.prev_grad = state.grad
     state.prev_tau = cand.tau
-    state.phi = cand.phi
+    state.phi, state.phi_h, state.grad = cand.phi, cand.phi_h, cand.grad
     state.aux = cand.aux
     state.n += 1
     state.t += cand.tau

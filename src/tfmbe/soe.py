@@ -163,6 +163,8 @@ class HistoryBank:
     pending pair (tau_k, increment_k); H(t_0) = 0.  Commits must arrive in
     level order and only for accepted steps.  ``commit`` updates ``h`` in
     place, block by block: ``h`` keeps its buffer for the bank's lifetime.
+    The bank keeps the increment array it is given, not a copy, until the
+    next commit folds it in, so the caller must not modify it meanwhile.
     """
 
     def __init__(self, soe, shape=()):
@@ -187,7 +189,7 @@ class HistoryBank:
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"step size for level {self.n_committed + 1} must be "
                              f"finite and positive, got {tau}")
-        inc = np.array(increment, dtype=float, copy=True)
+        inc = np.asarray(increment, dtype=float)
         if inc.shape != self.shape:
             raise ValueError(f"increment shape {inc.shape} != bank shape {self.shape}")
         if self.pending is not None:

@@ -2,13 +2,20 @@
 
 Fields are real arrays of shape (nx, ny) on the uniform periodic grid of
 (0, lx) x (0, ly); x varies along the first axis.  Differential operators
-are diagonal in transform space (real FFTs with Hermitian symmetry); the
-Nyquist mode of odd derivatives is zeroed, the standard convention for
-real first derivatives.  Quadrature is the scaled grid sum, which is
-spectrally accurate on periodic grids.
+are diagonal in transform space (real FFTs with Hermitian symmetry), so a
+field is carried by its half-spectrum between steps: the grid values of
+its gradient come from ``gradient_from_spectrum`` and the half-spectrum of
+a divergence from ``divergence_spectrum``.  The Nyquist mode of odd
+derivatives is zeroed, the standard convention for real first
+derivatives.  Quadrature is the scaled grid sum, which is spectrally
+accurate on periodic grids; ``inner_spec`` takes the same inner product
+from two half-spectra (Parseval).
 
 Nonlinear fluxes are formed pointwise on the grid and differentiated in
-transform space; no dealiasing is applied.
+transform space; no dealiasing is applied.  Every 2-D transform goes
+through ``Grid2D.fft``/``Grid2D.ifft``.  The SAV step (``tfmbe.sav``)
+costs 9 of them per adaptive trial (second-order step 4, estimator 3,
+observables 2) and 6 per fixed-mesh step.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ __all__ = [
     "noslope_nonlinearity",
     "sav_u_functional",
     "sav_v_functional",
+    "sav_radicand",
     "write_field",
     "read_field",
 ]
@@ -88,27 +96,15 @@ class Grid2D:
     def ifft(self, fh):
         return np.fft.irfft2(fh, s=self.shape)
 
-    def _check(self, f):
-        f = np.asarray(f, dtype=float)
-        if f.shape != self.shape:
-            raise ValueError(f"field shape {f.shape} does not match grid {self.shape}")
-        return f
-
     # -- operators -----------------------------------------------------
 
-    def laplacian(self, f):
-        return self.ifft(-self.k2 * self.fft(self._check(f)))
-
-    def biharmonic(self, f):
-        return self.ifft(self.k4 * self.fft(self._check(f)))
-
-    def gradient(self, f):
-        fh = self.fft(self._check(f))
+    def gradient_from_spectrum(self, fh):
+        """Grid values (d_x f, d_y f) of the field with half-spectrum fh."""
         return self.ifft(self._dx * fh), self.ifft(self._dy * fh)
 
-    def divergence(self, fx, fy):
-        return (self.ifft(self._dx * self.fft(self._check(fx)))
-                + self.ifft(self._dy * self.fft(self._check(fy))))
+    def divergence_spectrum(self, fx, fy):
+        """Half-spectrum of d_x fx + d_y fy for grid fields fx, fy."""
+        return self._dx * self.fft(fx) + self._dy * self.fft(fy)
 
     # -- quadrature ----------------------------------------------------
 
@@ -157,50 +153,64 @@ class ModelParams:
 
 def slope_nonlinearity(grid, phi):
     """Variational flux of the double-well potential: -div((|grad|^2 - 1) grad)."""
-    gx, gy = grid.gradient(phi)
-    x2 = gx * gx + gy * gy
-    fac = x2 - 1.0
-    return -grid.divergence(fac * gx, fac * gy)
+    gx, gy = grid.gradient_from_spectrum(grid.fft(phi))
+    fac = gx * gx + gy * gy - 1.0
+    return -grid.ifft(grid.divergence_spectrum(fac * gx, fac * gy))
 
 
 def noslope_nonlinearity(grid, phi):
     """Variational flux of the logarithmic potential: div(grad/(1 + |grad|^2))."""
-    gx, gy = grid.gradient(phi)
+    gx, gy = grid.gradient_from_spectrum(grid.fft(phi))
     fac = 1.0 / (1.0 + gx * gx + gy * gy)
-    return grid.divergence(fac * gx, fac * gy)
+    return grid.ifft(grid.divergence_spectrum(fac * gx, fac * gy))
 
 
-def sav_u_functional(grid, phi, params):
+def sav_radicand(grid, x2, params):
+    """Radicand of the auxiliary variable from the squared slope x2 = |grad phi|^2.
+
+    slope:    int (x2 - 1 - beta)^2 / 4 + C0
+    no-slope: int (log(1 + x2) + beta x2) / 2 + C0
+    """
+    if params.model == SLOPE:
+        m = x2 - 1.0 - params.beta
+        radicand = 0.25 * grid.integrate(m * m) + params.C0
+    else:
+        radicand = (grid.integrate(0.5 * np.log1p(x2) + 0.5 * params.beta * x2)
+                    + params.C0)
+    if radicand <= 0.0:
+        raise ModelViolationError(
+            f"nonpositive radicand {radicand}; increase C0 (= {params.C0})")
+    return radicand
+
+
+def sav_u_functional(grid, grad, params):
     """Normalized double-well flux used by the slope-model auxiliary variable.
 
-    Returns (U, radicand) with
-    U = div((|grad phi|^2 - 1 - beta) grad phi) / sqrt(radicand) and
-    radicand = int (|grad phi|^2 - 1 - beta)^2 / 4 + C0.
+    ``grad`` holds the grid values (d_x phi, d_y phi).  Returns
+    (U_h, radicand): the half-spectrum of
+    U = div((|grad phi|^2 - 1 - beta) grad phi) / sqrt(radicand), with
+    ``sav_radicand`` of the slope model.
     """
-    gx, gy = grid.gradient(phi)
-    m = gx * gx + gy * gy - 1.0 - params.beta
-    radicand = 0.25 * grid.integrate(m * m) + params.C0
-    if radicand <= 0.0:
-        raise ModelViolationError(
-            f"nonpositive radicand {radicand}; increase C0 (= {params.C0})")
-    return grid.divergence(m * gx, m * gy) / np.sqrt(radicand), radicand
+    gx, gy = grad
+    x2 = gx * gx + gy * gy
+    radicand = sav_radicand(grid, x2, params)
+    m = x2 - 1.0 - params.beta
+    return grid.divergence_spectrum(m * gx, m * gy) / np.sqrt(radicand), radicand
 
 
-def sav_v_functional(grid, phi, params):
+def sav_v_functional(grid, grad, params):
     """Normalized logarithmic-potential flux for the no-slope auxiliary variable.
 
-    Returns (V, radicand) with
-    V = div((1/(1 + |grad phi|^2) + beta) grad phi) / sqrt(radicand) and
-    radicand = int (log(1 + |grad phi|^2)/2 + beta |grad phi|^2 / 2) + C0.
+    ``grad`` holds the grid values (d_x phi, d_y phi).  Returns
+    (V_h, radicand): the half-spectrum of
+    V = div((1/(1 + |grad phi|^2) + beta) grad phi) / sqrt(radicand), with
+    ``sav_radicand`` of the no-slope model.
     """
-    gx, gy = grid.gradient(phi)
+    gx, gy = grad
     x2 = gx * gx + gy * gy
-    radicand = grid.integrate(0.5 * np.log1p(x2) + 0.5 * params.beta * x2) + params.C0
-    if radicand <= 0.0:
-        raise ModelViolationError(
-            f"nonpositive radicand {radicand}; increase C0 (= {params.C0})")
+    radicand = sav_radicand(grid, x2, params)
     fac = 1.0 / (1.0 + x2) + params.beta
-    return grid.divergence(fac * gx, fac * gy) / np.sqrt(radicand), radicand
+    return grid.divergence_spectrum(fac * gx, fac * gy) / np.sqrt(radicand), radicand
 
 
 # -- field snapshots ----------------------------------------------------

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfmbe import (AdaptiveParams, Grid2D, ModelParams, adaptive_run,
-                   build_graded, init_state, make_history, tau_ada,
-                   trajectory_observables)
+                   be_l1_sav_step, build_graded, cn_sav_step, init_state,
+                   make_history, tau_ada, trajectory_observables)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,12 @@ def test_params_validation():
 def test_params_reject_non_finite_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
         AdaptiveParams(tol=tol)
+
+
+@pytest.mark.parametrize("tau_init", [math.nan, math.inf, 0.0, -1e-3])
+def test_params_reject_bad_tau_init(tau_init):
+    with pytest.raises(ValueError, match="tau_init"):
+        AdaptiveParams(tau_init=tau_init)
 
 
 def test_tau_ada_values():
@@ -142,9 +148,22 @@ def test_prefix_mesh_marched_unconditionally(grid):
 def test_energy_bound_over_adaptive_run(grid):
     for model in ("slope", "noslope"):
         state, params = small_state(grid, model=model)
-        e0 = trajectory_observables(grid, state.phi, state.aux, params)[0]
+        e0 = trajectory_observables(grid, state, params)[0]
         ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1,
                             tau_init=1e-3)
         records = adaptive_run(state, params, grid, ap, 1.0)
         worst = max(r.energy_mod for r in records if r.accepted)
         assert worst <= e0 + 1e-9 * abs(e0)
+
+
+@pytest.mark.parametrize("model", ["slope", "noslope"])
+def test_error_estimate_is_real_space_l2_ratio(grid, model):
+    state, params = small_state(grid, model=model)
+    tau = 0.01
+    c2 = cn_sav_step(state, tau, params, grid)
+    c1 = be_l1_sav_step(state, tau, params, grid)
+    ref = grid.norm_l2(c2.phi - c1.phi) / grid.norm_l2(c2.phi)
+    ap = AdaptiveParams(tol=1e6, tau_min=1e-3, tau_max=0.1, tau_init=tau)
+    records = adaptive_run(state, params, grid, ap, tau)
+    assert len(records) == 1 and records[0].tau == tau
+    assert records[0].e_est == pytest.approx(ref, rel=1e-12)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfmbe import (Grid2D, ModelParams, convergence_order, loglinear_fit,
-                   powerlaw_fit, rl_weight, singularity_slope,
-                   trajectory_observables)
+from tfmbe import (Grid2D, ModelParams, convergence_order, init_state,
+                   loglinear_fit, make_history, powerlaw_fit, rl_weight,
+                   singularity_slope, trajectory_observables)
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +16,9 @@ def grid():
 
 
 def roughness(grid, phi):
-    return trajectory_observables(grid, phi, 0.0, ModelParams())[2]
+    params = ModelParams()
+    state = init_state(grid, phi, params, make_history(1.0, grid.shape))
+    return trajectory_observables(grid, state, params)[2]
 
 
 def test_roughness_constant_is_zero(grid):

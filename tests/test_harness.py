@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from tfmbe import (SolverError, StepRecord, adaptive_benchmark, build_graded,
-                   coarsening, ode_convergence, pde_convergence, read_field,
-                   singularity_run)
+from tfmbe import (Grid2D, ModelParams, SolverError, StepRecord,
+                   adaptive_benchmark, build_graded, coarsening, init_state,
+                   make_history, ode_convergence, pde_convergence, read_field,
+                   singularity_run, trajectory_observables)
 from tfmbe.cli import main as cli_main
-from tfmbe.harness import _check_energy_bound, energy_bound_violation, table_mesh
+from tfmbe.harness import (_benchmark_phi0, _check_energy_bound,
+                           energy_bound_violation, table_mesh)
 
 
 def test_ode_convergence_rejects_bad_sigma():
@@ -62,7 +64,7 @@ def test_benchmark_small_run_and_outputs(tmp_path):
     assert rep.n_accepted >= 1
     steps = (tmp_path / "b" / "steps.csv").read_text().splitlines()
     assert steps[0] == ("n,t,tau,energy_mod,energy_orig,roughness,aux,"
-                        "accepted,e_est,dphi_dt_max,caputo_dot")
+                        "accepted,e_est,dphi_dt_max,caputo_dot,sav_drift")
     field, (lx, ly) = read_field(tmp_path / "b" / "field_final.bin")
     assert field.shape == (16, 16)
     assert lx == pytest.approx(2 * math.pi)
@@ -80,6 +82,32 @@ def test_benchmark_strategies_share_energy_bound():
     assert rep_g.n_accepted == 20  # 10 graded + 10 tail cells
     with pytest.raises(ValueError):
         adaptive_benchmark("slope", 0.5, strategy="magic", grid_n=16, T=0.02)
+
+
+def test_graded_strategy_needs_a_tail():
+    with pytest.raises(ValueError, match=r"'graded'.*prefix_n0 = 30.*"
+                                         r"uniform_tau = 0\.001.*T = 0\.03"):
+        adaptive_benchmark("slope", 0.5, strategy="graded", grid_n=16, T=0.03)
+
+
+def test_benchmark_sav_drift_column():
+    grid, params = Grid2D(16), ModelParams()
+    state = init_state(grid, _benchmark_phi0(grid), params,
+                       make_history(0.7, grid.shape))
+    assert trajectory_observables(grid, state, params)[3] == 0.0
+    rep = adaptive_benchmark("slope", 0.7, grid_n=16, T=0.05)
+    drift = [r.sav_drift for r in rep.accepted]
+    assert 0.0 < max(drift) < 1e-3
+
+
+def test_adaptive_step_transform_budget(monkeypatch):
+    calls = []
+    fft, ifft = Grid2D.fft, Grid2D.ifft
+    monkeypatch.setattr(Grid2D, "fft", lambda g, f: calls.append(1) or fft(g, f))
+    monkeypatch.setattr(Grid2D, "ifft", lambda g, f: calls.append(1) or ifft(g, f))
+    rep = adaptive_benchmark("slope", 0.7, grid_n=16, T=0.05)
+    assert rep.n_accepted > 30  # past the graded prefix
+    assert len(calls) <= 10 * rep.n_accepted
 
 
 def test_benchmark_alpha_one_runs():
@@ -161,7 +189,7 @@ def _record(n, energy_mod, accepted=1):
     return StepRecord(n=n, t=0.1 * n, tau=0.1, energy_mod=energy_mod,
                       energy_orig=0.0, roughness=0.0, aux=1.0,
                       accepted=accepted, e_est=math.nan, dphi_dt_max=0.0,
-                      caputo_dot=0.0)
+                      caputo_dot=0.0, sav_drift=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

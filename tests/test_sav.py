@@ -30,7 +30,14 @@ def two_mode_derivatives(grid):
 
 
 def initial_energy(grid, state, params):
-    return trajectory_observables(grid, state.phi, state.aux, params)[0]
+    return trajectory_observables(grid, state, params)[0]
+
+
+def head(grid, phi, aux, params):
+    """A state holding phi, with the auxiliary scalar set to ``aux``."""
+    state = init_state(grid, phi, params, make_history(1.0, grid.shape))
+    state.aux = aux
+    return state
 
 
 def state_digest(state):
@@ -61,18 +68,29 @@ def test_init_state_noslope_aux(grid):
     assert state.aux == pytest.approx(1.0, rel=1e-13)
 
 
+def test_init_state_rejects_wrong_shape(grid):
+    params = ModelParams(model="slope")
+    with pytest.raises(ValueError, match="does not match grid"):
+        init_state(grid, np.zeros((grid.nx, grid.ny + 2)), params,
+                   make_history(0.5, grid.shape))
+
+
 def test_energies_at_flat_state(grid):
     params = ModelParams(M=1.0, eps2=1.0, beta=1.0, C0=1.0, model="slope")
     zero = np.zeros(grid.shape)
     u0 = math.sqrt((1 + params.beta) ** 2 * grid.area / 4 + params.C0)
-    e_mod, e_orig, rough = trajectory_observables(grid, zero, u0, params)
+    e_mod, e_orig, rough, drift = trajectory_observables(
+        grid, head(grid, zero, u0, params), params)
     # quadratic bound form carries the stabilizer constant
     assert e_mod == pytest.approx((1 + params.beta) ** 2 * grid.area / 4, rel=1e-12)
     assert e_orig == pytest.approx(grid.area / 4, rel=1e-12)
     assert rough == 0.0
+    assert drift == pytest.approx(0.0, abs=1e-15)
 
     params_n = ModelParams(M=1.0, eps2=1.0, beta=1.0, C0=1.0, model="noslope")
-    e_mod, e_orig, _ = trajectory_observables(grid, zero, 1.0, params_n)
+    e_mod, e_orig, _, drift = trajectory_observables(
+        grid, head(grid, zero, 1.0, params_n), params_n)
+    assert drift == 0.0
     assert e_mod == pytest.approx(0.0, abs=1e-12)
     assert e_orig == pytest.approx(0.0, abs=1e-12)
 
@@ -82,7 +100,8 @@ def test_modified_energy_matches_original_for_consistent_aux(grid):
     for model in ("slope", "noslope"):
         params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
         state = init_state(grid, phi, params, make_history(0.5, grid.shape))
-        e_mod, e_orig, _ = trajectory_observables(grid, phi, state.aux, params)
+        e_mod, e_orig, _, drift = trajectory_observables(grid, state, params)
+        assert drift == 0.0  # init_state sets aux from the same radicand
         # the slope form carries the stabilizer constant, the no-slope form none
         offset = (0.5 * params.beta + 0.25 * params.beta ** 2) * grid.area \
             if model == "slope" else 0.0
@@ -97,7 +116,8 @@ def test_observables_match_standalone(grid):
     aux = 2.0
     for model in ("slope", "noslope"):
         params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
-        e_mod, e_orig, rough = trajectory_observables(grid, phi, aux, params)
+        e_mod, e_orig, rough, drift = trajectory_observables(
+            grid, head(grid, phi, aux, params), params)
         bend = 0.5 * params.eps2 * np.sum(lap * lap) * dA
         quad = bend + 0.5 * params.beta * np.sum(x2) * dA
         if model == "slope":
@@ -109,9 +129,17 @@ def test_observables_match_standalone(grid):
             assert e_orig == pytest.approx(
                 bend - 0.5 * np.sum(np.log1p(x2)) * dA, rel=1e-12)
         assert rough == pytest.approx(np.std(phi), rel=1e-12)
+        if model == "slope":
+            m = x2 - 1.0 - params.beta
+            radicand = 0.25 * np.sum(m * m) * dA + params.C0
+        else:
+            radicand = np.sum(0.5 * np.log1p(x2) + 0.5 * params.beta * x2) * dA \
+                + params.C0
+        assert drift == pytest.approx(abs(aux - math.sqrt(radicand))
+                                      / math.sqrt(radicand), rel=1e-12)
     noisy = phi + 0.01 * np.random.default_rng(3).standard_normal(grid.shape)
-    assert trajectory_observables(grid, noisy, aux, params)[2] == \
-        pytest.approx(np.std(noisy), rel=1e-12)
+    assert trajectory_observables(grid, head(grid, noisy, aux, params), params)[2] \
+        == pytest.approx(np.std(noisy), rel=1e-12)
 
 
 def test_modified_energy_keeps_nyquist_mode(grid):
@@ -119,7 +147,8 @@ def test_modified_energy_keeps_nyquist_mode(grid):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
     k = grid.nx // 2
     phi = np.cos(k * grid.x)  # +-1 at the grid points
-    e_mod, e_orig, _ = trajectory_observables(grid, phi, 0.0, params)
+    e_mod, e_orig, _, _ = trajectory_observables(grid, head(grid, phi, 0.0, params),
+                                                 params)
     bend = 0.5 * params.eps2 * k ** 4 * grid.area
     assert e_mod == pytest.approx(
         bend + 0.5 * params.beta * k ** 2 * grid.area - params.C0, rel=1e-12)
@@ -155,13 +184,17 @@ def test_commit_advances_state_and_history(grid):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
     state = init_state(grid, two_mode(grid), params,
                        make_history(0.7, grid.shape))
-    phi0 = state.phi.copy()
+    grad0 = state.grad
     cand = cn_sav_step(state, 0.01, params, grid)
     commit_candidate(state, cand)
     assert state.n == 1
     assert state.t == pytest.approx(0.01)
     assert state.history.n_committed == 1
-    assert np.array_equal(state.prev_phi, phi0)
+    assert state.prev_grad is grad0
+    assert state.phi_h is cand.phi_h
+    assert np.allclose(grid.fft(state.phi), state.phi_h, rtol=0, atol=1e-12)
+    for g, ref in zip(state.grad, grid.gradient_from_spectrum(grid.fft(state.phi))):
+        assert np.allclose(g, ref, rtol=0, atol=1e-12)
 
 
 def test_step_validates_tau(grid):
