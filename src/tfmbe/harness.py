@@ -173,7 +173,8 @@ def solve_caputo_ode(mesh, alpha, source_mid, u0=0.0):
     for n, tau in enumerate(mesh.taus, start=1):
         a0, hist = history.caputo_terms("cn", tau)
         t_mid = 0.5 * (levels[n - 1] + levels[n])
-        du = (source_mid(t_mid) - hist) / a0
+        rhs = source_mid(t_mid)
+        du = (rhs if hist is None else rhs - hist) / a0
         history.commit(tau, du, level=n)
         u[n] = u[n - 1] + du
     return u
@@ -404,8 +405,12 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023,
     1.25e-4 for the slope model, 3.32e-5 for the no-slope model).  Fits
     over ``fit_window`` (default [1, min(500, T)]): energy and roughness
     exponents from the log-log least squares, plus a semilog energy slope
-    for the no-slope model.
+    for the no-slope model.  A fit that cannot be made is NaN, and
+    ``fits["reason"]`` says why (for T < 1 the default window is empty); a
+    ``fit_window`` with lo >= hi raises ``ValueError``.
     """
+    if fit_window is not None and not fit_window[0] < fit_window[1]:
+        raise ValueError(f"fit_window {tuple(fit_window)} is empty: need lo < hi")
     if tau_min is None:
         tau_min = 1.25e-4 if model == SLOPE else 3.32e-5
     grid = Grid2D(grid_n)
@@ -433,20 +438,18 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023,
     energies = np.array([r.energy_orig for r in acc])
     roughnesses = np.array([r.roughness for r in acc])
     fits = {"window": list(window)}
-    try:
-        slope_e, _ = powerlaw_fit(times, energies, window)
-        fits["beta"] = -slope_e
-    except ValueError:
-        fits["beta"] = math.nan
-    try:
-        slope_w, _ = powerlaw_fit(times, roughnesses, window)
-        fits["R"] = slope_w
-    except ValueError:
-        fits["R"] = math.nan
-    try:
-        fits["energy_semilog_slope"] = loglinear_fit(times, energies, window)[0]
-    except ValueError:
-        fits["energy_semilog_slope"] = math.nan
+    if not window[0] < window[1]:
+        fits["reason"] = (f"default fit window {list(window)} is empty for T < 1; "
+                          "pass fit_window")
+    fitters = {"beta": lambda: -powerlaw_fit(times, energies, window)[0],
+               "R": lambda: powerlaw_fit(times, roughnesses, window)[0],
+               "energy_semilog_slope": lambda: loglinear_fit(times, energies, window)[0]}
+    for name, fit in fitters.items():
+        try:
+            fits[name] = fit()
+        except ValueError as err:
+            fits[name] = math.nan
+            fits.setdefault("reason", str(err))
 
     report = RunReport(records, {
         "driver": "coarsening", "model": model, "alpha": alpha,

@@ -43,7 +43,8 @@ transformed back on first use.  An adaptive trial costs 9 transforms: the
 second-order step 4 (flux 2, history sum 1, grid values 1), the estimator
 3 (it is never transformed back) and the observables 2 (the gradient,
 which the next step reuses); a fixed-mesh step costs 6.  The history sum
-stays on the grid.
+stays on the grid.  At alpha = 1 there is no history sum to transform, so
+an adaptive trial costs 7 and a fixed-mesh step 5.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ __all__ = [
 # Convolution history
 # ---------------------------------------------------------------------------
 
+# bytes of one block of the exact prefix; a block's pages are only touched
+# as levels fill it, and a history read makes one np.dot call per block
+_LEVEL_BLOCK_BYTES = 1 << 22
+
+
 class CaputoHistory:
     """Caputo convolution history: an exact prefix, then an exponential-sum bank.
 
@@ -100,10 +106,12 @@ class CaputoHistory:
         self.exact_levels = int(exact_levels)
         self.n_committed = 0
         self.bank = None
-        # exact prefix: the committed increments, and the level times t_0..t_n
-        # with one slot more for the trial level; both grow by doubling
-        self._buf = np.zeros((16,) + self.shape)
-        self._levels = np.zeros(self._buf.shape[0] + 2)
+        # exact prefix: the committed increments in fixed-size blocks, so the
+        # store grows without copying what it holds, and the level times
+        # t_0..t_n with one slot more for the trial level (grown by doubling)
+        self._block_rows = max(1, _LEVEL_BLOCK_BYTES // (8 * math.prod(self.shape)))
+        self._blocks = []
+        self._levels = np.zeros(18)
         self._bank_if_due()
 
     def _bank_if_due(self):
@@ -113,19 +121,21 @@ class CaputoHistory:
             return
         self.bank = HistoryBank(self.soe, self.shape)
         levels = self._levels
-        for k in range(1, self.n_committed + 1):
-            self.bank.commit(levels[k] - levels[k - 1], self._buf[k - 1])
-        self._levels = self._buf = None
+        increments = (row for block in self._blocks for row in block)
+        for k, increment in zip(range(1, self.n_committed + 1), increments):
+            self.bank.commit(levels[k] - levels[k - 1], increment)
+        self._levels = self._blocks = None
 
     def caputo_terms(self, scheme, tau_n):
         """Local coefficient and known history sum at the trial level.
 
         scheme "cn" uses the cell-averaged kernels, "be" the collocation
         kernels; the returned pair (a0, hist) satisfies
-        caputo_value = a0 * (new increment) + hist.
+        caputo_value = a0 * (new increment) + hist.  hist is None when the
+        history is memoryless (alpha = 1): there is no sum to add.
         """
         if self.alpha == 1.0:
-            return 1.0 / tau_n, np.zeros(self.shape)
+            return 1.0 / tau_n, None
         if self.bank is not None:
             terms = _l1plus_terms if scheme == "cn" else _l1_terms
             return terms(self.bank, tau_n)
@@ -133,10 +143,14 @@ class CaputoHistory:
         levels = self._levels[:n + 1]
         levels[n] = levels[n - 1] + tau_n  # the trial level; a commit overwrites it
         row = (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, n)
-        if n == 1:
-            return row.weights[0], np.zeros(self.shape)
-        # np.dot copies the reversed weights to BLAS; ``@`` would loop over them
-        hist = np.dot(row.weights[:0:-1], self._buf[:n - 1].reshape(n - 1, -1))
+        hist = np.zeros(math.prod(self.shape))
+        part = np.empty_like(hist)
+        weights = row.weights[:0:-1]  # increments 1..n-1 in level order
+        rows = self._block_rows
+        for block, start in zip(self._blocks, range(0, n - 1, rows)):
+            w = weights[start:start + rows]
+            # np.dot copies the reversed weights to BLAS; ``@`` would loop over them
+            hist += np.dot(w, block[:w.size].reshape(w.size, -1), out=part)
         return row.weights[0], hist.reshape(self.shape)
 
     def commit(self, tau, increment, level=None):
@@ -150,19 +164,15 @@ class CaputoHistory:
         if self.bank is not None:
             self.bank.commit(tau, increment)
         elif self.alpha < 1.0:
-            if n == self._buf.shape[0]:
-                self._buf, self._levels = _doubled(self._buf), _doubled(self._levels)
-            self._buf[n] = increment
+            block, row = divmod(n, self._block_rows)
+            if row == 0:
+                self._blocks.append(np.empty((self._block_rows,) + self.shape))
+            self._blocks[block][row] = increment
+            if self._levels.size < n + 3:
+                self._levels = np.concatenate((self._levels, np.zeros(self._levels.size)))
             self._levels[n + 1] = self._levels[n] + float(tau)
         self.n_committed = n + 1
         self._bank_if_due()
-
-
-def _doubled(a):
-    """``a`` copied into a zeroed array with twice as many rows."""
-    grown = np.zeros((2 * a.shape[0],) + a.shape[1:])
-    grown[:a.shape[0]] = a
-    return grown
 
 
 def make_history(alpha, shape=(), mode="direct", dt_min=None, T=None,
@@ -336,7 +346,7 @@ def _sav_step(state, tau_n, params, grid, source, theta, scheme):
     symbol = a0 + theta * m * lin_sym
     coupling = s_aux * 0.5 * theta * m
     phi_h = state.phi_h
-    hist_h = grid.fft(hist)
+    hist_h = 0.0 if hist is None else grid.fft(hist)
     rhs_h = ((a0 - (1.0 - theta) * m * lin_sym) * phi_h - hist_h
              + (s_aux * m * state.aux + coupling * grid.inner_spec(w_h, phi_h)) * w_h)
     if source is not None:

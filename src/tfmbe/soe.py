@@ -4,15 +4,32 @@ The kernel has the Laplace representation
 
     w_{1-a}(t) = 1/(Gamma(a) Gamma(1-a)) * int_0^inf e^{-s t} s^(a-1) ds,
 
-which is discretized by a Gauss-Jacobi rule on a base panel [0, s0]
-(absorbing the s^(a-1) endpoint weight) followed by dyadically growing
-Gauss-Legendre panels up to a truncation point s_max set by the target
-tolerance and the cut-off time.  All nodes and weights are positive, and
-the certified bound
+which ``build_soe`` discretizes in three stages:
 
-    |w_{1-a}(t) - sum_l W_l exp(-theta_l t)| <= eps   on [dt_min, T]
+1. Panel rule.  A Gauss-Jacobi rule on a base panel [0, s0] (absorbing
+   the s^(a-1) endpoint weight) is followed by dyadically growing
+   Gauss-Legendre panels up to a truncation point s_max set by the target
+   tolerance and the cut-off time.  Panel orders are raised until the
+   rule meets eps/16 on [dt_min, T].  Such a rule overshoots that target
+   by orders of magnitude and carries far more terms than it needs.
+2. Reduction (exponential-sum reduction in the spirit of Beylkin and
+   Monzon).  The weighted exponentials W_l exp(-theta_l t) are sampled at
+   log-spaced times; pivoted Gram-Schmidt keeps the terms the others are
+   combinations of, down to an absolute tolerance below eps/16, and a QR
+   least-squares fit of the kernel gives the kept terms new weights.
+   Terms whose weight comes out non-positive leave the candidates and the
+   selection is repeated, so every weight stays positive and the
+   compressed kernel stays completely monotone.
+3. Certification.  ``verify_soe`` checks
 
-is checked by ``verify_soe`` before an approximation is accepted.
+       |w_{1-a}(t) - sum_l W_l exp(-theta_l t)| <= eps/16   on [dt_min, T]
+
+   for the reduced sum; if it fails, the panel rule is returned as it is.
+
+The Gauss rules are computed with numpy alone: Gauss-Jacobi by the
+Golub-Welsch eigenvalue method (weights from the Christoffel function of
+the orthonormal recurrence), Gauss-Legendre by
+``numpy.polynomial.legendre.leggauss``.
 
 ``HistoryBank`` maintains the per-node exponential states
 H_l(t_k) = int_0^{t_k} exp(-theta_l (t_k - s)) v'(s) ds via the one-step
@@ -42,7 +59,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import SOEConstructionError, StateError
 from .kernels import rl_weight
@@ -68,6 +84,14 @@ _COMMIT_BLOCK_BYTES = 1 << 19
 # log-spaced sample count at which build_soe verifies each candidate rule
 _BUILD_SAMPLES = 4001
 
+# the reduction fits on every tenth verification sample (401 of them), so
+# a fit that misses the target on its own samples cannot be certified
+_REDUCE_STRIDE = 10
+
+# Gram-Schmidt stops once every residual term is below this share of the
+# build target (sample 2-norm), leaving the refit room under the target
+_REDUCE_TOL = 0.1
+
 
 @dataclass(frozen=True)
 class SOEApprox:
@@ -92,12 +116,33 @@ class SOEApprox:
         return np.exp(-np.multiply.outer(t, self.nodes)) @ self.weights
 
 
+def _gauss_jacobi(n, beta):
+    """Gauss rule for the weight (1 + x)^beta on [-1, 1], beta > -1 (Golub-Welsch)."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    # weights 1 / sum_j p_j(x)^2 over the orthonormal polynomials p_j (the
+    # Christoffel function): unlike the squared first eigenvector
+    # components, they keep full relative accuracy on the small weights
+    off = np.concatenate(([0.0], off))
+    p_prev, p = np.zeros(n), np.full(n, math.sqrt((beta + 1.0) / 2.0 ** (beta + 1.0)))
+    total = p * p
+    for j in range(n - 1):
+        p_prev, p = p, ((x - diag[j]) * p - off[j] * p_prev) / off[j + 1]
+        total += p * p
+    return x, 1.0 / total
+
+
 def _panel_rule(alpha, s0, s_max, n_base, n_panel):
     pref = 1.0 / (math.gamma(alpha) * math.gamma(1.0 - alpha))
-    xj, wj = roots_jacobi(n_base, 0.0, alpha - 1.0)
+    xj, wj = _gauss_jacobi(n_base, alpha - 1.0)
     nodes = [s0 * (1.0 + xj) / 2.0]
     weights = [pref * (s0 / 2.0) ** alpha * wj]
-    xl, wl = roots_legendre(n_panel)
+    xl, wl = np.polynomial.legendre.leggauss(n_panel)
     a = s0
     while a < s_max:
         b = 2.0 * a
@@ -108,11 +153,68 @@ def _panel_rule(alpha, s0, s_max, n_base, n_panel):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _pivoted_gram_schmidt(rows, tol):
+    """Indices of ``rows``, picked greedily until every residual norm is <= tol.
+
+    Each step takes the row of largest residual norm and removes its
+    direction from the others.  A row whose residual is already at or below
+    ``tol`` is dropped for good: projections never lengthen it.
+    """
+    res, idx, picked = rows, np.arange(len(rows)), []
+    while len(res):
+        norms = np.einsum("ij,ij->i", res, res)
+        j = int(np.argmax(norms))
+        if norms[j] <= tol * tol:
+            break
+        picked.append(idx[j])
+        q = res[j] / math.sqrt(norms[j])
+        live = norms > tol * tol
+        live[j] = False
+        res, idx = res[live], idx[live]
+        res -= np.multiply.outer(res @ q, q)
+    return np.array(picked, dtype=int)
+
+
+def _reduced(soe, target):
+    """A sum with fewer positive terms certified at ``target``, else ``soe``."""
+    t = _log_samples(soe.dt_min, soe.T, _BUILD_SAMPLES)[::_REDUCE_STRIDE]
+    terms = soe.weights[:, None] * np.exp(-np.multiply.outer(soe.nodes, t))
+    kernel = rl_weight(1.0 - soe.alpha, t)
+    # Gram-Schmidt on the rows of R^T, R from a QR of the sampled terms: an
+    # orthogonal change of coordinates, so every norm and inner product is
+    # kept, and each row shrinks from 401 samples to at most n_terms entries
+    coords = np.linalg.qr(terms.T, mode="r").T
+    candidates = np.arange(soe.n_terms)
+    while candidates.size:
+        keep = np.sort(candidates[_pivoted_gram_schmidt(coords[candidates],
+                                                        _REDUCE_TOL * target)])
+        cols = terms[keep].T
+        scale = np.linalg.norm(cols, axis=0)
+        # R of [cols/scale, kernel] holds R of the scaled columns and Q^T kernel
+        r = np.linalg.qr(np.column_stack((cols / scale, kernel)), mode="r")
+        coef = np.linalg.solve(r[:-1, :-1], r[:-1, -1]) / scale
+        # these samples are among the certification samples, and later fits
+        # draw on fewer candidates: a fit that misses here ends the reduction
+        if np.max(np.abs(cols @ coef - kernel)) > target:
+            break
+        weights = soe.weights[keep] * coef
+        if np.all(weights > 0.0):
+            reduced = SOEApprox(soe.alpha, soe.eps, soe.dt_min, soe.T,
+                                soe.nodes[keep], weights)
+            if verify_soe(reduced, _BUILD_SAMPLES) <= target:
+                return reduced
+            break
+        candidates = np.setdiff1d(candidates, keep[weights <= 0.0])
+    return soe
+
+
 def build_soe(alpha, eps, dt_min, T):
     """Build a certified exponential-sum approximation of w_{1-a} on [dt_min, T].
 
     Panel orders are escalated until the verifier reports an error at or
-    below eps (an internal target of eps/16 is attempted first).  Raises
+    below eps (an internal target of eps/16 is attempted first).  A panel
+    rule that meets eps/16 is then reduced to fewer terms; the reduced sum
+    is returned only if it too is certified at eps/16.  Raises
     ``SOEConstructionError`` with the achieved error if even the largest
     rule misses eps.
     """
@@ -134,7 +236,7 @@ def build_soe(alpha, eps, dt_min, T):
         if err < best_err:
             best_err, best = err, soe
         if err <= eps_target:
-            return soe
+            return _reduced(soe, eps_target)
     if best_err <= eps:
         return best
     raise SOEConstructionError(
@@ -146,9 +248,13 @@ def verify_soe(soe, samples=10000):
     """Max absolute kernel error over log-spaced samples of [dt_min, T]."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    t = np.exp(np.linspace(math.log(soe.dt_min), math.log(soe.T), samples))
+    t = _log_samples(soe.dt_min, soe.T, samples)
     err = soe.evaluate(t) - rl_weight(1.0 - soe.alpha, t)
     return float(np.max(np.abs(err)))
+
+
+def _log_samples(dt_min, T, samples):
+    return np.exp(np.linspace(math.log(dt_min), math.log(T), samples))
 
 
 def _relexp(x):

@@ -105,9 +105,12 @@ def test_adaptive_step_transform_budget(monkeypatch):
     fft, ifft = Grid2D.fft, Grid2D.ifft
     monkeypatch.setattr(Grid2D, "fft", lambda g, f: calls.append(1) or fft(g, f))
     monkeypatch.setattr(Grid2D, "ifft", lambda g, f: calls.append(1) or ifft(g, f))
-    rep = adaptive_benchmark("slope", 0.7, grid_n=16, T=0.05)
-    assert rep.n_accepted > 30  # past the graded prefix
-    assert len(calls) <= 10 * rep.n_accepted
+    # at alpha = 1 neither candidate transforms a history sum (there is none)
+    for alpha, per_step in ((0.7, 10), (1.0, 7)):
+        calls.clear()
+        rep = adaptive_benchmark("slope", alpha, grid_n=16, T=0.05)
+        assert rep.n_accepted > 30  # past the graded prefix
+        assert len(calls) <= per_step * rep.n_accepted
 
 
 def test_benchmark_alpha_one_runs():
@@ -134,6 +137,18 @@ def test_coarsening_small(tmp_path):
     meta = json.loads((tmp_path / "c" / "run.json").read_text())
     assert meta["fits"]["window"] == [0.5, 3.0]
     assert meta["tau_min"] == pytest.approx(1.25e-4)
+
+
+def test_coarsening_rejects_empty_fit_window():
+    with pytest.raises(ValueError, match=r"fit_window \(3.0, 0.5\) is empty"):
+        coarsening("slope", 0.7, grid_n=16, T=3.0, fit_window=(3.0, 0.5))
+
+
+def test_coarsening_empty_default_window_gives_reason():
+    rep = coarsening("slope", 0.7, grid_n=16, T=0.01, seed=7)
+    assert rep.fits["window"] == [1.0, 0.01]
+    assert all(math.isnan(rep.fits[k]) for k in ("beta", "R", "energy_semilog_slope"))
+    assert "empty" in rep.fits["reason"]
 
 
 def test_coarsening_noslope_default_floor():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +12,8 @@ from scipy.integrate import quad
 
 from tfmbe import (HistoryBank, SOEApprox, StateError, apply_direct, build_soe,
                    fast_l1_apply, fast_l1plus_apply, rl_weight, verify_soe)
-from tfmbe.soe import _COMMIT_BLOCK_BYTES, _relexp
+import tfmbe.soe as soe_module
+from tfmbe.soe import _COMMIT_BLOCK_BYTES, _gauss_jacobi, _panel_rule, _relexp
 
 from conftest import random_mesh
 
@@ -32,6 +36,81 @@ def test_term_count_grows_with_tolerance():
     loose = build_soe(0.5, 1e-6, 1e-3, 10.0)
     tight = build_soe(0.5, 1e-12, 1e-3, 10.0)
     assert tight.n_terms >= loose.n_terms
+
+
+@pytest.mark.parametrize("dt_min,T", [(1e-3, 0.2), (1e-3, 30.0), (1e-4, 500.0)])
+@pytest.mark.parametrize("eps", [1e-6, 1e-10])
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_reduced_rule_is_certified_and_monotone(alpha, eps, dt_min, T):
+    soe = build_soe(alpha, eps, dt_min, T)
+    assert np.all(soe.weights > 0)
+    assert np.all(np.diff(soe.nodes) > 0)
+    assert verify_soe(soe, 10000) <= eps
+    if (alpha, eps, dt_min, T) == (0.7, 1e-10, 1e-3, 0.2):  # the growth benchmark
+        assert soe.n_terms <= 60
+
+
+def test_uncertified_reduction_returns_panel_rule(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(soe_module, "_reduced", lambda soe, target: soe)
+        panel = build_soe(0.5, 1e-8, 1e-3, 5.0)
+    monkeypatch.setattr(soe_module, "_REDUCE_TOL", 1e6)  # keeps too few terms
+    soe = build_soe(0.5, 1e-8, 1e-3, 5.0)
+    assert np.array_equal(soe.nodes, panel.nodes)
+    assert np.array_equal(soe.weights, panel.weights)
+
+
+def _mp_gauss_jacobi(n, beta, x0):
+    """40-digit Gauss-Jacobi rule for (1 + x)^beta, nodes polished from x0."""
+    import mpmath as mp
+    with mp.workdps(40):
+        b = mp.mpf(beta)
+        nodes, weights = [], []
+        for x in x0:
+            x = mp.findroot(lambda z: mp.jacobi(n, 0, b, z), mp.mpf(float(x)))
+            d = (n + b + 1) / 2 * mp.jacobi(n - 1, 1, b + 1, x)
+            nodes.append(float(x))
+            weights.append(float(2 ** (b + 1) / ((1 - x * x) * d * d)))
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("n", [24, 64])
+@pytest.mark.parametrize("alpha", ["0.1", "0.3", "0.99"])
+def test_gauss_jacobi_matches_high_precision(n, alpha):
+    beta = float(alpha) - 1.0
+    x, w = _gauss_jacobi(n, beta)
+    x_ref, w_ref = _mp_gauss_jacobi(n, beta, x)
+    np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n_base,n_panel", [(24, 10), (32, 14), (40, 18), (48, 22),
+                                            (64, 28)])
+def test_gauss_rules_match_scipy(n_base, n_panel):
+    from scipy.special import roots_jacobi, roots_legendre
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        x_ref, w_ref = roots_jacobi(n_base, 0.0, alpha - 1.0)
+        x, w = _gauss_jacobi(n_base, alpha - 1.0)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0)
+        # scipy's own weights are off by up to 3e-11 from the 40-digit rule
+        # at order 64 (the numpy weights by under 1e-12, see above)
+        np.testing.assert_allclose(w, w_ref, rtol=5e-11, atol=0)
+    x_ref, w_ref = roots_legendre(n_panel)
+    x, w = np.polynomial.legendre.leggauss(n_panel)
+    np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0)
+
+
+def test_package_runs_without_scipy():
+    code = ("import sys, tfmbe\n"
+            "tfmbe.adaptive_benchmark('slope', 0.7, grid_n=16, T=0.05)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(soe_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_build_validations():
@@ -128,11 +207,12 @@ def _fold_reference(h, soe, tau_p, inc_p):
     h += _relexp(x).reshape(pad) * inc_p
 
 
-def _truncated_soe(n_terms):
-    soe = build_soe(0.7, 1e-10, 1e-3, 30.0)
-    assert soe.n_terms >= n_terms
-    return SOEApprox(soe.alpha, soe.eps, soe.dt_min, soe.T,
-                     soe.nodes[:n_terms], soe.weights[:n_terms])
+def _panel_soe(n_terms=None):
+    """The unreduced panel rule for alpha 0.7 on [1e-3, 30] (224 rows), cut short."""
+    nodes, weights = _panel_rule(0.7, 1.0 / 30.0, 3.3e4, 24, 10)
+    n_terms = nodes.size if n_terms is None else n_terms
+    assert nodes.size >= n_terms
+    return SOEApprox(0.7, 1e-10, 1e-3, 30.0, nodes[:n_terms], weights[:n_terms])
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (48, 48)],
@@ -142,7 +222,7 @@ def test_blocked_commit_matches_whole_bank_update(shape):
     if shape == (48, 48):  # several blocks, the last one partial
         rows = _COMMIT_BLOCK_BYTES // (8 * 48 * 48)
         assert rows < n_terms and n_terms % rows
-    soe = _truncated_soe(n_terms)
+    soe = _panel_soe(n_terms)
     rng = np.random.default_rng(11)
     bank = HistoryBank(soe, shape)
     buffer = bank.h.ctypes.data
@@ -159,7 +239,7 @@ def test_blocked_commit_matches_whole_bank_update(shape):
 
 
 def test_commit_allocates_no_bank_sized_temporary():
-    soe = build_soe(0.7, 1e-10, 1e-3, 30.0)
+    soe = _panel_soe()
     assert soe.n_terms >= 150
     rng = np.random.default_rng(2)
     incs = rng.standard_normal((3, 64, 64))
