@@ -151,19 +151,18 @@ def adaptive_run(state, params, grid, aparams, T, prefix_mesh=None):
             d_h = cand2.phi_h - cand1.phi_h
             e = math.sqrt(grid.inner_spec(d_h, d_h)) / norm2 if norm2 > 0 else 0.0
             at_floor = tau_n <= aparams.tau_min * (1.0 + 1e-12)
-            if e < aparams.tol or at_floor or forced:
+            accept = e < aparams.tol or at_floor or forced
+            records.append(_record(state.n + 1, state.t + tau_n, cand2,
+                                   state.phi, params, grid, accept, e))
+            if accept:
                 if forced and e >= aparams.tol:
                     log.warning(
                         "retry budget exhausted at t=%.6g; force-accepting "
                         "floor step with e=%.3e >= tol=%.3e", state.t, e, aparams.tol)
                 tau_next = aparams.clamp(tau_ada(e, tau_n, aparams)) \
                     if e < aparams.tol else aparams.tau_min
-                records.append(_record(state.n + 1, state.t + tau_n, cand2,
-                                       state.phi, params, grid, True, e))
                 commit_candidate(state, cand2)
                 break
-            records.append(_record(state.n + 1, state.t + tau_n, cand2,
-                                   state.phi, params, grid, False, e))
             retries += 1
             if retries >= aparams.max_retries:
                 tau_n = min(aparams.tau_min, T - state.t)

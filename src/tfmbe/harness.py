@@ -4,6 +4,10 @@ Every driver is a pure function of its arguments (seeds included) and
 returns a report object; the CSV/JSON writers below render reports with
 deterministic float formatting, so identical configurations reproduce
 byte-identical output files.
+
+The paper fixes the model parameters of each experiment, so they are
+module constants, as are the settings no experiment varies; run.json
+records them.  The trajectory drivers share one body, ``_run_trajectory``.
 """
 
 from __future__ import annotations
@@ -12,12 +16,12 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .adaptive import AdaptiveParams, adaptive_run, run_fixed
+from .adaptive import AdaptiveParams, StepRecord, adaptive_run, run_fixed
 from .diagnostics import (convergence_order, loglinear_fit, powerlaw_fit,
                           singularity_slope)
 from .errors import SolverError
@@ -43,6 +47,17 @@ __all__ = [
     "write_run_meta",
     "energy_bound_violation",
 ]
+
+# The paper's model parameters, one set per experiment (tables, growth, coarsening)
+_TABLE_MODEL = {"M": 0.1, "beta": 1.0, "C0": 1.0, "eps2": 0.5}
+_GROWTH_MODEL = {"M": 1.0, "beta": 4.0, "eps2": 0.1, "C0": 1.0}
+_COARSEN_EPSILON = 0.03
+_COARSEN_MODEL = dict(_GROWTH_MODEL, eps2=_COARSEN_EPSILON ** 2)
+# initial-layer mesh end and the initial-field amplitudes
+_SINGULARITY_T0, _SINGULARITY_AMPLITUDE, _COARSEN_AMPLITUDE = 1e-3, 0.1, 1e-3
+# controller, graded prefix and exponential sum: the benchmark's defaults
+_TOL, _RHO, _MAX_RETRIES = 1e-3, 0.9, 10
+_PREFIX_N0, _PREFIX_GAMMA, _SOE_EPS = 30, 3.0, 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +110,13 @@ def _fmt(v):
 
 
 def write_steps_csv(path, records):
-    """Per-step log; named columns first, the max time quotient appended."""
+    """Per-step log, one column per ``StepRecord`` field in field order."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["n", "t", "tau", "energy_mod", "energy_orig", "roughness",
-                    "aux", "accepted", "e_est", "dphi_dt_max", "caputo_dot",
-                    "sav_drift"])
+        names = [f.name for f in fields(StepRecord)]
+        w.writerow(names)
         for r in records:
-            w.writerow([r.n, _fmt(r.t), _fmt(r.tau), _fmt(r.energy_mod),
-                        _fmt(r.energy_orig), _fmt(r.roughness), _fmt(r.aux),
-                        r.accepted, _fmt(r.e_est), _fmt(r.dphi_dt_max),
-                        _fmt(r.caputo_dot), _fmt(r.sav_drift)])
+            w.writerow([_fmt(getattr(r, name)) for name in names])
 
 
 def write_orders_csv(path, rows):
@@ -215,18 +226,19 @@ def _nonlinearity(model):
 
 
 def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
-                    seed=1, tail="random", M=0.1, beta=1.0, C0=1.0, eps2=0.5,
-                    out_dir=None):
+                    seed=1, tail="random", out_dir=None):
     """Error/order table for the forced growth model with a separable exact field.
 
     The exact solution is w_{1+s}(t) sin(x) sin(y); the matching source is
     assembled pseudo-spectrally from the exact field and sampled at the
-    cell midpoint.  Errors are pointwise max over grid and levels.
+    cell midpoint.  The model parameters are the tables' (M = 0.1,
+    beta = 1, C0 = 1, eps2 = 0.5).  Errors are pointwise max over grid
+    and levels.
     """
     if sigma <= 0:
         raise ValueError(f"regularity parameter must be positive, got {sigma}")
     grid = Grid2D(grid_n)
-    params = ModelParams(M=M, eps2=eps2, beta=beta, C0=C0, model=model)
+    params = ModelParams(model=model, **_TABLE_MODEL)
     shape_field = np.sin(grid.x) * np.sin(grid.y)  # Lap^2 shape_field = 4 shape_field
     nonlin = _nonlinearity(model)
 
@@ -254,8 +266,7 @@ def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
     report = ConvergenceReport(rows, {
         "driver": "pde_convergence", "model": model, "alpha": alpha,
         "sigma": sigma, "gamma": gamma, "grid_n": grid_n, "T": T,
-        "seed": seed, "tail": tail, "M": M, "beta": beta, "C0": C0,
-        "eps2": eps2, "n_list": list(n_list)})
+        "seed": seed, "tail": tail, **_TABLE_MODEL, "n_list": list(n_list)})
     _emit(out_dir, report)
     return report
 
@@ -263,37 +274,6 @@ def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
 # ---------------------------------------------------------------------------
 # Benchmark and coarsening dynamics
 # ---------------------------------------------------------------------------
-
-def singularity_run(alpha, model=SLOPE, grid_n=32, T0=1e-3, N0=200, gamma=3.0,
-                    M=1.0, beta=4.0, eps2=0.1, C0=1.0, ic_amplitude=0.1,
-                    out_dir=None):
-    """Graded-mesh growth run probing the initial layer; fits the quotient law.
-
-    A single-mode initial state keeps the fast-relaxing harmonics out of
-    the max-norm quotient, so the early-window slope of
-    log|dphi/dt| vs log(t) exposes the exponent alpha - 1.
-    """
-    grid = Grid2D(grid_n)
-    params = ModelParams(M=M, eps2=eps2, beta=beta, C0=C0, model=model)
-    phi0 = ic_amplitude * np.sin(grid.x) * np.sin(grid.y)
-    mesh = build_graded(T0, N0, gamma)
-    history = make_history(alpha, grid.shape, mode="direct")
-    state = init_state(grid, phi0, params, history)
-    e0 = trajectory_observables(grid, state, params)[0]
-    records = run_fixed(state, mesh, params, grid)
-    _check_energy_bound(records, e0)
-    t_mid = np.array([r.t - 0.5 * r.tau for r in records])
-    quot = np.array([r.dphi_dt_max for r in records])
-    slope = singularity_slope(t_mid, quot)
-    report = RunReport(records, {
-        "driver": "singularity_run", "model": model, "alpha": alpha,
-        "grid_n": grid_n, "T0": T0, "N0": N0, "gamma": gamma, "M": M,
-        "beta": beta, "eps2": eps2, "C0": C0, "ic_amplitude": ic_amplitude,
-        "energy_mod_initial": e0},
-        fits={"singularity_slope": slope, "target": alpha - 1.0})
-    _emit(out_dir, report)
-    return report
-
 
 def energy_bound_violation(records, e0):
     """Worst exceedance of the dissipation bound E(n) <= E(0) over a trajectory."""
@@ -316,35 +296,93 @@ def _check_energy_bound(records, e0):
             f"energy bound violated: max E(n) - E(0) = {worst:.3e} > {slack:.3e}")
 
 
+def _check_prefix_end(what, prefix, T):
+    """A run must not end inside its graded prefix, which is marched whole."""
+    if prefix.T > T:
+        raise ValueError(f"{what}: the graded prefix ends at t = {prefix.T:.6g}, "
+                         f"after T = {T}")
+
+
+def _run_trajectory(meta, grid, params, phi0, history, mesh, aparams=None, T=None,
+                    fit=None, out_dir=None, save_field=False):
+    """Initial state, time loop, energy check, report and files of every trajectory.
+
+    ``mesh`` is marched whole, then ``aparams`` (if given) drives the
+    controller to ``T``; ``fit(records)`` gives the fits.
+    """
+    state = init_state(grid, phi0, params, history)
+    e0 = trajectory_observables(grid, state, params)[0]
+    if aparams is None:
+        records = run_fixed(state, mesh, params, grid)
+    else:
+        records = adaptive_run(state, params, grid, aparams, T, prefix_mesh=mesh)
+    _check_energy_bound(records, e0)
+    report = RunReport(records, dict(meta, energy_mod_initial=e0),
+                       fits={} if fit is None else fit(records), final_phi=state.phi)
+    report.meta["n_accepted"] = report.n_accepted
+    _emit(out_dir, report)
+    if save_field and out_dir is not None:
+        write_field(os.path.join(out_dir, "field_final.bin"), grid, state.phi)
+    return report
+
+
+def singularity_run(alpha, model=SLOPE, grid_n=32, N0=200, gamma=3.0, out_dir=None):
+    """Graded-mesh growth run on [0, 1e-3] probing the initial layer, with its fit.
+
+    A single-mode initial state keeps the fast-relaxing harmonics out of
+    the max-norm quotient, so the early-window slope of
+    log|dphi/dt| vs log(t) exposes the exponent alpha - 1.
+    """
+    grid = Grid2D(grid_n)
+    params = ModelParams(model=model, **_GROWTH_MODEL)
+    phi0 = _SINGULARITY_AMPLITUDE * np.sin(grid.x) * np.sin(grid.y)
+
+    def fit(records):
+        t_mid = np.array([r.t - 0.5 * r.tau for r in records])
+        quot = np.array([r.dphi_dt_max for r in records])
+        return {"singularity_slope": singularity_slope(t_mid, quot),
+                "target": alpha - 1.0}
+
+    meta = {"driver": "singularity_run", "model": model, "alpha": alpha,
+            "grid_n": grid_n, "T0": _SINGULARITY_T0, "N0": N0, "gamma": gamma,
+            **_GROWTH_MODEL, "ic_amplitude": _SINGULARITY_AMPLITUDE}
+    return _run_trajectory(meta, grid, params, phi0,
+                           make_history(alpha, grid.shape, mode="direct"),
+                           build_graded(_SINGULARITY_T0, N0, gamma), fit=fit,
+                           out_dir=out_dir)
+
+
 def _benchmark_phi0(grid):
     return 0.1 * (np.sin(3 * grid.x) * np.sin(2 * grid.y)
                   + np.sin(5 * grid.x) * np.sin(5 * grid.y))
 
 
 def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
-                       M=1.0, beta=4.0, eps2=0.1, C0=1.0,
-                       tol=1e-3, rho=0.9, tau_min=1e-3, tau_max=1e-1,
-                       tau_init=None, max_retries=10,
-                       prefix_t0=0.01, prefix_n0=30, prefix_gamma=3.0,
-                       uniform_tau=1e-3, soe_eps=1e-10, soe_mode="fast",
-                       out_dir=None, save_field=False):
+                       tol=_TOL, rho=_RHO, tau_min=1e-3, tau_max=1e-1,
+                       prefix_t0=0.01, prefix_n0=_PREFIX_N0, uniform_tau=1e-3,
+                       soe_eps=_SOE_EPS, soe_mode="fast", out_dir=None,
+                       save_field=False):
     """Film-growth benchmark from the smooth two-mode initial state.
 
     strategy "uniform" marches a constant step, "graded" a graded prefix
     plus uniform tail with the same total step count, and "adaptive" the
-    estimator-driven controller after the graded prefix.  The modified
-    energy is verified against its initial value after the run.
+    estimator-driven controller after the graded prefix, which must end
+    by T.  The modified energy is verified against its initial value.
     """
     grid = Grid2D(grid_n)
-    params = ModelParams(M=M, eps2=eps2, beta=beta, C0=C0, model=model)
-    phi0 = _benchmark_phi0(grid)
-    prefix = build_graded(prefix_t0, prefix_n0, prefix_gamma)
-
+    params = ModelParams(model=model, **_GROWTH_MODEL)
+    prefix = build_graded(prefix_t0, prefix_n0, _PREFIX_GAMMA)
+    aparams = None
     if strategy == "uniform":
         n_total = int(round(T / uniform_tau))
+        if n_total < 1:
+            raise ValueError(
+                f"strategy 'uniform' needs at least one step of uniform_tau = "
+                f"{uniform_tau} up to T = {T}, got round(T/uniform_tau) = 0")
         mesh = build_uniform(T, n_total)
         dt_min, direct_levels = float(np.min(mesh.taus)), 0
     elif strategy == "graded":
+        _check_prefix_end("strategy 'graded'", prefix, T)
         n_total = int(round(T / uniform_tau))
         if n_total <= prefix.n_steps:
             raise ValueError(
@@ -355,112 +393,85 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
         dt_min = float(np.min(mesh.taus[prefix.n_steps:]))
         direct_levels = prefix.n_steps
     elif strategy == "adaptive":
-        mesh = None
+        _check_prefix_end("strategy 'adaptive'", prefix, T)
+        mesh, aparams = prefix, AdaptiveParams(
+            rho=rho, tol=tol, tau_min=tau_min, tau_max=tau_max, max_retries=_MAX_RETRIES)
         dt_min, direct_levels = tau_min, prefix.n_steps
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     history = make_history(alpha, grid.shape, mode=soe_mode, dt_min=dt_min,
                            T=T, eps=soe_eps, direct_levels=direct_levels)
-    state = init_state(grid, phi0, params, history)
-    e0 = trajectory_observables(grid, state, params)[0]
-
-    if strategy == "adaptive":
-        aparams = AdaptiveParams(rho=rho, tol=tol, tau_min=tau_min,
-                                 tau_max=tau_max,
-                                 tau_init=tau_min if tau_init is None else tau_init,
-                                 max_retries=max_retries)
-        records = adaptive_run(state, params, grid, aparams, T,
-                               prefix_mesh=prefix)
-    else:
-        records = run_fixed(state, mesh, params, grid)
-    _check_energy_bound(records, e0)
-
-    report = RunReport(records, {
-        "driver": "adaptive_benchmark", "model": model, "alpha": alpha,
-        "strategy": strategy, "grid_n": grid_n, "T": T, "M": M, "beta": beta,
-        "eps2": eps2, "C0": C0, "tol": tol, "rho": rho, "tau_min": tau_min,
-        "tau_max": tau_max, "tau_init": tau_init, "max_retries": max_retries,
-        "prefix_t0": prefix_t0, "prefix_n0": prefix_n0,
-        "prefix_gamma": prefix_gamma, "uniform_tau": uniform_tau,
-        "soe_eps": soe_eps, "soe_mode": soe_mode,
-        "energy_mod_initial": e0}, final_phi=state.phi)
-    report.meta["n_accepted"] = report.n_accepted
-    _emit(out_dir, report)
-    if save_field and out_dir is not None:
-        write_field(os.path.join(out_dir, "field_final.bin"), grid, state.phi)
-    return report
+    meta = {"driver": "adaptive_benchmark", "model": model, "alpha": alpha,
+            "strategy": strategy, "grid_n": grid_n, "T": T, **_GROWTH_MODEL,
+            "tol": tol, "rho": rho, "tau_min": tau_min, "tau_max": tau_max,
+            "tau_init": None, "max_retries": _MAX_RETRIES, "prefix_t0": prefix_t0,
+            "prefix_n0": prefix_n0, "prefix_gamma": _PREFIX_GAMMA,
+            "uniform_tau": uniform_tau, "soe_eps": soe_eps, "soe_mode": soe_mode}
+    return _run_trajectory(meta, grid, params, _benchmark_phi0(grid), history, mesh,
+                           aparams, T, out_dir=out_dir, save_field=save_field)
 
 
-def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023,
-               M=1.0, beta=4.0, epsilon=0.03, C0=1.0,
-               tol=1e-3, rho=0.9, tau_min=None, tau_max=1e-1,
-               max_retries=10,
-               prefix_n0=30, prefix_gamma=3.0, ic_amplitude=1e-3,
-               fit_window=None, soe_eps=1e-10, soe_mode="fast",
-               out_dir=None, save_field=False):
+def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
+               tau_max=1e-1, fit_window=None, soe_mode="fast", out_dir=None,
+               save_field=False):
     """Coarsening dynamics from a seeded random initial state, with power-law fits.
 
-    The graded prefix is sized so its last step equals tau_min (default
-    1.25e-4 for the slope model, 3.32e-5 for the no-slope model).  Fits
-    over ``fit_window`` (default [1, min(500, T)]): energy and roughness
-    exponents from the log-log least squares, plus a semilog energy slope
-    for the no-slope model.  A fit that cannot be made is NaN, and
-    ``fits["reason"]`` says why (for T < 1 the default window is empty); a
-    ``fit_window`` with lo >= hi raises ``ValueError``.
+    The graded prefix, which must end by T, is sized so its last step
+    equals tau_min (default 1.25e-4 for the slope model, 3.32e-5 for the
+    no-slope model).  Fits over ``fit_window`` (default [1, min(500, T)]):
+    energy and roughness exponents from the log-log least squares, plus a
+    semilog energy slope for the no-slope model.  A fit that cannot be
+    made is NaN, and ``fits["reason"]`` says why (for T < 1 the default
+    window is empty); a ``fit_window`` with lo >= hi raises ``ValueError``.
     """
     if fit_window is not None and not fit_window[0] < fit_window[1]:
         raise ValueError(f"fit_window {tuple(fit_window)} is empty: need lo < hi")
     if tau_min is None:
         tau_min = 1.25e-4 if model == SLOPE else 3.32e-5
     grid = Grid2D(grid_n)
-    params = ModelParams(M=M, eps2=epsilon ** 2, beta=beta, C0=C0, model=model)
+    params = ModelParams(model=model, **_COARSEN_MODEL)
     rng = np.random.default_rng(seed)
-    phi0 = rng.uniform(-ic_amplitude, ic_amplitude, size=grid.shape)
+    phi0 = rng.uniform(-_COARSEN_AMPLITUDE, _COARSEN_AMPLITUDE, size=grid.shape)
 
     # prefix whose final step matches the controller floor
-    shrink = 1.0 - ((prefix_n0 - 1) / prefix_n0) ** prefix_gamma
-    prefix = build_graded(tau_min / shrink, prefix_n0, prefix_gamma)
+    shrink = 1.0 - ((_PREFIX_N0 - 1) / _PREFIX_N0) ** _PREFIX_GAMMA
+    prefix = build_graded(tau_min / shrink, _PREFIX_N0, _PREFIX_GAMMA)
+    _check_prefix_end("coarsening", prefix, T)
 
     history = make_history(alpha, grid.shape, mode=soe_mode, dt_min=tau_min,
-                           T=T, eps=soe_eps, direct_levels=prefix.n_steps)
-    state = init_state(grid, phi0, params, history)
-    e0 = trajectory_observables(grid, state, params)[0]
-    aparams = AdaptiveParams(rho=rho, tol=tol, tau_min=tau_min,
-                             tau_max=tau_max, tau_init=tau_min,
-                             max_retries=max_retries)
-    records = adaptive_run(state, params, grid, aparams, T, prefix_mesh=prefix)
-    _check_energy_bound(records, e0)
-
+                           T=T, eps=_SOE_EPS, direct_levels=prefix.n_steps)
+    aparams = AdaptiveParams(rho=_RHO, tol=_TOL, tau_min=tau_min, tau_max=tau_max,
+                             max_retries=_MAX_RETRIES)
     window = fit_window if fit_window is not None else (1.0, min(500.0, T))
-    acc = [r for r in records if r.accepted]
-    times = np.array([r.t for r in acc])
-    energies = np.array([r.energy_orig for r in acc])
-    roughnesses = np.array([r.roughness for r in acc])
-    fits = {"window": list(window)}
-    if not window[0] < window[1]:
-        fits["reason"] = (f"default fit window {list(window)} is empty for T < 1; "
-                          "pass fit_window")
-    fitters = {"beta": lambda: -powerlaw_fit(times, energies, window)[0],
-               "R": lambda: powerlaw_fit(times, roughnesses, window)[0],
-               "energy_semilog_slope": lambda: loglinear_fit(times, energies, window)[0]}
-    for name, fit in fitters.items():
-        try:
-            fits[name] = fit()
-        except ValueError as err:
-            fits[name] = math.nan
-            fits.setdefault("reason", str(err))
 
-    report = RunReport(records, {
-        "driver": "coarsening", "model": model, "alpha": alpha,
-        "grid_n": grid_n, "T": T, "seed": seed, "M": M, "beta": beta,
-        "epsilon": epsilon, "C0": C0, "tol": tol, "rho": rho,
-        "tau_min": tau_min, "tau_max": tau_max, "prefix_n0": prefix_n0,
-        "prefix_gamma": prefix_gamma, "ic_amplitude": ic_amplitude,
-        "soe_eps": soe_eps, "soe_mode": soe_mode,
-        "energy_mod_initial": e0}, fits=fits, final_phi=state.phi)
-    report.meta["n_accepted"] = report.n_accepted
-    _emit(out_dir, report)
-    if save_field and out_dir is not None:
-        write_field(os.path.join(out_dir, "field_final.bin"), grid, state.phi)
-    return report
+    def fit(records):
+        acc = [r for r in records if r.accepted]
+        times = np.array([r.t for r in acc])
+        energies = np.array([r.energy_orig for r in acc])
+        roughnesses = np.array([r.roughness for r in acc])
+        fits = {"window": list(window)}
+        if not window[0] < window[1]:
+            fits["reason"] = (f"default fit window {list(window)} is empty for T < 1; "
+                              "pass fit_window")
+        fitters = {"beta": lambda: -powerlaw_fit(times, energies, window)[0],
+                   "R": lambda: powerlaw_fit(times, roughnesses, window)[0],
+                   "energy_semilog_slope":
+                       lambda: loglinear_fit(times, energies, window)[0]}
+        for name, fitter in fitters.items():
+            try:
+                fits[name] = fitter()
+            except ValueError as err:
+                fits[name] = math.nan
+                fits.setdefault("reason", str(err))
+        return fits
+
+    meta = {"driver": "coarsening", "model": model, "alpha": alpha,
+            "grid_n": grid_n, "T": T, "seed": seed, "M": params.M,
+            "beta": params.beta, "epsilon": _COARSEN_EPSILON, "C0": params.C0,
+            "tol": _TOL, "rho": _RHO, "tau_min": tau_min, "tau_max": tau_max,
+            "prefix_n0": _PREFIX_N0, "prefix_gamma": _PREFIX_GAMMA,
+            "ic_amplitude": _COARSEN_AMPLITUDE, "soe_eps": _SOE_EPS,
+            "soe_mode": soe_mode}
+    return _run_trajectory(meta, grid, params, phi0, history, prefix, aparams, T,
+                           fit=fit, out_dir=out_dir, save_field=save_field)

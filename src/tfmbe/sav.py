@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import SolverError, StateError
 from .kernels import l1_row, l1plus_row
-from .soe import HistoryBank, _l1_terms, _l1plus_terms, build_soe
+from .soe import HistoryBank, build_soe
 from .spectral import SLOPE, sav_radicand, sav_u_functional, sav_v_functional
 
 __all__ = [
@@ -137,8 +137,7 @@ class CaputoHistory:
         if self.alpha == 1.0:
             return 1.0 / tau_n, None
         if self.bank is not None:
-            terms = _l1plus_terms if scheme == "cn" else _l1_terms
-            return terms(self.bank, tau_n)
+            return self.bank.caputo_terms(scheme, tau_n)
         n = self.n_committed + 1
         levels = self._levels[:n + 1]
         levels[n] = levels[n - 1] + tau_n  # the trial level; a commit overwrites it

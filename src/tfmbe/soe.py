@@ -311,40 +311,33 @@ class HistoryBank:
         self.pending = (float(tau), inc)
         self.n_committed += 1
 
+    def caputo_terms(self, scheme, tau_n):
+        """(local coefficient, history value) of the fast formula at the trial level.
 
-def _l1plus_terms(bank, tau_n):
-    """(local coefficient, history value) of the fast cell-averaged formula."""
-    alpha = bank.soe.alpha
-    a0 = tau_n ** (-alpha) / math.gamma(3.0 - alpha)
-    hist = np.zeros(bank.shape)
-    if bank.pending is not None:
-        tau_p, inc_p = bank.pending
-        a1 = (rl_weight(3.0 - alpha, tau_n + tau_p) - rl_weight(3.0 - alpha, tau_n)
-              - rl_weight(3.0 - alpha, tau_p)) / (tau_n * tau_p)
-        hist = hist + a1 * inc_p
-        if bank.n_committed >= 2:
-            th = bank.soe.nodes
-            w = bank.soe.weights * (-np.expm1(-th * tau_n) / th) \
-                * np.exp(-th * tau_p) / tau_n
-            hist = hist + np.tensordot(w, bank.h, axes=1)
-    return a0, hist
-
-
-def _l1_terms(bank, tau_n):
-    """(local coefficient, history value) of the fast collocation formula."""
-    alpha = bank.soe.alpha
-    a0 = tau_n ** (-alpha) / math.gamma(2.0 - alpha)
-    hist = np.zeros(bank.shape)
-    if bank.pending is not None:
-        tau_p, inc_p = bank.pending
-        a1 = (rl_weight(2.0 - alpha, tau_n + tau_p)
-              - rl_weight(2.0 - alpha, tau_n)) / tau_p
-        hist = hist + a1 * inc_p
-        if bank.n_committed >= 2:
-            th = bank.soe.nodes
-            w = bank.soe.weights * np.exp(-th * (tau_n + tau_p))
-            hist = hist + np.tensordot(w, bank.h, axes=1)
-    return a0, hist
+        scheme "cn" is the cell-averaged formula, "be" the collocation one.
+        """
+        alpha = self.soe.alpha
+        cn = scheme == "cn"
+        order = (3.0 if cn else 2.0) - alpha
+        a0 = tau_n ** (-alpha) / math.gamma(order)
+        hist = np.zeros(self.shape)
+        if self.pending is not None:
+            tau_p, inc_p = self.pending
+            if cn:
+                a1 = (rl_weight(order, tau_n + tau_p) - rl_weight(order, tau_n)
+                      - rl_weight(order, tau_p)) / (tau_n * tau_p)
+            else:
+                a1 = (rl_weight(order, tau_n + tau_p) - rl_weight(order, tau_n)) / tau_p
+            hist = hist + a1 * inc_p
+            if self.n_committed >= 2:
+                th, weights = self.soe.nodes, self.soe.weights
+                if cn:
+                    w = weights * (-np.expm1(-th * tau_n) / th) \
+                        * np.exp(-th * tau_p) / tau_n
+                else:
+                    w = weights * np.exp(-th * (tau_n + tau_p))
+                hist = hist + np.tensordot(w, self.h, axes=1)
+        return a0, hist
 
 
 def fast_l1plus_apply(bank, tau_n, local_increment):
@@ -354,11 +347,11 @@ def fast_l1plus_apply(bank, tau_n, local_increment):
     the two newest cells carry exact weights, older cells go through the
     exponential sum.
     """
-    a0, hist = _l1plus_terms(bank, tau_n)
+    a0, hist = bank.caputo_terms("cn", tau_n)
     return a0 * np.asarray(local_increment, dtype=float) + hist
 
 
 def fast_l1_apply(bank, tau_n, local_increment):
     """Fast collocation (t_n) Caputo value at the trial level; shares the bank."""
-    a0, hist = _l1_terms(bank, tau_n)
+    a0, hist = bank.caputo_terms("be", tau_n)
     return a0 * np.asarray(local_increment, dtype=float) + hist

@@ -1,7 +1,7 @@
 """Periodic 2D Fourier pseudo-spectral discretization.
 
-Fields are real arrays of shape (nx, ny) on the uniform periodic grid of
-(0, lx) x (0, ly); x varies along the first axis.  Differential operators
+Fields are real arrays of shape (nx, nx) on the uniform periodic grid of
+the square (0, 2 pi)^2; x varies along the first axis.  Differential operators
 are diagonal in transform space (real FFTs with Hermitian symmetry), so a
 field is carried by its half-spectrum between steps: the grid values of
 its gradient come from ``gradient_from_spectrum`` and the half-spectrum of
@@ -47,18 +47,14 @@ NOSLOPE = "noslope"
 
 
 class Grid2D:
-    """Uniform periodic grid with precomputed spectral multipliers."""
+    """Uniform nx x nx grid on the 2*pi-periodic square, with spectral multipliers."""
 
-    def __init__(self, nx, ny=None, lx=TWO_PI, ly=None):
-        ny = nx if ny is None else ny
-        ly = lx if ly is None else ly
-        for label, n in (("nx", nx), ("ny", ny)):
-            if n < 4 or n % 2:
-                raise ValueError(f"{label} must be even and >= 4, got {n}")
-        self.nx, self.ny = int(nx), int(ny)
-        self.lx, self.ly = float(lx), float(ly)
-        self.hx = self.lx / self.nx
-        self.hy = self.ly / self.ny
+    def __init__(self, nx):
+        if nx < 4 or nx % 2:
+            raise ValueError(f"nx must be even and >= 4, got {nx}")
+        self.nx = self.ny = int(nx)
+        self.lx = self.ly = TWO_PI
+        self.hx = self.hy = TWO_PI / self.nx
 
         kx = TWO_PI * np.fft.fftfreq(self.nx, d=self.hx)
         ky = TWO_PI * np.fft.rfftfreq(self.ny, d=self.hy)
@@ -77,8 +73,7 @@ class Grid2D:
         wcol[-1] = 1.0
         self._wcol = wcol[None, :]
         x = np.arange(self.nx) * self.hx
-        y = np.arange(self.ny) * self.hy
-        self.x, self.y = np.meshgrid(x, y, indexing="ij")
+        self.x, self.y = np.meshgrid(x, x, indexing="ij")
 
     @property
     def shape(self):

@@ -90,6 +90,68 @@ def test_graded_strategy_needs_a_tail():
         adaptive_benchmark("slope", 0.5, strategy="graded", grid_n=16, T=0.03)
 
 
+def test_benchmark_rejects_horizon_inside_prefix():
+    # the prefix is marched whole: the run used to end at t = 0.01 > T
+    with pytest.raises(ValueError, match=r"'adaptive'.*prefix ends at t = 0\.01, "
+                                         r"after T = 0\.005"):
+        adaptive_benchmark("slope", 0.7, grid_n=16, T=0.005)
+
+
+def test_uniform_strategy_needs_a_step():
+    with pytest.raises(ValueError, match=r"'uniform'.*uniform_tau = 0\.001 "
+                                         r"up to T = 0\.0004"):
+        adaptive_benchmark("slope", 0.7, strategy="uniform", grid_n=16, T=4e-4)
+
+
+def test_coarsening_rejects_horizon_inside_prefix():
+    # the slope prefix ends at 1.25e-4 / (1 - (29/30)^3) = 1.29e-3
+    with pytest.raises(ValueError, match=r"coarsening.*prefix ends at t = "
+                                         r"0\.00129.*after T = 0\.001"):
+        coarsening("slope", 0.7, grid_n=16, T=0.001, seed=1)
+
+
+def _meta(out_dir):
+    return json.loads((out_dir / "run.json").read_text())
+
+
+GROWTH_MODEL = {"M": 1.0, "beta": 4.0, "eps2": 0.1, "C0": 1.0}
+
+
+def test_benchmark_records_model_constants(tmp_path):
+    adaptive_benchmark("slope", 0.7, strategy="uniform", grid_n=16, T=0.005,
+                       out_dir=tmp_path)
+    meta = _meta(tmp_path)
+    assert {k: meta[k] for k in GROWTH_MODEL} == GROWTH_MODEL
+    assert (meta["tau_init"], meta["max_retries"], meta["prefix_gamma"]) == \
+        (None, 10, 3.0)
+
+
+def test_singularity_run_records_model_constants(tmp_path):
+    singularity_run(0.4, grid_n=16, N0=8, out_dir=tmp_path)
+    meta = _meta(tmp_path)
+    assert {k: meta[k] for k in GROWTH_MODEL} == GROWTH_MODEL
+    assert (meta["T0"], meta["ic_amplitude"], meta["n_accepted"]) == (1e-3, 0.1, 8)
+
+
+def test_coarsening_records_model_constants(tmp_path):
+    coarsening("noslope", 0.7, grid_n=16, T=0.002, seed=1, out_dir=tmp_path)
+    meta = _meta(tmp_path)
+    assert {k: meta[k] for k in ("M", "beta", "epsilon", "C0")} == \
+        {"M": 1.0, "beta": 4.0, "epsilon": 0.03, "C0": 1.0}
+    assert "eps2" not in meta
+    assert {k: meta[k] for k in ("tol", "rho", "prefix_n0", "prefix_gamma",
+                                 "ic_amplitude", "soe_eps")} == \
+        {"tol": 1e-3, "rho": 0.9, "prefix_n0": 30, "prefix_gamma": 3.0,
+         "ic_amplitude": 1e-3, "soe_eps": 1e-10}
+
+
+def test_pde_convergence_records_model_constants(tmp_path):
+    pde_convergence("slope", 0.8, 0.4, 5.0, [4], grid_n=8, T=0.1, out_dir=tmp_path)
+    meta = _meta(tmp_path)
+    assert {k: meta[k] for k in GROWTH_MODEL} == \
+        {"M": 0.1, "beta": 1.0, "eps2": 0.5, "C0": 1.0}
+
+
 def test_benchmark_sav_drift_column():
     grid, params = Grid2D(16), ModelParams()
     state = init_state(grid, _benchmark_phi0(grid), params,

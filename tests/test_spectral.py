@@ -28,7 +28,7 @@ def test_grid_validation():
         Grid2D(5)
     with pytest.raises(ValueError):
         Grid2D(2)
-    g = Grid2D(8, 16)
+    g = Grid2D(8)
     assert g.hx * g.hy * g.nx * g.ny == pytest.approx(g.area)
 
 
