@@ -250,7 +250,7 @@ def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
     rows = []
     for N in n_list:
         mesh = table_mesh(T, N, gamma, seed + N, tail=tail)
-        history = make_history(alpha, grid.shape, mode="direct")
+        history = make_history(alpha, grid.spec_shape, mode="direct")
         state = init_state(grid, np.zeros(grid.shape), params, history)
         err = 0.0
         for k in range(1, mesh.n_steps + 1):
@@ -347,7 +347,7 @@ def singularity_run(alpha, model=SLOPE, grid_n=32, N0=200, gamma=3.0, out_dir=No
             "grid_n": grid_n, "T0": _SINGULARITY_T0, "N0": N0, "gamma": gamma,
             **_GROWTH_MODEL, "ic_amplitude": _SINGULARITY_AMPLITUDE}
     return _run_trajectory(meta, grid, params, phi0,
-                           make_history(alpha, grid.shape, mode="direct"),
+                           make_history(alpha, grid.spec_shape, mode="direct"),
                            build_graded(_SINGULARITY_T0, N0, gamma), fit=fit,
                            out_dir=out_dir)
 
@@ -400,7 +400,7 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    history = make_history(alpha, grid.shape, mode=soe_mode, dt_min=dt_min,
+    history = make_history(alpha, grid.spec_shape, mode=soe_mode, dt_min=dt_min,
                            T=T, eps=soe_eps, direct_levels=direct_levels)
     meta = {"driver": "adaptive_benchmark", "model": model, "alpha": alpha,
             "strategy": strategy, "grid_n": grid_n, "T": T, **_GROWTH_MODEL,
@@ -439,7 +439,7 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
     prefix = build_graded(tau_min / shrink, _PREFIX_N0, _PREFIX_GAMMA)
     _check_prefix_end("coarsening", prefix, T)
 
-    history = make_history(alpha, grid.shape, mode=soe_mode, dt_min=tau_min,
+    history = make_history(alpha, grid.spec_shape, mode=soe_mode, dt_min=tau_min,
                            T=T, eps=_SOE_EPS, direct_levels=prefix.n_steps)
     aparams = AdaptiveParams(rho=_RHO, tol=_TOL, tau_min=tau_min, tau_max=tau_max,
                              max_retries=_MAX_RETRIES)

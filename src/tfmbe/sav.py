@@ -39,12 +39,12 @@ The step runs in transform space: the state carries the half-spectrum of
 phi^n and the grid gradients of phi^n and phi^{n-1}, the flux divergence
 and the right-hand side are formed as half-spectra, and every inner
 product is taken by Parseval.  A candidate's grid values and gradient are
-transformed back on first use.  An adaptive trial costs 9 transforms: the
-second-order step 4 (flux 2, history sum 1, grid values 1), the estimator
-3 (it is never transformed back) and the observables 2 (the gradient,
-which the next step reuses); a fixed-mesh step costs 6.  The history sum
-stays on the grid.  At alpha = 1 there is no history sum to transform, so
-an adaptive trial costs 7 and a fixed-mesh step 5.
+transformed back on first use.  The convolution history stores the
+increments of the half-spectrum (as its float view), so its sums are
+half-spectra too and are never transformed.  An adaptive trial costs 7
+transforms: the second-order step 3 (flux 2, grid values 1), the
+estimator 2 (it is never transformed back) and the observables 2 (the
+gradient, which the next step reuses); a fixed-mesh step costs 5.
 """
 
 from __future__ import annotations
@@ -121,7 +121,9 @@ class CaputoHistory:
             return
         self.bank = HistoryBank(self.soe, self.shape)
         levels = self._levels
-        increments = (row for block in self._blocks for row in block)
+        # copies: the bank keeps its newest increment, and a view of a block
+        # would keep the dropped store alive until the next commit
+        increments = (row.copy() for block in self._blocks for row in block)
         for k, increment in zip(range(1, self.n_committed + 1), increments):
             self.bank.commit(levels[k] - levels[k - 1], increment)
         self._levels = self._blocks = None
@@ -247,10 +249,16 @@ def _functional(params):
 
 
 def init_state(grid, phi0, params, history):
-    """Initial state with the auxiliary scalar set to sqrt(radicand(phi0))."""
+    """Initial state with the auxiliary scalar set to sqrt(radicand(phi0)).
+
+    ``history`` sums half-spectra: its shape is ``grid.spec_shape``.
+    """
     phi0 = np.array(phi0, dtype=float, copy=True)
     if phi0.shape != grid.shape:
         raise ValueError(f"field shape {phi0.shape} does not match grid {grid.shape}")
+    if history.shape != grid.spec_shape:
+        raise ValueError(f"history shape {history.shape} does not match the "
+                         f"half-spectrum view shape {grid.spec_shape} of the grid")
     phi_h = grid.fft(phi0)
     grad = grid.gradient_from_spectrum(phi_h)
     _, radicand = _functional(params)(grid, grad, params)
@@ -345,7 +353,7 @@ def _sav_step(state, tau_n, params, grid, source, theta, scheme):
     symbol = a0 + theta * m * lin_sym
     coupling = s_aux * 0.5 * theta * m
     phi_h = state.phi_h
-    hist_h = 0.0 if hist is None else grid.fft(hist)
+    hist_h = 0.0 if hist is None else hist.view(complex)
     rhs_h = ((a0 - (1.0 - theta) * m * lin_sym) * phi_h - hist_h
              + (s_aux * m * state.aux + coupling * grid.inner_spec(w_h, phi_h)) * w_h)
     if source is not None:
@@ -371,7 +379,8 @@ def be_l1_sav_step(state, tau_n, params, grid, source=None):
 
 def commit_candidate(state, cand):
     """Accept a candidate: advance the convolution history and the clock."""
-    state.history.commit(cand.tau, cand.phi - state.phi, level=state.n + 1)
+    state.history.commit(cand.tau, (cand.phi_h - state.phi_h).view(float),
+                         level=state.n + 1)
     state.prev_grad = state.grad
     state.prev_tau = cand.tau
     state.phi, state.phi_h, state.grad = cand.phi, cand.phi_h, cand.grad

@@ -42,10 +42,16 @@ Keeping the adjacent cell exact matters: the exponential sum is accurate
 only for arguments above dt_min, while the kernel mass of the adjacent
 cell concentrates at arbitrarily small lags.
 
-The commit folds the pending step into the bank in place, one block of
-node rows at a time (a fixed number of bytes, sized to stay in cache),
-through a scratch block allocated with the bank: each accepted step reads
-and writes the bank once and allocates nothing the size of the bank.
+The commit does not sweep the bank every step.  The bank keeps H at a
+reference step, the per-node decay product P since then, and the last
+``_FOLD_STEPS`` folded increments in a ring with coefficients Q, so that
+H = P * H_ref + Q @ ring, and a read with node weights w takes
+(w * P) . H_ref + (w . Q) . ring.  When the ring is full, the commit
+sweeps the bank once, one block of node rows at a time (a fixed number of
+bytes, sized to stay in cache), with one matrix product per block into a
+scratch block allocated with the bank: commits read and write the bank
+once per ``_FOLD_STEPS`` accepted steps, and none allocates anything the
+size of the bank.
 
 The solver's history (``tfmbe.sav.CaputoHistory``) sums an exact prefix
 first, for steps below dt_min, and then replays it into one bank that
@@ -76,10 +82,14 @@ __all__ = [
 # errors over an O(100)-cell history stays within a small multiple of eps
 _BUILD_MARGIN = 16.0
 
-# bytes of bank the commit updates per block: a block and its scratch stay
-# in a 2 MiB per-core cache from the decay pass to the gain pass, and the
+# bytes of bank a sweep updates per block: a block and its scratch stay in
+# a 2 MiB per-core cache from the matrix product to the update, and the
 # per-block call overhead stays small next to the arithmetic
 _COMMIT_BLOCK_BYTES = 1 << 19
+
+# increments folded between two sweeps of the bank; the ring that holds
+# them costs this many fields (1.1 MB at 128^2)
+_FOLD_STEPS = 8
 
 # log-spaced sample count at which build_soe verifies each candidate rule
 _BUILD_SAMPLES = 4001
@@ -267,24 +277,36 @@ class HistoryBank:
 
     After committing steps 1..k the bank holds H(t_{k-1}) together with the
     pending pair (tau_k, increment_k); H(t_0) = 0.  Commits must arrive in
-    level order and only for accepted steps.  ``commit`` updates ``h`` in
-    place, block by block: ``h`` keeps its buffer for the bank's lifetime.
-    The bank keeps the increment array it is given, not a copy, until the
-    next commit folds it in, so the caller must not modify it meanwhile.
+    level order and only for accepted steps.  H is kept in deferred form,
+
+        H = P * h + Q @ ring,
+
+    with ``h`` the states at a reference step, P the per-node decay product
+    since then and ``ring`` the increments folded since then, Q their
+    coefficients.  Folding a step scales P and Q and fills a ring slot;
+    the commit that fills the last slot sweeps ``h`` once, block by block,
+    and makes that step the new reference.  ``h`` keeps its buffer for the
+    bank's lifetime.  The bank keeps the increment array it is given, not a
+    copy, until the next commit folds it in, so the caller must not modify
+    it meanwhile.
     """
 
     def __init__(self, soe, shape=()):
         self.soe = soe
         self.shape = tuple(shape)
-        self.h = np.zeros((soe.n_terms,) + self.shape)
-        row_bytes = self.h.itemsize * math.prod(self.shape)
-        rows = max(1, _COMMIT_BLOCK_BYTES // max(1, row_bytes))
-        scratch = np.empty((min(rows, soe.n_terms),) + self.shape)
+        n_terms, size = soe.n_terms, math.prod(self.shape)
+        self.h = np.zeros((n_terms,) + self.shape)
+        self._decay = np.ones(n_terms)
+        self._coef = np.zeros((n_terms, _FOLD_STEPS))
+        self._ring = np.empty((_FOLD_STEPS, size))
+        self._n_ring = 0
+        rows = max(1, _COMMIT_BLOCK_BYTES // max(1, self.h.itemsize * size))
+        scratch = np.empty((min(rows, n_terms), size))
+        h = self.h.reshape(n_terms, size)
         # (node rows, their view of h, a scratch view of the same shape),
-        # built once so that a commit allocates nothing per block
-        self._blocks = [
-            (slice(i, i + rows), self.h[i:i + rows], scratch[:soe.n_terms - i])
-            for i in range(0, soe.n_terms, rows)]
+        # built once so that a sweep allocates nothing per block
+        self._blocks = [(slice(i, i + rows), h[i:i + rows], scratch[:n_terms - i])
+                        for i in range(0, n_terms, rows)]
         self.pending = None
         self.n_committed = 0
 
@@ -301,13 +323,19 @@ class HistoryBank:
         if self.pending is not None:
             tau_p, inc_p = self.pending
             x = self.soe.nodes * tau_p
-            pad = (-1,) + (1,) * len(self.shape)
-            decay = np.exp(-x).reshape(pad)
-            gain = _relexp(x).reshape(pad)
-            for block, h, scratch in self._blocks:
-                np.multiply(gain[block], inc_p, out=scratch)
-                h *= decay[block]
-                h += scratch
+            decay, m = np.exp(-x), self._n_ring
+            self._decay *= decay
+            self._coef[:, :m] *= decay[:, None]
+            self._coef[:, m] = _relexp(x)
+            self._ring[m] = inc_p.ravel()
+            self._n_ring = m + 1
+            if self._n_ring == _FOLD_STEPS:
+                for block, h, scratch in self._blocks:
+                    np.matmul(self._coef[block], self._ring, out=scratch)
+                    h *= self._decay[block, None]
+                    h += scratch
+                self._decay.fill(1.0)
+                self._n_ring = 0
         self.pending = (float(tau), inc)
         self.n_committed += 1
 
@@ -336,7 +364,11 @@ class HistoryBank:
                         * np.exp(-th * tau_p) / tau_n
                 else:
                     w = weights * np.exp(-th * (tau_n + tau_p))
-                hist = hist + np.tensordot(w, self.h, axes=1)
+                hist = hist + np.tensordot(w * self._decay, self.h, axes=1)
+                m = self._n_ring
+                if m:
+                    ring = (w @ self._coef[:, :m]) @ self._ring[:m]
+                    hist = hist + ring.reshape(self.shape)
         return a0, hist
 
 

@@ -14,8 +14,9 @@ from two half-spectra (Parseval).
 Nonlinear fluxes are formed pointwise on the grid and differentiated in
 transform space; no dealiasing is applied.  Every 2-D transform goes
 through ``Grid2D.fft``/``Grid2D.ifft``.  The SAV step (``tfmbe.sav``)
-costs 9 of them per adaptive trial (second-order step 4, estimator 3,
-observables 2) and 6 per fixed-mesh step.
+costs 7 of them per adaptive trial (second-order step 3, estimator 2,
+observables 2) and 5 per fixed-mesh step; its convolution history holds
+half-spectra, so the history sum needs no transform.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ class Grid2D:
     @property
     def shape(self):
         return (self.nx, self.ny)
+
+    @property
+    def spec_shape(self):
+        """Shape (nx, nx + 2) of the float view of a half-spectrum."""
+        return (self.nx, 2 * (self.ny // 2 + 1))
 
     @property
     def area(self):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfmbe import (AdaptiveParams, Grid2D, ModelParams, adaptive_run,
-                   be_l1_sav_step, build_graded, cn_sav_step, init_state,
-                   make_history, tau_ada, trajectory_observables)
+                   be_l1_sav_step, build_graded, build_uniform, cn_sav_step,
+                   init_state, make_history, run_fixed, tau_ada,
+                   trajectory_observables)
 
 
 @pytest.fixture(scope="module")
@@ -16,12 +17,34 @@ def grid():
     return Grid2D(16)
 
 
-def small_state(grid, model="slope", alpha=0.7):
+def small_state(grid, model="slope", alpha=0.7, soe_mode="direct"):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
     phi0 = 0.1 * (np.sin(3 * grid.x) * np.sin(2 * grid.y)
                   + np.sin(5 * grid.x) * np.sin(5 * grid.y))
-    state = init_state(grid, phi0, params, make_history(alpha, grid.shape))
-    return state, params
+    history = make_history(alpha, grid.spec_shape, mode=soe_mode, dt_min=1e-3, T=1.0)
+    return init_state(grid, phi0, params, history), params
+
+
+@pytest.mark.parametrize("soe_mode", ["fast", "direct"])
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_transform_counts(monkeypatch, grid, alpha, soe_mode):
+    """7 two-dimensional transforms per adaptive trial, 5 per fixed-mesh step."""
+    state, params = small_state(grid, alpha=alpha, soe_mode=soe_mode)
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(self, f, _transform=getattr(Grid2D, name)):
+            calls.append(name)
+            return _transform(self, f)
+        monkeypatch.setattr(Grid2D, name, counted)
+    records = run_fixed(state, build_uniform(0.02, 12), params, grid)
+    assert len(calls) == 5 * len(records)
+    del calls[:]
+    aparams = AdaptiveParams(tol=1e-4, tau_min=1e-3, tau_max=0.05, tau_init=0.05)
+    records = adaptive_run(state, params, grid, aparams, T=0.2)
+    assert sum(not r.accepted for r in records) > 0  # rejected trials counted too
+    assert len(calls) == 7 * len(records)
+    if soe_mode == "fast" and alpha < 1.0:
+        assert state.history.bank is not None
 
 
 def test_params_validation():

@@ -17,7 +17,7 @@ def grid():
 
 def roughness(grid, phi):
     params = ModelParams()
-    state = init_state(grid, phi, params, make_history(1.0, grid.shape))
+    state = init_state(grid, phi, params, make_history(1.0, grid.spec_shape))
     return trajectory_observables(grid, state, params)[2]
 
 

@@ -155,7 +155,7 @@ def test_pde_convergence_records_model_constants(tmp_path):
 def test_benchmark_sav_drift_column():
     grid, params = Grid2D(16), ModelParams()
     state = init_state(grid, _benchmark_phi0(grid), params,
-                       make_history(0.7, grid.shape))
+                       make_history(0.7, grid.spec_shape))
     assert trajectory_observables(grid, state, params)[3] == 0.0
     rep = adaptive_benchmark("slope", 0.7, grid_n=16, T=0.05)
     drift = [r.sav_drift for r in rep.accepted]

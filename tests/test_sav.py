@@ -35,7 +35,7 @@ def initial_energy(grid, state, params):
 
 def head(grid, phi, aux, params):
     """A state holding phi, with the auxiliary scalar set to ``aux``."""
-    state = init_state(grid, phi, params, make_history(1.0, grid.shape))
+    state = init_state(grid, phi, params, make_history(1.0, grid.spec_shape))
     state.aux = aux
     return state
 
@@ -56,7 +56,7 @@ def state_digest(state):
 def test_init_state_slope_aux(grid):
     params = ModelParams(M=1.0, eps2=1.0, beta=1.0, C0=1.0, model="slope")
     state = init_state(grid, np.zeros(grid.shape),
-                       params, make_history(0.5, grid.shape))
+                       params, make_history(0.5, grid.spec_shape))
     assert state.aux == pytest.approx(math.sqrt(4 * math.pi ** 2 + 1), rel=1e-12)
     assert state.n == 0 and state.t == 0.0
 
@@ -64,7 +64,7 @@ def test_init_state_slope_aux(grid):
 def test_init_state_noslope_aux(grid):
     params = ModelParams(M=1.0, eps2=1.0, beta=1.0, C0=1.0, model="noslope")
     state = init_state(grid, np.zeros(grid.shape),
-                       params, make_history(0.5, grid.shape))
+                       params, make_history(0.5, grid.spec_shape))
     assert state.aux == pytest.approx(1.0, rel=1e-13)
 
 
@@ -72,7 +72,13 @@ def test_init_state_rejects_wrong_shape(grid):
     params = ModelParams(model="slope")
     with pytest.raises(ValueError, match="does not match grid"):
         init_state(grid, np.zeros((grid.nx, grid.ny + 2)), params,
-                   make_history(0.5, grid.shape))
+                   make_history(0.5, grid.spec_shape))
+
+
+def test_init_state_rejects_grid_shaped_history(grid):
+    params = ModelParams(model="slope")
+    with pytest.raises(ValueError, match=r"history shape \(32, 32\).*\(32, 34\)"):
+        init_state(grid, np.zeros(grid.shape), params, make_history(0.5, grid.shape))
 
 
 def test_energies_at_flat_state(grid):
@@ -99,7 +105,7 @@ def test_modified_energy_matches_original_for_consistent_aux(grid):
     phi = two_mode(grid)
     for model in ("slope", "noslope"):
         params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
-        state = init_state(grid, phi, params, make_history(0.5, grid.shape))
+        state = init_state(grid, phi, params, make_history(0.5, grid.spec_shape))
         e_mod, e_orig, _, drift = trajectory_observables(grid, state, params)
         assert drift == 0.0  # init_state sets aux from the same radicand
         # the slope form carries the stabilizer constant, the no-slope form none
@@ -162,7 +168,7 @@ def test_modified_energy_keeps_nyquist_mode(grid):
 def test_flat_state_is_fixed_point(grid):
     params = ModelParams(M=1.0, eps2=0.5, beta=1.0, C0=1.0, model="slope")
     state = init_state(grid, np.zeros(grid.shape),
-                       params, make_history(0.5, grid.shape))
+                       params, make_history(0.5, grid.spec_shape))
     cand = cn_sav_step(state, 0.01, params, grid)
     assert np.max(np.abs(cand.phi)) < 1e-14
     assert cand.aux == pytest.approx(state.aux, rel=1e-14)
@@ -171,7 +177,7 @@ def test_flat_state_is_fixed_point(grid):
 def test_candidates_do_not_mutate_state(grid):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
     state = init_state(grid, two_mode(grid), params,
-                       make_history(0.7, grid.shape))
+                       make_history(0.7, grid.spec_shape))
     before = state_digest(state)
     n_before = state.history.n_committed
     cn_sav_step(state, 0.01, params, grid)
@@ -183,7 +189,7 @@ def test_candidates_do_not_mutate_state(grid):
 def test_commit_advances_state_and_history(grid):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
     state = init_state(grid, two_mode(grid), params,
-                       make_history(0.7, grid.shape))
+                       make_history(0.7, grid.spec_shape))
     grad0 = state.grad
     cand = cn_sav_step(state, 0.01, params, grid)
     commit_candidate(state, cand)
@@ -200,7 +206,7 @@ def test_commit_advances_state_and_history(grid):
 def test_step_validates_tau(grid):
     params = ModelParams(model="slope")
     for mode in ("direct", "fast"):
-        history = make_history(0.7, grid.shape, mode=mode, dt_min=1e-3, T=1.0)
+        history = make_history(0.7, grid.spec_shape, mode=mode, dt_min=1e-3, T=1.0)
         state = init_state(grid, two_mode(grid), params, history)
         for step in (cn_sav_step, be_l1_sav_step):
             for tau in (math.nan, math.inf, 0.0, -0.1):
@@ -252,7 +258,7 @@ def test_history_rejects_invalid_step(alpha, exact_levels, with_soe, tau):
 @pytest.mark.parametrize("model", ["slope", "noslope"])
 def test_energy_bound_fixed_mesh(grid, model):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
-    state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.shape))
+    state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.spec_shape))
     e0 = initial_energy(grid, state, params)
     records = run_fixed(state, build_uniform(1.0, 100), params, grid)
     energies = [r.energy_mod for r in records]
@@ -262,7 +268,7 @@ def test_energy_bound_fixed_mesh(grid, model):
 @pytest.mark.parametrize("model", ["slope", "noslope"])
 def test_telescoping_identity_fixed_mesh(grid, model):
     params = ModelParams(M=0.5, eps2=0.1, beta=4.0, C0=1.0, model=model)
-    state = init_state(grid, two_mode(grid), params, make_history(0.4, grid.shape))
+    state = init_state(grid, two_mode(grid), params, make_history(0.4, grid.spec_shape))
     e0 = initial_energy(grid, state, params)
     records = run_fixed(state, build_uniform(0.5, 60), params, grid)
     lhs = records[-1].energy_mod - e0
@@ -276,7 +282,7 @@ def test_telescoping_identity_fixed_mesh(grid, model):
 
 def test_run_fixed_continuation_keeps_clock(grid):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
-    state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.shape))
+    state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.spec_shape))
     mesh = build_uniform(0.3, 30)
     run_fixed(state, mesh, params, grid)
     run_fixed(state, mesh, params, grid)
@@ -286,7 +292,7 @@ def test_run_fixed_continuation_keeps_clock(grid):
 
 def test_estimator_pair_differs(grid):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
-    state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.shape))
+    state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.spec_shape))
     c2 = cn_sav_step(state, 0.01, params, grid)
     c1 = be_l1_sav_step(state, 0.01, params, grid)
     rel = grid.norm_l2(c2.phi - c1.phi) / grid.norm_l2(c2.phi)
@@ -295,14 +301,14 @@ def test_estimator_pair_differs(grid):
 
 def test_alpha_one_is_classical(grid):
     # no exponential sum is built (there is no memory to compress)
-    assert make_history(1.0, grid.shape, mode="fast").soe is None
-    hist = make_history(1.0, grid.shape)
-    hist.commit(0.1, np.ones(grid.shape), level=1)
+    assert make_history(1.0, grid.spec_shape, mode="fast").soe is None
+    hist = make_history(1.0, grid.spec_shape)
+    hist.commit(0.1, np.ones(grid.spec_shape), level=1)
     for scheme in ("cn", "be"):
         a0, h = hist.caputo_terms(scheme, 0.05)
         assert a0 == pytest.approx(20.0)
         assert h is None  # memoryless: no history sum to add or transform
-    hist = make_history(1.0, grid.shape)
+    hist = make_history(1.0, grid.spec_shape)
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
     state = init_state(grid, two_mode(grid), params, hist)
     e0 = initial_energy(grid, state, params)
@@ -318,7 +324,7 @@ def test_direct_vs_fast_trajectories(grid):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
     phis = {}
     for mode in ("direct", "fast"):
-        history = make_history(alpha, grid.shape, mode=mode,
+        history = make_history(alpha, grid.spec_shape, mode=mode,
                                dt_min=T / n_steps, T=T, eps=eps)
         state = init_state(grid, two_mode(grid), params, history)
         run_fixed(state, mesh, params, grid)
@@ -351,6 +357,6 @@ def test_hybrid_history_matches_direct():
 def test_rank_one_denominator_guard(grid):
     # slope: positive coupling keeps the scalar division safe at any step
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
-    state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.shape))
+    state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.spec_shape))
     cand = cn_sav_step(state, 10.0, params, grid)
     assert np.all(np.isfinite(cand.phi))

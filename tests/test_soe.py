@@ -13,7 +13,8 @@ from scipy.integrate import quad
 from tfmbe import (HistoryBank, SOEApprox, StateError, apply_direct, build_soe,
                    fast_l1_apply, fast_l1plus_apply, rl_weight, verify_soe)
 import tfmbe.soe as soe_module
-from tfmbe.soe import _COMMIT_BLOCK_BYTES, _gauss_jacobi, _panel_rule, _relexp
+from tfmbe.soe import (_COMMIT_BLOCK_BYTES, _FOLD_STEPS, _gauss_jacobi, _panel_rule,
+                       _relexp)
 
 from conftest import random_mesh
 
@@ -162,14 +163,38 @@ def test_advance_coefficient_matches_quadrature():
         assert float(_relexp(np.array(theta * tau))) == pytest.approx(ref, abs=1e-13)
 
 
+def _eager_terms(bank, ref, scheme, tau_n):
+    """``bank.caputo_terms`` read from the eagerly folded states ``ref``.
+
+    A new bank holds nothing in deferred form, so its read weights its
+    states ``h`` directly.
+    """
+    eager = HistoryBank(bank.soe, bank.shape)
+    eager.h[...] = ref
+    eager.pending, eager.n_committed = bank.pending, bank.n_committed
+    return eager.caputo_terms(scheme, tau_n)
+
+
+def _assert_reads_match(bank, ref, tau_n, rtol=1e-13):
+    """Both fast formulas of ``bank`` agree with the eager fold ``ref``."""
+    for scheme in ("cn", "be"):
+        a0, hist = bank.caputo_terms(scheme, tau_n)
+        a0_ref, hist_ref = _eager_terms(bank, ref, scheme, tau_n)
+        assert a0 == a0_ref
+        assert hist.shape == bank.shape
+        assert np.max(np.abs(hist - hist_ref)) <= rtol * np.max(np.abs(hist_ref))
+
+
 def test_zero_increment_decays_history():
     soe = build_soe(0.5, 1e-8, 1e-3, 5.0)
     bank = HistoryBank(soe)
-    bank.commit(0.1, 1.0, level=1)
-    bank.commit(0.2, 0.0, level=2)  # folds the first increment in
-    h_before = bank.h.copy()
-    bank.commit(0.15, 0.0, level=3)
-    assert np.allclose(bank.h, np.exp(-soe.nodes * 0.2) * h_before, rtol=1e-14)
+    taus = np.linspace(0.01, 0.05, 4 * _FOLD_STEPS)  # the fold sweeps the bank 3 times
+    bank.commit(taus[0], 1.0, level=1)
+    for level in range(2, taus.size + 1):
+        bank.commit(taus[level - 1], 0.0, level=level)
+        # H(t_{level-1}) = exp(-theta (t_{level-1} - t_1)) * gain(tau_1) * 1.0
+        ref = np.exp(-soe.nodes * taus[1:level - 1].sum()) * _relexp(soe.nodes * taus[0])
+        _assert_reads_match(bank, ref, 0.02)
 
 
 def test_out_of_order_commit_rejected():
@@ -185,18 +210,26 @@ def test_out_of_order_commit_rejected():
 def test_commit_batching_invariance():
     soe = build_soe(0.6, 1e-10, 1e-3, 5.0)
     rng = np.random.default_rng(7)
-    taus = rng.uniform(1e-3, 0.2, 9)
-    incs = rng.standard_normal(9)
+    n = 3 * _FOLD_STEPS + 5
+    taus = rng.uniform(1e-3, 0.2, n)
+    incs = rng.standard_normal(n)
     a = HistoryBank(soe)
+    ref, pending = np.zeros(soe.n_terms), None
     for i, (t, v) in enumerate(zip(taus, incs), start=1):
         a.commit(t, v, level=i)
+        if pending is not None:
+            _fold_reference(ref, soe, *pending)
+        pending = (t, np.asarray(v))
     b = HistoryBank(soe)
     for i in range(4):
         b.commit(taus[i], incs[i], level=i + 1)
-    for i in range(4, 9):
+    for i in range(4, n):
         b.commit(taus[i], incs[i], level=i + 1)
-    assert np.array_equal(a.h, b.h)
+    for scheme in ("cn", "be"):
+        assert np.array_equal(a.caputo_terms(scheme, 0.05)[1],
+                              b.caputo_terms(scheme, 0.05)[1])
     assert a.pending[0] == b.pending[0]
+    _assert_reads_match(a, ref, 0.05)
 
 
 def _fold_reference(h, soe, tau_p, inc_p):
@@ -218,7 +251,8 @@ def _panel_soe(n_terms=None):
 @pytest.mark.parametrize("shape", [(), (5,), (48, 48)],
                          ids=["scalar", "1d", "2d-blocks"])
 def test_blocked_commit_matches_whole_bank_update(shape):
-    n_terms = 151
+    n_terms = 151  # not a multiple of the fold count
+    assert n_terms % _FOLD_STEPS
     if shape == (48, 48):  # several blocks, the last one partial
         rows = _COMMIT_BLOCK_BYTES // (8 * 48 * 48)
         assert rows < n_terms and n_terms % rows
@@ -227,14 +261,17 @@ def test_blocked_commit_matches_whole_bank_update(shape):
     bank = HistoryBank(soe, shape)
     buffer = bank.h.ctypes.data
     ref, pending = np.zeros((n_terms,) + shape), None
-    for level in range(1, 41):
+    n_levels = 5 * _FOLD_STEPS  # 4 sweeps, then a part-filled ring
+    for level in range(1, n_levels + 1):
         tau = float(np.exp(rng.uniform(math.log(1e-4), math.log(0.5))))
         inc = rng.standard_normal(shape)
         bank.commit(tau, inc, level=level)
         if pending is not None:
             _fold_reference(ref, soe, *pending)
         pending = (tau, inc)
-    assert np.array_equal(bank.h, ref)
+        if level > 1 and (level - 1) % _FOLD_STEPS == 0:  # this commit swept
+            assert np.max(np.abs(bank.h - ref)) <= 1e-13 * np.max(np.abs(ref))
+        _assert_reads_match(bank, ref, float(rng.uniform(1e-3, 0.1)))
     assert bank.h.ctypes.data == buffer
 
 
@@ -242,16 +279,18 @@ def test_commit_allocates_no_bank_sized_temporary():
     soe = _panel_soe()
     assert soe.n_terms >= 150
     rng = np.random.default_rng(2)
-    incs = rng.standard_normal((3, 64, 64))
+    incs = rng.standard_normal((_FOLD_STEPS + 1, 64, 64))
     bank = HistoryBank(soe, (64, 64))
     bank.commit(0.01, incs[0], level=1)
-    bank.commit(0.02, incs[1], level=2)
     tracemalloc.start()
     try:
-        bank.commit(0.01, incs[2], level=3)  # folds level 2 into every row
+        # folds levels 1.._FOLD_STEPS; the last commit sweeps every row
+        for level in range(2, _FOLD_STEPS + 2):
+            bank.commit(0.01 * level, incs[level - 1], level=level)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert np.all(bank.h != 0.0)  # the sweep happened
     assert peak < bank.h.nbytes / 8
 
 
@@ -262,7 +301,11 @@ def test_bank_rejects_invalid_step(tau):
     with pytest.raises(ValueError, match="level 2"):
         bank.commit(tau, 1.0, level=2)
     bank.commit(0.1, 1.0, level=2)
+    for level in range(3, 2 * _FOLD_STEPS + 4):  # on through two sweeps
+        bank.commit(0.1, 1.0, level=level)
     assert np.all(np.isfinite(bank.h))
+    for scheme in ("cn", "be"):
+        assert np.all(np.isfinite(bank.caputo_terms(scheme, 0.1)[1]))
 
 
 def test_bank_shape_check():
