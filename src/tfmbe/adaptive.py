@@ -143,7 +143,6 @@ def adaptive_run(state, params, grid, aparams, T, prefix_mesh=None):
     while T - state.t > 1e-12 * T:
         tau_n = min(tau_next, T - state.t)
         retries = 0
-        forced = False
         while True:
             cand2 = cn_sav_step(state, tau_n, params, grid)
             cand1 = be_l1_sav_step(state, tau_n, params, grid)
@@ -151,11 +150,11 @@ def adaptive_run(state, params, grid, aparams, T, prefix_mesh=None):
             d_h = cand2.phi_h - cand1.phi_h
             e = math.sqrt(grid.inner_spec(d_h, d_h)) / norm2 if norm2 > 0 else 0.0
             at_floor = tau_n <= aparams.tau_min * (1.0 + 1e-12)
-            accept = e < aparams.tol or at_floor or forced
+            accept = e < aparams.tol or at_floor
             records.append(_record(state.n + 1, state.t + tau_n, cand2,
                                    state.phi, params, grid, accept, e))
             if accept:
-                if forced and e >= aparams.tol:
+                if retries >= aparams.max_retries and e >= aparams.tol:
                     log.warning(
                         "retry budget exhausted at t=%.6g; force-accepting "
                         "floor step with e=%.3e >= tol=%.3e", state.t, e, aparams.tol)
@@ -164,9 +163,6 @@ def adaptive_run(state, params, grid, aparams, T, prefix_mesh=None):
                 commit_candidate(state, cand2)
                 break
             retries += 1
-            if retries >= aparams.max_retries:
-                tau_n = min(aparams.tau_min, T - state.t)
-                forced = True
-            else:
-                tau_n = min(aparams.clamp(tau_ada(e, tau_n, aparams)), T - state.t)
+            tau_n = min(aparams.tau_min if retries >= aparams.max_retries
+                        else aparams.clamp(tau_ada(e, tau_n, aparams)), T - state.t)
     return records

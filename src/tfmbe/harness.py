@@ -171,6 +171,21 @@ def table_mesh(T, N, gamma, seed, tail="random"):
     raise ValueError(f"unknown tail kind {tail!r}")
 
 
+def _order_table(error_of, meta, out_dir):
+    """Error/order table of ``error_of(mesh)`` over the table meshes ``meta`` names."""
+    rows = []
+    for N in meta["n_list"]:
+        mesh = table_mesh(meta["T"], N, meta["gamma"], meta["seed"] + N,
+                          tail=meta["tail"])
+        err = error_of(mesh)
+        order = math.nan if not rows else convergence_order(
+            [rows[-1].error, err], [rows[-1].tau_max, mesh.tau_max])[0]
+        rows.append(OrderRow(N, mesh.tau_max, err, order))
+    report = ConvergenceReport(rows, meta)
+    _emit(out_dir, report)
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Scalar problems
 # ---------------------------------------------------------------------------
@@ -200,21 +215,15 @@ def ode_convergence(alpha, sigma, n_list, T=1.0, gamma=1.0, seed=0,
     """
     if sigma <= 0:
         raise ValueError(f"regularity parameter must be positive, got {sigma}")
-    rows = []
-    for i, N in enumerate(n_list):
-        mesh = table_mesh(T, N, gamma, seed + N, tail=tail)
+
+    def error_of(mesh):
         u = solve_caputo_ode(mesh, alpha, lambda t: rl_weight(1.0 + sigma - alpha, t))
-        exact = rl_weight(1.0 + sigma, mesh.levels[1:])
-        err = float(np.max(np.abs(exact - u[1:])))
-        order = math.nan if not rows else convergence_order(
-            [rows[-1].error, err], [rows[-1].tau_max, mesh.tau_max])[0]
-        rows.append(OrderRow(N, mesh.tau_max, err, order))
-    report = ConvergenceReport(rows, {
+        return float(np.max(np.abs(rl_weight(1.0 + sigma, mesh.levels[1:]) - u[1:])))
+
+    return _order_table(error_of, {
         "driver": "ode_convergence", "alpha": alpha, "sigma": sigma,
         "T": T, "gamma": gamma, "seed": seed, "tail": tail,
-        "n_list": list(n_list)})
-    _emit(out_dir, report)
-    return report
+        "n_list": list(n_list)}, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +256,7 @@ def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
         return (rl_weight(1.0 + sigma - alpha, t) * shape_field
                 + params.M * (4.0 * params.eps2 * phi_ex + nonlin(grid, phi_ex)))
 
-    rows = []
-    for N in n_list:
-        mesh = table_mesh(T, N, gamma, seed + N, tail=tail)
+    def error_of(mesh):
         history = make_history(alpha, grid.spec_shape, mode="direct")
         state = init_state(grid, np.zeros(grid.shape), params, history)
         err = 0.0
@@ -260,15 +267,12 @@ def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
             state.t = float(mesh.levels[k])
             exact = rl_weight(1.0 + sigma, state.t) * shape_field
             err = max(err, float(np.max(np.abs(exact - state.phi))))
-        order = math.nan if not rows else convergence_order(
-            [rows[-1].error, err], [rows[-1].tau_max, mesh.tau_max])[0]
-        rows.append(OrderRow(N, mesh.tau_max, err, order))
-    report = ConvergenceReport(rows, {
+        return err
+
+    return _order_table(error_of, {
         "driver": "pde_convergence", "model": model, "alpha": alpha,
         "sigma": sigma, "gamma": gamma, "grid_n": grid_n, "T": T,
-        "seed": seed, "tail": tail, **_TABLE_MODEL, "n_list": list(n_list)})
-    _emit(out_dir, report)
-    return report
+        "seed": seed, "tail": tail, **_TABLE_MODEL, "n_list": list(n_list)}, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +384,7 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
                 f"strategy 'uniform' needs at least one step of uniform_tau = "
                 f"{uniform_tau} up to T = {T}, got round(T/uniform_tau) = 0")
         mesh = build_uniform(T, n_total)
-        dt_min, direct_levels = float(np.min(mesh.taus)), 0
+        dt_min = float(np.min(mesh.taus))
     elif strategy == "graded":
         _check_prefix_end("strategy 'graded'", prefix, T)
         n_total = int(round(T / uniform_tau))
@@ -391,21 +395,19 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
                 f"round(T/uniform_tau) = {n_total}")
         mesh = extend_uniform(prefix, T, n_total - prefix.n_steps)
         dt_min = float(np.min(mesh.taus[prefix.n_steps:]))
-        direct_levels = prefix.n_steps
     elif strategy == "adaptive":
         _check_prefix_end("strategy 'adaptive'", prefix, T)
-        mesh, aparams = prefix, AdaptiveParams(
+        mesh, dt_min, aparams = prefix, tau_min, AdaptiveParams(
             rho=rho, tol=tol, tau_min=tau_min, tau_max=tau_max, max_retries=_MAX_RETRIES)
-        dt_min, direct_levels = tau_min, prefix.n_steps
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     history = make_history(alpha, grid.spec_shape, mode=soe_mode, dt_min=dt_min,
-                           T=T, eps=soe_eps, direct_levels=direct_levels)
+                           T=T, eps=soe_eps)
     meta = {"driver": "adaptive_benchmark", "model": model, "alpha": alpha,
             "strategy": strategy, "grid_n": grid_n, "T": T, **_GROWTH_MODEL,
             "tol": tol, "rho": rho, "tau_min": tau_min, "tau_max": tau_max,
-            "tau_init": None, "max_retries": _MAX_RETRIES, "prefix_t0": prefix_t0,
+            "max_retries": _MAX_RETRIES, "prefix_t0": prefix_t0,
             "prefix_n0": prefix_n0, "prefix_gamma": _PREFIX_GAMMA,
             "uniform_tau": uniform_tau, "soe_eps": soe_eps, "soe_mode": soe_mode}
     return _run_trajectory(meta, grid, params, _benchmark_phi0(grid), history, mesh,
@@ -440,7 +442,7 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
     _check_prefix_end("coarsening", prefix, T)
 
     history = make_history(alpha, grid.spec_shape, mode=soe_mode, dt_min=tau_min,
-                           T=T, eps=_SOE_EPS, direct_levels=prefix.n_steps)
+                           T=T, eps=_SOE_EPS)
     aparams = AdaptiveParams(rho=_RHO, tol=_TOL, tau_min=tau_min, tau_max=tau_max,
                              max_retries=_MAX_RETRIES)
     window = fit_window if fit_window is not None else (1.0, min(500.0, T))

@@ -20,8 +20,8 @@ Both steps return a candidate without touching the convolution history;
 everything bit-identical.
 
 The convolution history is one object, ``CaputoHistory``: an exact prefix
-(the graded initial layer, summed through the kernel rows) followed by the
-exponential-sum bank of ``tfmbe.soe``.  ``make_history(mode="direct")``
+(steps below the exponential sum's dt_min, summed through the kernel rows)
+followed by the bank of ``tfmbe.soe``.  ``make_history(mode="direct")``
 (``--soe-mode direct``) keeps every level exact.
 
 Each solve is decoupled by a rank-one correction: with
@@ -86,16 +86,16 @@ _LEVEL_BLOCK_BYTES = 1 << 22
 class CaputoHistory:
     """Caputo convolution history: an exact prefix, then an exponential-sum bank.
 
-    The first ``exact_levels`` committed increments are stored and summed
-    exactly through the kernel rows.  With an ``soe`` they are then replayed
-    through the bank recursion (exact per node) and later levels use the
-    fast formulas, which only ever see gaps at or above the floor the sum
-    was certified for; graded prefixes take steps far below that floor.
-    With no ``soe`` every level stays exact (O(n) work per level).
+    Increments are stored and summed exactly through the kernel rows until
+    the first committed step of at least the ``soe``'s dt_min (less 1e-12
+    relative, for uniform steps ulps short of it) replays them into the bank.
+    Its fast formulas see lags down to the newest committed step, so a bank
+    read after a step below dt_min raises ``SolverError``.  With no ``soe``
+    every level stays exact (O(n) work per level).
     ``alpha == 1`` is the memoryless classical limit (CN / backward Euler).
     """
 
-    def __init__(self, alpha, shape=(), soe=None, exact_levels=0):
+    def __init__(self, alpha, shape=(), soe=None):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"fractional order must lie in (0,1], got {alpha}")
         if soe is not None and soe.alpha != alpha:
@@ -103,7 +103,7 @@ class CaputoHistory:
         self.alpha = alpha
         self.shape = tuple(shape)
         self.soe = soe
-        self.exact_levels = int(exact_levels)
+        self._floor = math.inf if soe is None else soe.dt_min * (1.0 - 1e-12)
         self.n_committed = 0
         self.bank = None
         # exact prefix: the committed increments in fixed-size blocks, so the
@@ -112,20 +112,19 @@ class CaputoHistory:
         self._block_rows = max(1, _LEVEL_BLOCK_BYTES // (8 * math.prod(self.shape)))
         self._blocks = []
         self._levels = np.zeros(18)
-        self._bank_if_due()
 
-    def _bank_if_due(self):
-        """Once the exact prefix is full, replay it into a bank and drop it."""
-        if self.soe is None or self.bank is not None \
-                or self.n_committed < self.exact_levels:
+    def _bank_if_due(self, tau):
+        """At the first step of at least dt_min, replay the prefix into a bank."""
+        if self.bank is not None or tau < self._floor:
             return
         self.bank = HistoryBank(self.soe, self.shape)
-        levels = self._levels
+        # the newest step as given, not via the level times: reads check it
+        taus = np.append(np.diff(self._levels[:self.n_committed]), tau)
         # copies: the bank keeps its newest increment, and a view of a block
         # would keep the dropped store alive until the next commit
         increments = (row.copy() for block in self._blocks for row in block)
-        for k, increment in zip(range(1, self.n_committed + 1), increments):
-            self.bank.commit(levels[k] - levels[k - 1], increment)
+        for tau_k, increment in zip(taus, increments):
+            self.bank.commit(tau_k, increment)
         self._levels = self._blocks = None
 
     def caputo_terms(self, scheme, tau_n):
@@ -138,9 +137,14 @@ class CaputoHistory:
         """
         if self.alpha == 1.0:
             return 1.0 / tau_n, None
-        if self.bank is not None:
-            return self.bank.caputo_terms(scheme, tau_n)
         n = self.n_committed + 1
+        if self.bank is not None:
+            tau_p = self.bank.pending[0]
+            if tau_p < self._floor:
+                raise SolverError(f"history read at level {n} after a step of "
+                                  f"{tau_p:.6g} at level {n - 1}, below the exponential "
+                                  f"sum's dt_min = {self.soe.dt_min:.6g}")
+            return self.bank.caputo_terms(scheme, tau_n)
         levels = self._levels[:n + 1]
         levels[n] = levels[n - 1] + tau_n  # the trial level; a commit overwrites it
         row = (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, n)
@@ -173,18 +177,17 @@ class CaputoHistory:
                 self._levels = np.concatenate((self._levels, np.zeros(self._levels.size)))
             self._levels[n + 1] = self._levels[n] + float(tau)
         self.n_committed = n + 1
-        self._bank_if_due()
+        self._bank_if_due(tau)
 
 
-def make_history(alpha, shape=(), mode="direct", dt_min=None, T=None,
-                 eps=1e-10, direct_levels=0):
+def make_history(alpha, shape=(), mode="direct", dt_min=None, T=None, eps=1e-10):
     """History factory.
 
     mode "direct" keeps every level exact; mode "fast" builds an
-    exponential-sum approximation certified on [dt_min, T] and keeps
-    only the first ``direct_levels`` levels exact (for graded prefixes
-    whose steps undercut dt_min).  alpha = 1 always yields the memoryless
-    classical history.
+    exponential-sum approximation certified on [dt_min, T], which the
+    history reads from its first committed step of at least dt_min on
+    (graded prefixes step far below it).  alpha = 1 always yields the
+    memoryless classical history.
     """
     if mode not in ("direct", "fast"):
         raise ValueError(f"unknown history mode {mode!r}")
@@ -192,8 +195,7 @@ def make_history(alpha, shape=(), mode="direct", dt_min=None, T=None,
         return CaputoHistory(alpha, shape)
     if dt_min is None or T is None:
         raise ValueError("fast mode needs dt_min and T")
-    soe = build_soe(alpha, eps, dt_min, T)
-    return CaputoHistory(alpha, shape, soe=soe, exact_levels=direct_levels)
+    return CaputoHistory(alpha, shape, soe=build_soe(alpha, eps, dt_min, T))
 
 
 # ---------------------------------------------------------------------------

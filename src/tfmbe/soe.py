@@ -54,9 +54,9 @@ once per ``_FOLD_STEPS`` accepted steps, and none allocates anything the
 size of the bank.
 
 The solver's history (``tfmbe.sav.CaputoHistory``) sums an exact prefix
-first, for steps below dt_min, and then replays it into one bank that
-carries every later level; ``--soe-mode direct`` keeps every level exact
-and uses no bank.
+first, up to its first step of at least dt_min, and then replays it into
+one bank that carries every later level; ``--soe-mode direct`` keeps every
+level exact and uses no bank.
 """
 
 from __future__ import annotations

@@ -122,8 +122,7 @@ def test_benchmark_records_model_constants(tmp_path):
                        out_dir=tmp_path)
     meta = _meta(tmp_path)
     assert {k: meta[k] for k in GROWTH_MODEL} == GROWTH_MODEL
-    assert (meta["tau_init"], meta["max_retries"], meta["prefix_gamma"]) == \
-        (None, 10, 3.0)
+    assert (meta["max_retries"], meta["prefix_gamma"]) == (10, 3.0)
 
 
 def test_singularity_run_records_model_constants(tmp_path):

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from tfmbe import (Grid2D, ModelParams, StateError, be_l1_sav_step, build_soe,
-                   build_uniform, cn_sav_step, commit_candidate, init_state,
-                   make_history, run_fixed, trajectory_observables)
+from tfmbe import (Grid2D, ModelParams, SolverError, StateError, be_l1_sav_step,
+                   build_soe, build_uniform, cn_sav_step, commit_candidate,
+                   init_state, make_history, run_fixed, trajectory_observables)
 from tfmbe.sav import CaputoHistory
 
 
@@ -214,17 +214,23 @@ def test_step_validates_tau(grid):
                     step(state, tau, params, grid)
 
 
-@pytest.mark.parametrize("alpha,exact_levels,with_soe", [
+def short_then_long(n_short, level):
+    """Step size of ``level``: below the sums' dt_min = 1e-2 for the first n_short."""
+    return 1e-3 if level <= n_short else 0.05
+
+
+@pytest.mark.parametrize("alpha,short_levels,with_soe", [
     (0.6, 0, False),   # every level exact
-    (0.6, 0, True),    # bank from level 0
+    (0.6, 0, True),    # bank from level 1
     (0.6, 2, True),    # exact prefix, then bank
     (1.0, 0, False),   # memoryless
 ], ids=["exact", "bank", "prefix-then-bank", "alpha-one"])
-def test_history_commit_order_enforced(alpha, exact_levels, with_soe):
+def test_history_commit_order_enforced(alpha, short_levels, with_soe):
     soe = build_soe(alpha, 1e-10, 1e-2, 1.0) if with_soe else None
-    hist = CaputoHistory(alpha, (2,), soe=soe, exact_levels=exact_levels)
+    hist = CaputoHistory(alpha, (2,), soe=soe)
     for level in (1, 2, 3):
-        hist.commit(0.05, np.full(2, 0.1 * level), level=level)
+        hist.commit(short_then_long(short_levels, level), np.full(2, 0.1 * level),
+                    level=level)
     for bad in (3, 5):  # repeated, skipped
         with pytest.raises(StateError):
             hist.commit(0.05, np.zeros(2), level=bad)
@@ -235,17 +241,19 @@ def test_history_commit_order_enforced(alpha, exact_levels, with_soe):
 
 
 @pytest.mark.parametrize("tau", [-0.1, 0.0, math.nan, math.inf])
-@pytest.mark.parametrize("alpha,exact_levels,with_soe", [
+@pytest.mark.parametrize("alpha,short_levels,with_soe", [
     (0.5, 0, False),   # every level exact
-    (0.5, 0, True),    # bank from level 0
+    (0.5, 0, True),    # bank from level 1
     (0.5, 5, True),    # still inside the exact prefix
     (1.0, 0, False),   # memoryless
 ], ids=["direct", "bank", "exact-prefix", "alpha-one"])
-def test_history_rejects_invalid_step(alpha, exact_levels, with_soe, tau):
+def test_history_rejects_invalid_step(alpha, short_levels, with_soe, tau):
     soe = build_soe(alpha, 1e-10, 1e-2, 1.0) if with_soe else None
-    hist = CaputoHistory(alpha, (2,), soe=soe, exact_levels=exact_levels)
+    hist = CaputoHistory(alpha, (2,), soe=soe)
     for level in (1, 2, 3):
-        hist.commit(0.05, np.full(2, 0.1 * level), level=level)
+        hist.commit(short_then_long(short_levels, level), np.full(2, 0.1 * level),
+                    level=level)
+    assert (hist.bank is not None) == (with_soe and short_levels < 3)
     with pytest.raises(ValueError, match="level 4"):
         hist.commit(tau, np.ones(2), level=4)
     assert hist.n_committed == 3
@@ -338,7 +346,8 @@ def test_hybrid_history_matches_direct():
     taus = np.concatenate([np.geomspace(1e-6, 1e-2, 10),
                            rng.uniform(1e-2, 3e-2, 15)])
     soe = build_soe(alpha, 1e-10, 1e-2, 1.0)
-    hybrid = CaputoHistory(alpha, (), soe=soe, exact_levels=10)
+    # the first nine steps undercut dt_min = 1e-2, the tenth is 1e-2 itself
+    hybrid = CaputoHistory(alpha, (), soe=soe)
     direct = CaputoHistory(alpha, ())
     incs = rng.standard_normal(taus.size)
     for i, (tau, inc) in enumerate(zip(taus, incs), start=1):
@@ -352,6 +361,43 @@ def test_hybrid_history_matches_direct():
         direct.commit(tau, inc, level=i)
     assert hybrid.bank.n_committed == taus.size
     assert direct.bank is None
+
+
+def test_fast_history_below_dt_min_matches_direct():
+    """A fast history whose steps all undercut dt_min never reads its sum."""
+    rng = np.random.default_rng(8)
+    taus = rng.uniform(1e-5, 2e-5, 40)
+    incs = rng.standard_normal((taus.size, 3))
+    fast = make_history(0.5, (3,), mode="fast", dt_min=1e-2, T=1.0)
+    direct = make_history(0.5, (3,), mode="direct")
+    for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
+        for scheme in ("cn", "be"):
+            a_f, h_f = fast.caputo_terms(scheme, 1.5e-5)
+            a_d, h_d = direct.caputo_terms(scheme, 1.5e-5)
+            assert a_f == a_d
+            scale = abs(a_d) * np.max(np.abs(incs[:level]))
+            assert np.max(np.abs(h_f - h_d)) <= 1e-10 * scale, (level, scheme)
+        fast.commit(tau, inc, level=level)
+        direct.commit(tau, inc, level=level)
+    assert fast.bank is None
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8])
+def test_bank_read_after_short_step_raises(alpha):
+    """The fast formulas read the sum at lags down to the newest committed step."""
+    hist = make_history(alpha, (2,), mode="fast", dt_min=1e-2, T=1.0)
+    for level, tau in enumerate([1e-4, 2e-2, 3e-2, 4e-3], start=1):
+        if level == 4:
+            hist.caputo_terms("cn", 1e-3)  # a trial step below dt_min is fine
+        hist.commit(tau, np.ones(2), level=level)
+    assert hist.bank is not None
+    for scheme in ("cn", "be"):
+        with pytest.raises(SolverError, match=r"level 5 .* 0\.004 at level 4.*"
+                                              r"dt_min = 0\.01"):
+            hist.caputo_terms(scheme, 2e-2)
+    hist.commit(2e-2, np.ones(2), level=5)  # the step itself stays committed
+    a0, h = hist.caputo_terms("cn", 2e-2)
+    assert math.isfinite(a0) and np.all(np.isfinite(h))
 
 
 def test_rank_one_denominator_guard(grid):
