@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,6 +32,8 @@ log = logging.getLogger(__name__)
 
 # growth factor used when the two candidates coincide (e = 0)
 _ZERO_ERROR_GROWTH = 10.0
+# rejected trials of one step before the controller retries at the floor
+_MAX_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,6 @@ class AdaptiveParams:
     tol: float = 1e-3
     tau_min: float = 1e-3
     tau_max: float = 1e-1
-    tau_init: Optional[float] = None
-    max_retries: int = 10
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
@@ -51,9 +50,6 @@ class AdaptiveParams:
             raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if not 0.0 < self.tau_min <= self.tau_max:
             raise ValueError("require 0 < tau_min <= tau_max")
-        if self.tau_init is not None and not 0.0 < self.tau_init < math.inf:
-            raise ValueError(f"tau_init must be None or finite and positive, "
-                             f"got {self.tau_init}")
 
     def clamp(self, tau):
         return min(max(self.tau_min, tau), self.tau_max)
@@ -126,19 +122,14 @@ def run_fixed(state, mesh, params, grid):
     return records
 
 
-def adaptive_run(state, params, grid, aparams, T, prefix_mesh=None):
+def adaptive_run(state, params, grid, aparams, T):
     """Drive the estimator pair from state.t to T per the accuracy criterion.
 
-    ``prefix_mesh`` (optional) is marched unconditionally with the
-    second-order scheme first; the controller then takes over with
-    tau_init (default tau_min).  Returns the list of StepRecords,
+    The first trial step is tau_min.  Returns the list of StepRecords,
     rejected trials included.
     """
     records = []
-    if prefix_mesh is not None:
-        records = run_fixed(state, prefix_mesh, params, grid)
-    tau_next = aparams.tau_init if aparams.tau_init is not None else aparams.tau_min
-    tau_next = aparams.clamp(tau_next)
+    tau_next = aparams.tau_min
 
     while T - state.t > 1e-12 * T:
         tau_n = min(tau_next, T - state.t)
@@ -154,7 +145,7 @@ def adaptive_run(state, params, grid, aparams, T, prefix_mesh=None):
             records.append(_record(state.n + 1, state.t + tau_n, cand2,
                                    state.phi, params, grid, accept, e))
             if accept:
-                if retries >= aparams.max_retries and e >= aparams.tol:
+                if retries >= _MAX_RETRIES and e >= aparams.tol:
                     log.warning(
                         "retry budget exhausted at t=%.6g; force-accepting "
                         "floor step with e=%.3e >= tol=%.3e", state.t, e, aparams.tol)
@@ -163,6 +154,6 @@ def adaptive_run(state, params, grid, aparams, T, prefix_mesh=None):
                 commit_candidate(state, cand2)
                 break
             retries += 1
-            tau_n = min(aparams.tau_min if retries >= aparams.max_retries
+            tau_n = min(aparams.tau_min if retries >= _MAX_RETRIES
                         else aparams.clamp(tau_ada(e, tau_n, aparams)), T - state.t)
     return records

@@ -11,6 +11,9 @@ __all__ = [
     "singularity_slope",
 ]
 
+# initial-layer fit: fraction of the steps, skipped first cells, fewest points
+_FIT_FRACTION, _FIT_SKIP, _FIT_MIN_POINTS = 0.1, 1, 5
+
 
 def convergence_order(errors, taus):
     """Pairwise experimental orders log(e_i/e_{i+1}) / log(tau_i/tau_{i+1})."""
@@ -57,23 +60,23 @@ def loglinear_fit(times, values, window=None):
     return float(slope), float(intercept)
 
 
-def singularity_slope(times_mid, quotients, fraction=0.1, skip=1, min_points=5):
+def singularity_slope(times_mid, quotients):
     """Slope of log|difference quotient| vs log(midpoint time) near t = 0.
 
     A trajectory behaving like d_t phi ~ t^(a-1) shows up as slope a - 1.
-    The fit window is the earliest ``fraction`` of the steps (graded meshes
-    put only ~10^(1/gamma) points per time decade, so windowing by step
-    index keeps enough samples); the first cell is skipped by default since
-    its cell average sits visibly off the asymptote.
+    The fit window is the earliest tenth of the steps, but at least five
+    after the first (graded meshes put only ~10^(1/gamma) points per time
+    decade, so windowing by step index keeps enough samples); the first
+    cell is skipped since its cell average sits visibly off the asymptote.
     """
     times_mid = np.asarray(times_mid, dtype=float)
     quotients = np.asarray(quotients, dtype=float)
     if times_mid.size != quotients.size:
         raise ValueError("times and quotients must have equal length")
-    hi = max(int(np.ceil(fraction * times_mid.size)), skip + min_points)
+    hi = max(int(np.ceil(_FIT_FRACTION * times_mid.size)), _FIT_SKIP + _FIT_MIN_POINTS)
     hi = min(hi, times_mid.size)
-    t = times_mid[skip:hi]
-    q = np.abs(quotients[skip:hi])
+    t = times_mid[_FIT_SKIP:hi]
+    q = np.abs(quotients[_FIT_SKIP:hi])
     if t.size < 2:
         raise ValueError("not enough early steps to fit")
     slope, _ = np.polyfit(np.log(t), np.log(q), 1)

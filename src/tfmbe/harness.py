@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .adaptive import AdaptiveParams, StepRecord, adaptive_run, run_fixed
+from .adaptive import _MAX_RETRIES, AdaptiveParams, StepRecord, adaptive_run, run_fixed
 from .diagnostics import (convergence_order, loglinear_fit, powerlaw_fit,
                           singularity_slope)
 from .errors import SolverError
@@ -55,9 +55,10 @@ _COARSEN_EPSILON = 0.03
 _COARSEN_MODEL = dict(_GROWTH_MODEL, eps2=_COARSEN_EPSILON ** 2)
 # initial-layer mesh end and the initial-field amplitudes
 _SINGULARITY_T0, _SINGULARITY_AMPLITUDE, _COARSEN_AMPLITUDE = 1e-3, 0.1, 1e-3
-# controller, graded prefix and exponential sum: the benchmark's defaults
-_TOL, _RHO, _MAX_RETRIES = 1e-3, 0.9, 10
-_PREFIX_N0, _PREFIX_GAMMA, _SOE_EPS = 30, 3.0, 1e-10
+# controller, graded prefix, uniform step and exponential sum: the benchmark's defaults
+_TOL, _RHO = 1e-3, 0.9
+_PREFIX_T0, _PREFIX_N0, _PREFIX_GAMMA = 0.01, 30, 3.0
+_UNIFORM_TAU, _SOE_EPS = 1e-3, 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +191,11 @@ def _order_table(error_of, meta, out_dir):
 # Scalar problems
 # ---------------------------------------------------------------------------
 
-def solve_caputo_ode(mesh, alpha, source_mid, u0=0.0):
-    """Midpoint collocation for d_t^a u = f: cell-averaged derivative = f(t_mid)."""
+def solve_caputo_ode(mesh, alpha, source_mid):
+    """Midpoint collocation for d_t^a u = f, u(0) = 0: averaged d_t^a u = f(t_mid)."""
     levels = mesh.levels
     history = CaputoHistory(alpha)
-    u = np.empty(mesh.n_steps + 1)
-    u[0] = u0
+    u = np.zeros(mesh.n_steps + 1)
     for n, tau in enumerate(mesh.taus, start=1):
         a0, hist = history.caputo_terms("cn", tau)
         t_mid = 0.5 * (levels[n - 1] + levels[n])
@@ -316,10 +316,9 @@ def _run_trajectory(meta, grid, params, phi0, history, mesh, aparams=None, T=Non
     """
     state = init_state(grid, phi0, params, history)
     e0 = trajectory_observables(grid, state, params)[0]
-    if aparams is None:
-        records = run_fixed(state, mesh, params, grid)
-    else:
-        records = adaptive_run(state, params, grid, aparams, T, prefix_mesh=mesh)
+    records = run_fixed(state, mesh, params, grid)
+    if aparams is not None:
+        records += adaptive_run(state, params, grid, aparams, T)
     _check_energy_bound(records, e0)
     report = RunReport(records, dict(meta, energy_mod_initial=e0),
                        fits={} if fit is None else fit(records), final_phi=state.phi)
@@ -330,15 +329,15 @@ def _run_trajectory(meta, grid, params, phi0, history, mesh, aparams=None, T=Non
     return report
 
 
-def singularity_run(alpha, model=SLOPE, grid_n=32, N0=200, gamma=3.0, out_dir=None):
-    """Graded-mesh growth run on [0, 1e-3] probing the initial layer, with its fit.
+def singularity_run(alpha, grid_n=32, N0=200, gamma=3.0, out_dir=None):
+    """Graded-mesh slope-model run on [0, 1e-3] probing the initial layer, with its fit.
 
     A single-mode initial state keeps the fast-relaxing harmonics out of
     the max-norm quotient, so the early-window slope of
     log|dphi/dt| vs log(t) exposes the exponent alpha - 1.
     """
     grid = Grid2D(grid_n)
-    params = ModelParams(model=model, **_GROWTH_MODEL)
+    params = ModelParams(model=SLOPE, **_GROWTH_MODEL)
     phi0 = _SINGULARITY_AMPLITUDE * np.sin(grid.x) * np.sin(grid.y)
 
     def fit(records):
@@ -347,7 +346,7 @@ def singularity_run(alpha, model=SLOPE, grid_n=32, N0=200, gamma=3.0, out_dir=No
         return {"singularity_slope": singularity_slope(t_mid, quot),
                 "target": alpha - 1.0}
 
-    meta = {"driver": "singularity_run", "model": model, "alpha": alpha,
+    meta = {"driver": "singularity_run", "model": SLOPE, "alpha": alpha,
             "grid_n": grid_n, "T0": _SINGULARITY_T0, "N0": N0, "gamma": gamma,
             **_GROWTH_MODEL, "ic_amplitude": _SINGULARITY_AMPLITUDE}
     return _run_trajectory(meta, grid, params, phi0,
@@ -363,42 +362,42 @@ def _benchmark_phi0(grid):
 
 def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
                        tol=_TOL, rho=_RHO, tau_min=1e-3, tau_max=1e-1,
-                       prefix_t0=0.01, prefix_n0=_PREFIX_N0, uniform_tau=1e-3,
                        soe_eps=_SOE_EPS, soe_mode="fast", out_dir=None,
                        save_field=False):
     """Film-growth benchmark from the smooth two-mode initial state.
 
-    strategy "uniform" marches a constant step, "graded" a graded prefix
-    plus uniform tail with the same total step count, and "adaptive" the
-    estimator-driven controller after the graded prefix, which must end
-    by T.  The modified energy is verified against its initial value.
+    strategy "uniform" marches round(T / 1e-3) equal steps, "graded" a
+    graded prefix (30 steps to t = 0.01) plus a uniform tail with the same
+    total step count, and "adaptive" the estimator-driven controller after
+    the graded prefix, which must end by T.  The modified energy is
+    verified against its initial value.
     """
     grid = Grid2D(grid_n)
     params = ModelParams(model=model, **_GROWTH_MODEL)
-    prefix = build_graded(prefix_t0, prefix_n0, _PREFIX_GAMMA)
+    prefix = build_graded(_PREFIX_T0, _PREFIX_N0, _PREFIX_GAMMA)
     aparams = None
     if strategy == "uniform":
-        n_total = int(round(T / uniform_tau))
+        n_total = int(round(T / _UNIFORM_TAU))
         if n_total < 1:
             raise ValueError(
                 f"strategy 'uniform' needs at least one step of uniform_tau = "
-                f"{uniform_tau} up to T = {T}, got round(T/uniform_tau) = 0")
+                f"{_UNIFORM_TAU} up to T = {T}, got round(T/uniform_tau) = 0")
         mesh = build_uniform(T, n_total)
         dt_min = float(np.min(mesh.taus))
     elif strategy == "graded":
-        _check_prefix_end("strategy 'graded'", prefix, T)
-        n_total = int(round(T / uniform_tau))
-        if n_total <= prefix.n_steps:
+        # more steps than the prefix also puts the prefix's end before T
+        n_total = int(round(T / _UNIFORM_TAU))
+        if n_total <= _PREFIX_N0:
             raise ValueError(
-                f"strategy 'graded' needs more than prefix_n0 = {prefix_n0} "
-                f"steps of uniform_tau = {uniform_tau} up to T = {T}, got "
+                f"strategy 'graded' needs more than prefix_n0 = {_PREFIX_N0} "
+                f"steps of uniform_tau = {_UNIFORM_TAU} up to T = {T}, got "
                 f"round(T/uniform_tau) = {n_total}")
         mesh = extend_uniform(prefix, T, n_total - prefix.n_steps)
         dt_min = float(np.min(mesh.taus[prefix.n_steps:]))
     elif strategy == "adaptive":
         _check_prefix_end("strategy 'adaptive'", prefix, T)
         mesh, dt_min, aparams = prefix, tau_min, AdaptiveParams(
-            rho=rho, tol=tol, tau_min=tau_min, tau_max=tau_max, max_retries=_MAX_RETRIES)
+            rho=rho, tol=tol, tau_min=tau_min, tau_max=tau_max)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -407,30 +406,31 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
     meta = {"driver": "adaptive_benchmark", "model": model, "alpha": alpha,
             "strategy": strategy, "grid_n": grid_n, "T": T, **_GROWTH_MODEL,
             "tol": tol, "rho": rho, "tau_min": tau_min, "tau_max": tau_max,
-            "max_retries": _MAX_RETRIES, "prefix_t0": prefix_t0,
-            "prefix_n0": prefix_n0, "prefix_gamma": _PREFIX_GAMMA,
-            "uniform_tau": uniform_tau, "soe_eps": soe_eps, "soe_mode": soe_mode}
+            "max_retries": _MAX_RETRIES, "prefix_t0": _PREFIX_T0,
+            "prefix_n0": _PREFIX_N0, "prefix_gamma": _PREFIX_GAMMA,
+            "uniform_tau": _UNIFORM_TAU, "soe_eps": soe_eps, "soe_mode": soe_mode}
     return _run_trajectory(meta, grid, params, _benchmark_phi0(grid), history, mesh,
                            aparams, T, out_dir=out_dir, save_field=save_field)
 
 
 def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
-               tau_max=1e-1, fit_window=None, soe_mode="fast", out_dir=None,
-               save_field=False):
+               tau_max=1e-1, fit_window=None, out_dir=None, save_field=False):
     """Coarsening dynamics from a seeded random initial state, with power-law fits.
 
     The graded prefix, which must end by T, is sized so its last step
     equals tau_min (default 1.25e-4 for the slope model, 3.32e-5 for the
-    no-slope model).  Fits over ``fit_window`` (default [1, min(500, T)]):
-    energy and roughness exponents from the log-log least squares, plus a
-    semilog energy slope for the no-slope model.  A fit that cannot be
-    made is NaN, and ``fits["reason"]`` says why (for T < 1 the default
-    window is empty); a ``fit_window`` with lo >= hi raises ``ValueError``.
+    no-slope model), and the history is the exponential sum ("fast" mode).
+    Fits over ``fit_window`` (default [1, min(500, T)]): energy and
+    roughness exponents from the log-log least squares, plus a semilog
+    energy slope for the no-slope model.  A fit that cannot be made is
+    NaN, and ``fits["reason"]`` says why (for T < 1 the default window is
+    empty); a ``fit_window`` with lo >= hi raises ``ValueError``.
     """
     if fit_window is not None and not fit_window[0] < fit_window[1]:
         raise ValueError(f"fit_window {tuple(fit_window)} is empty: need lo < hi")
     if tau_min is None:
         tau_min = 1.25e-4 if model == SLOPE else 3.32e-5
+    aparams = AdaptiveParams(rho=_RHO, tol=_TOL, tau_min=tau_min, tau_max=tau_max)
     grid = Grid2D(grid_n)
     params = ModelParams(model=model, **_COARSEN_MODEL)
     rng = np.random.default_rng(seed)
@@ -441,10 +441,8 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
     prefix = build_graded(tau_min / shrink, _PREFIX_N0, _PREFIX_GAMMA)
     _check_prefix_end("coarsening", prefix, T)
 
-    history = make_history(alpha, grid.spec_shape, mode=soe_mode, dt_min=tau_min,
+    history = make_history(alpha, grid.spec_shape, mode="fast", dt_min=tau_min,
                            T=T, eps=_SOE_EPS)
-    aparams = AdaptiveParams(rho=_RHO, tol=_TOL, tau_min=tau_min, tau_max=tau_max,
-                             max_retries=_MAX_RETRIES)
     window = fit_window if fit_window is not None else (1.0, min(500.0, T))
 
     def fit(records):
@@ -474,6 +472,6 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
             "tol": _TOL, "rho": _RHO, "tau_min": tau_min, "tau_max": tau_max,
             "prefix_n0": _PREFIX_N0, "prefix_gamma": _PREFIX_GAMMA,
             "ic_amplitude": _COARSEN_AMPLITUDE, "soe_eps": _SOE_EPS,
-            "soe_mode": soe_mode}
+            "soe_mode": "fast"}
     return _run_trajectory(meta, grid, params, phi0, history, prefix, aparams, T,
                            fit=fit, out_dir=out_dir, save_field=save_field)

@@ -166,6 +166,9 @@ class CaputoHistory:
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"step size for level {n + 1} must be finite and "
                              f"positive, got {tau}")
+        if np.shape(increment) != self.shape:
+            raise ValueError(f"increment shape {np.shape(increment)} for level {n + 1} "
+                             f"!= history shape {self.shape}")
         if self.bank is not None:
             self.bank.commit(tau, increment)
         elif self.alpha < 1.0:
@@ -301,7 +304,7 @@ def trajectory_observables(grid, head, params):
         e_mod = quad - aux * aux + params.C0
         e_orig = bend - 0.5 * grid.integrate(np.log1p(x2))
     root = math.sqrt(sav_radicand(grid, x2, params))
-    d = head.phi - grid.mean(head.phi)
+    d = head.phi - np.mean(head.phi)
     rough = float(np.sqrt(grid.integrate(d * d) / grid.area))
     return e_mod, e_orig, rough, abs(aux - root) / root
 

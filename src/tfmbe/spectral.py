@@ -112,15 +112,6 @@ class Grid2D:
     def integrate(self, f):
         return float(np.sum(f)) * self.hx * self.hy
 
-    def inner(self, f, g):
-        return float(np.sum(f * g)) * self.hx * self.hy
-
-    def norm_l2(self, f):
-        return float(np.sqrt(max(self.inner(f, f), 0.0)))
-
-    def mean(self, f):
-        return float(np.mean(f))
-
     def inner_spec(self, fh, gh):
         """Inner product of two real fields from their half-spectra (Parseval)."""
         s = float(np.sum(self._wcol * (fh.real * gh.real + fh.imag * gh.imag)))

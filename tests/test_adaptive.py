@@ -1,15 +1,17 @@
 import hashlib
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tfmbe.adaptive as adaptive
 from tfmbe import (AdaptiveParams, Grid2D, ModelParams, adaptive_run,
-                   be_l1_sav_step, build_graded, build_uniform, cn_sav_step,
-                   init_state, make_history, run_fixed, tau_ada,
-                   trajectory_observables)
+                   be_l1_sav_step, build_uniform, cn_sav_step, init_state,
+                   make_history, run_fixed, tau_ada, trajectory_observables)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +25,22 @@ def small_state(grid, model="slope", alpha=0.7, soe_mode="direct"):
                   + np.sin(5 * grid.x) * np.sin(5 * grid.y))
     history = make_history(alpha, grid.spec_shape, mode=soe_mode, dt_min=1e-3, T=1.0)
     return init_state(grid, phi0, params, history), params
+
+
+def flip_estimates(monkeypatch, trials):
+    """Negate the estimator's candidate on the given trials (counted from 1).
+
+    The controller then sees e close to 2 there, far above any tolerance
+    used here; the estimator step still runs, so every trial keeps its
+    transforms.
+    """
+    estimator, count = adaptive.be_l1_sav_step, itertools.count(1)
+
+    def flipped(state, tau, params, grid):
+        cand = estimator(state, tau, params, grid)
+        return SimpleNamespace(phi_h=-cand.phi_h) if next(count) in trials else cand
+
+    monkeypatch.setattr(adaptive, "be_l1_sav_step", flipped)
 
 
 @pytest.mark.parametrize("soe_mode", ["fast", "direct"])
@@ -39,9 +57,10 @@ def test_transform_counts(monkeypatch, grid, alpha, soe_mode):
     records = run_fixed(state, build_uniform(0.02, 12), params, grid)
     assert len(calls) == 5 * len(records)
     del calls[:]
-    aparams = AdaptiveParams(tol=1e-4, tau_min=1e-3, tau_max=0.05, tau_init=0.05)
+    flip_estimates(monkeypatch, {2})  # the first trial above the floor
+    aparams = AdaptiveParams(tol=1e-2, tau_min=1e-3, tau_max=0.05)
     records = adaptive_run(state, params, grid, aparams, T=0.2)
-    assert sum(not r.accepted for r in records) > 0  # rejected trials counted too
+    assert not records[1].accepted  # rejected trials counted too
     assert len(calls) == 7 * len(records)
     if soe_mode == "fast" and alpha < 1.0:
         assert state.history.bank is not None
@@ -62,10 +81,10 @@ def test_params_reject_non_finite_tolerance(tol):
         AdaptiveParams(tol=tol)
 
 
-@pytest.mark.parametrize("tau_init", [math.nan, math.inf, 0.0, -1e-3])
-def test_params_reject_bad_tau_init(tau_init):
-    with pytest.raises(ValueError, match="tau_init"):
-        AdaptiveParams(tau_init=tau_init)
+@pytest.mark.parametrize("tau_min", [math.nan, math.inf, 0.0, -1e-3])
+def test_params_reject_bad_tau_min(tau_min):
+    with pytest.raises(ValueError, match=r"require 0 < tau_min <= tau_max"):
+        AdaptiveParams(tau_min=tau_min)
 
 
 def test_tau_ada_values():
@@ -94,8 +113,7 @@ def test_tau_ada_formula(e, tau, rho, tol):
 
 def test_loose_tolerance_ramps_to_ceiling(grid):
     state, params = small_state(grid)
-    ap = AdaptiveParams(rho=0.9, tol=1e6, tau_min=1e-3, tau_max=5e-2,
-                        tau_init=1e-3)
+    ap = AdaptiveParams(rho=0.9, tol=1e6, tau_min=1e-3, tau_max=5e-2)
     records = adaptive_run(state, params, grid, ap, 1.0)
     assert all(r.accepted for r in records)
     taus = [r.tau for r in records]
@@ -107,8 +125,7 @@ def test_loose_tolerance_ramps_to_ceiling(grid):
 
 def test_committed_steps_within_bounds(grid):
     state, params = small_state(grid)
-    ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1,
-                        tau_init=1e-3)
+    ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1)
     records = adaptive_run(state, params, grid, ap, 0.5)
     acc = [r for r in records if r.accepted]
     for r in acc[:-1]:
@@ -117,63 +134,54 @@ def test_committed_steps_within_bounds(grid):
     assert acc[-1].t == pytest.approx(0.5, rel=1e-10)
 
 
-def test_rejected_trials_leave_state_unchanged(grid):
+def test_rejected_trials_leave_state_unchanged(grid, monkeypatch):
+    # trials 2 and 3 are rejected above the floor; trial 4 falls to the floor
+    monkeypatch.setattr(adaptive, "_MAX_RETRIES", 3)
+    flip_estimates(monkeypatch, {2, 3})
     state, params = small_state(grid)
-    ap = AdaptiveParams(rho=0.9, tol=1e-12, tau_min=1e-4, tau_max=1e-2,
-                        tau_init=1e-2, max_retries=3)
+    ap = AdaptiveParams(rho=0.9, tol=1.0, tau_min=1e-3, tau_max=1e-2)
     records = adaptive_run(state, params, grid, ap, 3e-2)
     rejected = [r for r in records if not r.accepted]
     accepted = [r for r in records if r.accepted]
-    assert rejected, "tolerance this tight must reject at least one trial"
+    assert [r.n for r in rejected] == [2, 2]
+    assert records[1].tau > records[2].tau > records[3].tau == ap.tau_min
     assert accepted[-1].t == pytest.approx(3e-2, rel=1e-10)
     # history holds exactly the accepted steps
     assert state.history.n_committed == len(accepted)
     assert state.t == pytest.approx(3e-2, rel=1e-10)
 
 
-def test_force_accept_after_retry_budget(grid, caplog):
-    # an unreachable tolerance with a one-retry budget must fall back to a
-    # floor step, accept it, and say so
+def test_force_accept_after_retry_budget(grid, caplog, monkeypatch):
+    # with a one-retry budget, a rejected trial falls back to a floor step;
+    # the floor step still misses the tolerance, so it is accepted with a warning
+    monkeypatch.setattr(adaptive, "_MAX_RETRIES", 1)
+    flip_estimates(monkeypatch, {2, 3})
     state, params = small_state(grid)
-    ap = AdaptiveParams(rho=0.9, tol=1e-15, tau_min=1e-12, tau_max=1e-2,
-                        tau_init=1e-2, max_retries=1)
+    ap = AdaptiveParams(rho=0.9, tol=1.0, tau_min=1e-3, tau_max=1e-2)
     with caplog.at_level("WARNING"):
-        records = adaptive_run(state, params, grid, ap, 3e-12)
-    assert any("force-accepting" in m for m in caplog.messages)
-    acc = [r for r in records if r.accepted]
-    assert acc[-1].t == pytest.approx(3e-12, rel=1e-6)
-    assert acc[0].tau == pytest.approx(ap.tau_min, rel=1e-9)
+        records = adaptive_run(state, params, grid, ap, 3e-2)
+    assert sum("force-accepting" in m for m in caplog.messages) == 1
+    trial, forced = records[1:3]
+    assert not trial.accepted and trial.tau > ap.tau_min
+    assert forced.accepted and forced.tau == ap.tau_min and forced.e_est >= ap.tol
+    assert records[-1].t == pytest.approx(3e-2, rel=1e-10)
 
 
 def test_deterministic_step_sequence(grid):
     seqs = []
     for _ in range(2):
         state, params = small_state(grid)
-        ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1,
-                            tau_init=1e-3)
+        ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1)
         records = adaptive_run(state, params, grid, ap, 0.3)
         seqs.append([(r.n, r.tau, r.accepted, r.e_est) for r in records])
     assert seqs[0] == seqs[1]
-
-
-def test_prefix_mesh_marched_unconditionally(grid):
-    state, params = small_state(grid, alpha=0.4)
-    prefix = build_graded(0.01, 10, 3.0)
-    ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1,
-                        tau_init=1e-3)
-    records = adaptive_run(state, params, grid, ap, 0.1, prefix_mesh=prefix)
-    assert all(r.accepted for r in records[:10])
-    assert records[9].t == pytest.approx(0.01, rel=1e-12)
-    assert math.isnan(records[0].e_est)
-    assert not math.isnan(records[10].e_est)
 
 
 def test_energy_bound_over_adaptive_run(grid):
     for model in ("slope", "noslope"):
         state, params = small_state(grid, model=model)
         e0 = trajectory_observables(grid, state, params)[0]
-        ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1,
-                            tau_init=1e-3)
+        ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1)
         records = adaptive_run(state, params, grid, ap, 1.0)
         worst = max(r.energy_mod for r in records if r.accepted)
         assert worst <= e0 + 1e-9 * abs(e0)
@@ -185,8 +193,8 @@ def test_error_estimate_is_real_space_l2_ratio(grid, model):
     tau = 0.01
     c2 = cn_sav_step(state, tau, params, grid)
     c1 = be_l1_sav_step(state, tau, params, grid)
-    ref = grid.norm_l2(c2.phi - c1.phi) / grid.norm_l2(c2.phi)
-    ap = AdaptiveParams(tol=1e6, tau_min=1e-3, tau_max=0.1, tau_init=tau)
+    ref = math.sqrt(grid.integrate((c2.phi - c1.phi) ** 2) / grid.integrate(c2.phi ** 2))
+    ap = AdaptiveParams(tol=1e6, tau_min=tau, tau_max=0.1)
     records = adaptive_run(state, params, grid, ap, tau)
     assert len(records) == 1 and records[0].tau == tau
     assert records[0].e_est == pytest.approx(ref, rel=1e-12)

@@ -74,12 +74,11 @@ def test_benchmark_small_run_and_outputs(tmp_path):
 
 def test_benchmark_strategies_share_energy_bound():
     rep_u = adaptive_benchmark("slope", 0.5, strategy="uniform", grid_n=16,
-                               T=0.02, uniform_tau=1e-3)
+                               T=0.02)
     assert rep_u.n_accepted == 20
     rep_g = adaptive_benchmark("slope", 0.5, strategy="graded", grid_n=16,
-                               T=0.02, uniform_tau=1e-3,
-                               prefix_t0=0.01, prefix_n0=10)
-    assert rep_g.n_accepted == 20  # 10 graded + 10 tail cells
+                               T=0.05)
+    assert rep_g.n_accepted == 50  # 30 graded + 20 tail cells
     with pytest.raises(ValueError):
         adaptive_benchmark("slope", 0.5, strategy="magic", grid_n=16, T=0.02)
 
@@ -95,6 +94,14 @@ def test_benchmark_rejects_horizon_inside_prefix():
     with pytest.raises(ValueError, match=r"'adaptive'.*prefix ends at t = 0\.01, "
                                          r"after T = 0\.005"):
         adaptive_benchmark("slope", 0.7, grid_n=16, T=0.005)
+
+
+def test_prefix_mesh_marched_unconditionally():
+    rep = adaptive_benchmark("slope", 0.4, strategy="adaptive", grid_n=16, T=0.05)
+    prefix, rest = rep.records[:30], rep.records[30:]
+    assert all(r.accepted and math.isnan(r.e_est) for r in prefix)
+    assert prefix[-1].t == pytest.approx(0.01, rel=1e-12)
+    assert rest and not any(math.isnan(r.e_est) for r in rest)
 
 
 def test_uniform_strategy_needs_a_step():
@@ -122,7 +129,10 @@ def test_benchmark_records_model_constants(tmp_path):
                        out_dir=tmp_path)
     meta = _meta(tmp_path)
     assert {k: meta[k] for k in GROWTH_MODEL} == GROWTH_MODEL
-    assert (meta["max_retries"], meta["prefix_gamma"]) == (10, 3.0)
+    assert {k: meta[k] for k in ("max_retries", "prefix_t0", "prefix_n0",
+                                 "prefix_gamma", "uniform_tau")} == \
+        {"max_retries": 10, "prefix_t0": 0.01, "prefix_n0": 30,
+         "prefix_gamma": 3.0, "uniform_tau": 0.001}
 
 
 def test_singularity_run_records_model_constants(tmp_path):
@@ -130,6 +140,7 @@ def test_singularity_run_records_model_constants(tmp_path):
     meta = _meta(tmp_path)
     assert {k: meta[k] for k in GROWTH_MODEL} == GROWTH_MODEL
     assert (meta["T0"], meta["ic_amplitude"], meta["n_accepted"]) == (1e-3, 0.1, 8)
+    assert meta["model"] == "slope"
 
 
 def test_coarsening_records_model_constants(tmp_path):
@@ -139,9 +150,9 @@ def test_coarsening_records_model_constants(tmp_path):
         {"M": 1.0, "beta": 4.0, "epsilon": 0.03, "C0": 1.0}
     assert "eps2" not in meta
     assert {k: meta[k] for k in ("tol", "rho", "prefix_n0", "prefix_gamma",
-                                 "ic_amplitude", "soe_eps")} == \
+                                 "ic_amplitude", "soe_eps", "soe_mode")} == \
         {"tol": 1e-3, "rho": 0.9, "prefix_n0": 30, "prefix_gamma": 3.0,
-         "ic_amplitude": 1e-3, "soe_eps": 1e-10}
+         "ic_amplitude": 1e-3, "soe_eps": 1e-10, "soe_mode": "fast"}
 
 
 def test_pde_convergence_records_model_constants(tmp_path):
@@ -185,8 +196,6 @@ def test_benchmark_alpha_one_runs():
 def test_unknown_soe_mode_rejected(alpha):
     with pytest.raises(ValueError, match="history mode"):
         adaptive_benchmark("slope", alpha, soe_mode="bogus", grid_n=16, T=0.05)
-    with pytest.raises(ValueError, match="history mode"):
-        coarsening("slope", alpha, grid_n=16, T=0.01, soe_mode="bogus")
 
 
 def test_coarsening_small(tmp_path):
@@ -212,6 +221,19 @@ def test_coarsening_empty_default_window_gives_reason():
     assert "empty" in rep.fits["reason"]
 
 
+@pytest.mark.parametrize("tau_min,tau_max", [(0.0, 0.1), (math.nan, 0.1),
+                                             (1e-3, 1e-4)])
+def test_coarsening_checks_step_bounds_first(monkeypatch, tau_min, tau_max):
+    import tfmbe.harness as harness
+
+    def no_history(*args, **kwargs):
+        raise AssertionError("history built before the step bounds were checked")
+
+    monkeypatch.setattr(harness, "make_history", no_history)
+    with pytest.raises(ValueError, match=r"require 0 < tau_min <= tau_max"):
+        coarsening("slope", 0.7, grid_n=16, T=500.0, tau_min=tau_min, tau_max=tau_max)
+
+
 def test_coarsening_noslope_default_floor():
     rep = coarsening("noslope", 0.7, grid_n=16, T=0.01, seed=7)
     assert rep.meta["tau_min"] == pytest.approx(3.32e-5)
@@ -225,8 +247,7 @@ def test_singularity_run_recovers_exponent():
 def test_adaptive_matches_graded_reference():
     """Controller trajectory tracks the dense graded+uniform reference."""
     ra = adaptive_benchmark("slope", 0.7, strategy="adaptive", grid_n=32, T=2.0)
-    rg = adaptive_benchmark("slope", 0.7, strategy="graded", grid_n=32, T=2.0,
-                            uniform_tau=1e-3)
+    rg = adaptive_benchmark("slope", 0.7, strategy="graded", grid_n=32, T=2.0)
     fa, fg = ra.accepted[-1], rg.accepted[-1]
     assert ra.n_accepted < rg.n_accepted
     assert fa.energy_orig == pytest.approx(fg.energy_orig, rel=1e-3)

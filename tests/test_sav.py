@@ -303,7 +303,7 @@ def test_estimator_pair_differs(grid):
     state = init_state(grid, two_mode(grid), params, make_history(0.7, grid.spec_shape))
     c2 = cn_sav_step(state, 0.01, params, grid)
     c1 = be_l1_sav_step(state, 0.01, params, grid)
-    rel = grid.norm_l2(c2.phi - c1.phi) / grid.norm_l2(c2.phi)
+    rel = math.sqrt(grid.integrate((c2.phi - c1.phi) ** 2) / grid.integrate(c2.phi ** 2))
     assert rel > 1e-8
 
 
@@ -380,6 +380,20 @@ def test_fast_history_below_dt_min_matches_direct():
         fast.commit(tau, inc, level=level)
         direct.commit(tau, inc, level=level)
     assert fast.bank is None
+
+
+@pytest.mark.parametrize("mode", ["direct", "fast"])
+def test_history_rejects_increment_of_wrong_shape(mode):
+    """Steps below dt_min stay in the exact prefix, which must not broadcast."""
+    hist = make_history(0.5, (3,), mode=mode, dt_min=1e-2, T=1.0)
+    hist.commit(1e-3, np.ones(3), level=1)
+    for bad in (0.5, np.ones((1, 3)), np.ones(2)):
+        with pytest.raises(ValueError, match=r"increment shape .* history shape \(3,\)"):
+            hist.commit(1e-3, bad, level=2)
+    assert hist.n_committed == 1 and hist.bank is None
+    scalar = make_history(0.5, mode=mode, dt_min=1e-2, T=1.0)
+    scalar.commit(1e-3, 0.5, level=1)
+    assert scalar.caputo_terms("cn", 1e-3)[1].shape == ()
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.8])
