@@ -13,6 +13,11 @@ of e; a bounded retry budget guards against stalls, after which a floor
 step is force-accepted with a warning.  Rejected trials never touch the
 convolution history, so the committed trajectory is exactly the one a
 fixed run over the accepted steps would produce.
+
+A candidate whose norm is not finite gives e = inf: it is rejected above
+the floor and raises ``SolverError`` at it, and so does any step about to
+be committed with a non-finite modified energy, so an overflowed
+trajectory stops at its first bad step.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverError
 from .sav import (be_l1_sav_step, cn_sav_step, commit_candidate,
                   trajectory_observables)
 
@@ -93,9 +99,17 @@ class StepRecord:
     sav_drift: float
 
 
-def _record(n, t, cand, state_phi, params, grid, accepted, e_est):
-    dphi_dt = float(np.max(np.abs(cand.phi - state_phi))) / cand.tau
-    e_mod, e_orig, rough, drift = trajectory_observables(grid, cand, params)
+def _record(state, cand, accepted, e_est):
+    """The StepRecord of trial ``cand`` from the committed ``state``.
+
+    An accepted step with a non-finite modified energy raises
+    ``SolverError`` naming the step: it would be committed otherwise.
+    """
+    n, t = state.n + 1, state.t + cand.tau
+    dphi_dt = float(np.max(np.abs(cand.phi - state.phi))) / cand.tau
+    e_mod, e_orig, rough, drift = trajectory_observables(state, cand)
+    if accepted and not math.isfinite(e_mod):
+        raise SolverError(f"energy_mod = {e_mod} at accepted step {n} (t = {t:.6g})")
     return StepRecord(
         n=n, t=t, tau=cand.tau,
         energy_mod=e_mod, energy_orig=e_orig, roughness=rough,
@@ -103,30 +117,44 @@ def _record(n, t, cand, state_phi, params, grid, accepted, e_est):
         dphi_dt_max=dphi_dt, caputo_dot=cand.caputo_dot, sav_drift=drift)
 
 
-def run_fixed(state, mesh, params, grid):
+def run_fixed(state, mesh):
     """March the second-order scheme over a prescribed mesh, committing all steps.
 
     The mesh levels count from ``state.t`` at entry, so a run continues a
     committed state without accumulating the clock step by step.  Returns
-    the list of StepRecords.
+    the list of StepRecords; a step whose modified energy is not finite
+    raises ``SolverError``.
     """
     records = []
     t0 = state.t
     for k in range(1, mesh.n_steps + 1):
-        tau = float(mesh.taus[k - 1])
-        cand = cn_sav_step(state, tau, params, grid)
-        records.append(_record(state.n + 1, state.t + tau, cand, state.phi,
-                               params, grid, True, math.nan))
+        cand = cn_sav_step(state, float(mesh.taus[k - 1]))
+        records.append(_record(state, cand, True, math.nan))
         commit_candidate(state, cand)
         state.t = t0 + float(mesh.levels[k])
     return records
 
 
-def adaptive_run(state, params, grid, aparams, T):
+def _relative_error(grid, cand2, cand1):
+    """||phi2 - phi1|| / ||phi2|| by Parseval; inf when a norm is not finite.
+
+    An overflowed norm would otherwise divide a finite distance down to 0.
+    """
+    norm2 = math.sqrt(grid.inner_spec(cand2.phi_h, cand2.phi_h))
+    d_h = cand2.phi_h - cand1.phi_h
+    dist = math.sqrt(grid.inner_spec(d_h, d_h))
+    if not (math.isfinite(norm2) and math.isfinite(dist)):
+        return math.inf
+    return dist / norm2 if norm2 > 0 else 0.0
+
+
+def adaptive_run(state, aparams, T):
     """Drive the estimator pair from state.t to T per the accuracy criterion.
 
-    The first trial step is tau_min.  Returns the list of StepRecords,
-    rejected trials included.
+    The first trial step is tau_min.  A trial whose error estimate is not
+    finite is rejected; at the floor it raises ``SolverError`` naming the
+    step, as does an accepted step whose modified energy is not finite.
+    Returns the list of StepRecords, rejected trials included.
     """
     records = []
     tau_next = aparams.tau_min
@@ -135,15 +163,15 @@ def adaptive_run(state, params, grid, aparams, T):
         tau_n = min(tau_next, T - state.t)
         retries = 0
         while True:
-            cand2 = cn_sav_step(state, tau_n, params, grid)
-            cand1 = be_l1_sav_step(state, tau_n, params, grid)
-            norm2 = math.sqrt(grid.inner_spec(cand2.phi_h, cand2.phi_h))
-            d_h = cand2.phi_h - cand1.phi_h
-            e = math.sqrt(grid.inner_spec(d_h, d_h)) / norm2 if norm2 > 0 else 0.0
+            cand2 = cn_sav_step(state, tau_n)
+            cand1 = be_l1_sav_step(state, tau_n)
+            e = _relative_error(state.grid, cand2, cand1)
             at_floor = tau_n <= aparams.tau_min * (1.0 + 1e-12)
+            if at_floor and not math.isfinite(e):
+                raise SolverError(f"error estimate e = {e} at floor step {state.n + 1} "
+                                  f"(t = {state.t + tau_n:.6g})")
             accept = e < aparams.tol or at_floor
-            records.append(_record(state.n + 1, state.t + tau_n, cand2,
-                                   state.phi, params, grid, accept, e))
+            records.append(_record(state, cand2, accept, e))
             if accept:
                 if retries >= _MAX_RETRIES and e >= aparams.tol:
                     log.warning(

@@ -1,10 +1,10 @@
 """Command line entry points for the experiment drivers.
 
-Subcommands: ode-conv, pde-conv, benchmark, coarsen, soe-verify.  Options
-may come from a JSON config file (one section per subcommand) with
-explicit flags taking precedence; an option set by neither takes the
-driver's own keyword default.  Every run writes its resolved parameters
-to run.json next to the CSV output.
+Subcommands: ode-conv, pde-conv, benchmark, coarsen, singularity,
+soe-verify.  Options may come from a JSON config file (one section per
+subcommand) with explicit flags taking precedence; an option set by
+neither takes the driver's own keyword default.  Every run writes its
+resolved parameters to run.json next to the CSV output.
 """
 
 from __future__ import annotations
@@ -108,6 +108,13 @@ def main(argv=None):
                    default=None)
     p.add_argument("--out", dest="out_dir")
 
+    p = sub.add_parser("singularity", help="initial-layer slope on a graded mesh")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--grid", dest="grid_n", type=int)
+    p.add_argument("--N0", type=int)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--out", dest="out_dir")
+
     p = sub.add_parser("soe-verify", help="build and certify an exponential sum")
     p.add_argument("--alpha", type=float)
     p.add_argument("--eps", type=float)
@@ -138,6 +145,11 @@ def main(argv=None):
         opts = _resolve(args, cfg, dict(model="slope", alpha=0.7))
         report = harness.coarsening(**opts)
         print(f"accepted steps: {report.n_accepted}  fits: {report.fits}")
+    elif args.cmd == "singularity":
+        opts = _resolve(args, cfg, dict(alpha=0.4))
+        fits = harness.singularity_run(**opts).fits
+        print(f"singularity slope: {fits['singularity_slope']:.4f} "
+              f"(alpha - 1 = {fits['target']:.4f})")
     elif args.cmd == "soe-verify":
         opts = _resolve(args, cfg, dict(
             alpha=0.5, eps=1e-10, dt_min=1e-4, T=30.0, samples=10000))

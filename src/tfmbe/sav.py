@@ -15,14 +15,20 @@ system.  Both schemes are one theta-weighted linear solve:
   collocation kernels, flux frozen at phi^{n-1}); it serves as the
   embedded low-order estimator for adaptive step control.
 
-Both steps return a candidate without touching the convolution history;
-``commit_candidate`` advances the state, so rejected adaptive trials leave
-everything bit-identical.
+``init_state(grid, phi0, params, history)`` makes the state, which keeps
+the grid and the model parameters for the whole trajectory: the steps
+(``cn_sav_step(state, tau_n, source=None)``, ``be_l1_sav_step(state,
+tau_n)``) and ``trajectory_observables(state, head=None)`` read them
+from it, so a trajectory cannot change either midway.  Both steps return
+a candidate without touching the convolution history; ``commit_candidate``
+advances the state, so rejected adaptive trials leave everything
+bit-identical.
 
 The convolution history is one object, ``CaputoHistory``: an exact prefix
 (steps below the exponential sum's dt_min, summed through the kernel rows)
 followed by the bank of ``tfmbe.soe``.  ``make_history(mode="direct")``
-(``--soe-mode direct``) keeps every level exact.
+(``--soe-mode direct``) keeps every level exact.  The history takes its
+shape from the first committed increment.
 
 Each solve is decoupled by a rank-one correction: with
 L = a0 I + theta M (eps2 Lap^2 - beta Lap) (diagonal in transform space)
@@ -40,10 +46,10 @@ phi^n and the grid gradients of phi^n and phi^{n-1}, the flux divergence
 and the right-hand side are formed as half-spectra, and every inner
 product is taken by Parseval.  A candidate's grid values and gradient are
 transformed back on first use.  The convolution history stores the
-increments of the half-spectrum (as its float view), so its sums are
-half-spectra too and are never transformed.  An adaptive trial costs 7
-transforms: the second-order step 3 (flux 2, grid values 1), the
-estimator 2 (it is never transformed back) and the observables 2 (the
+increments of the half-spectrum (as its float view, shape (nx, nx + 2)),
+so its sums are half-spectra too and are never transformed.  An adaptive
+trial costs 7 transforms: the second-order step 3 (flux 2, grid values 1),
+the estimator 2 (it is never transformed back) and the observables 2 (the
 gradient, which the next step reuses); a fixed-mesh step costs 5.
 """
 
@@ -93,15 +99,17 @@ class CaputoHistory:
     read after a step below dt_min raises ``SolverError``.  With no ``soe``
     every level stays exact (O(n) work per level).
     ``alpha == 1`` is the memoryless classical limit (CN / backward Euler).
+    The first committed increment fixes the shape of every later one, and
+    a read before any commit has no sum to add.
     """
 
-    def __init__(self, alpha, shape=(), soe=None):
+    def __init__(self, alpha, soe=None):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"fractional order must lie in (0,1], got {alpha}")
         if soe is not None and soe.alpha != alpha:
             raise ValueError("exponential sum was built for a different order")
         self.alpha = alpha
-        self.shape = tuple(shape)
+        self.shape = None  # the first committed increment's
         self.soe = soe
         self._floor = math.inf if soe is None else soe.dt_min * (1.0 - 1e-12)
         self.n_committed = 0
@@ -109,7 +117,7 @@ class CaputoHistory:
         # exact prefix: the committed increments in fixed-size blocks, so the
         # store grows without copying what it holds, and the level times
         # t_0..t_n with one slot more for the trial level (grown by doubling)
-        self._block_rows = max(1, _LEVEL_BLOCK_BYTES // (8 * math.prod(self.shape)))
+        self._block_rows = None
         self._blocks = []
         self._levels = np.zeros(18)
 
@@ -132,8 +140,9 @@ class CaputoHistory:
 
         scheme "cn" uses the cell-averaged kernels, "be" the collocation
         kernels; the returned pair (a0, hist) satisfies
-        caputo_value = a0 * (new increment) + hist.  hist is None when the
-        history is memoryless (alpha = 1): there is no sum to add.
+        caputo_value = a0 * (new increment) + hist.  hist is None when there
+        is no sum to add: the history is memoryless (alpha = 1) or holds no
+        level yet.
         """
         if self.alpha == 1.0:
             return 1.0 / tau_n, None
@@ -148,6 +157,8 @@ class CaputoHistory:
         levels = self._levels[:n + 1]
         levels[n] = levels[n - 1] + tau_n  # the trial level; a commit overwrites it
         row = (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, n)
+        if n == 1:
+            return row.weights[0], None
         hist = np.zeros(math.prod(self.shape))
         part = np.empty_like(hist)
         weights = row.weights[:0:-1]  # increments 1..n-1 in level order
@@ -166,7 +177,10 @@ class CaputoHistory:
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"step size for level {n + 1} must be finite and "
                              f"positive, got {tau}")
-        if np.shape(increment) != self.shape:
+        if n == 0:
+            self.shape = np.shape(increment)
+            self._block_rows = max(1, _LEVEL_BLOCK_BYTES // (8 * math.prod(self.shape)))
+        elif np.shape(increment) != self.shape:
             raise ValueError(f"increment shape {np.shape(increment)} for level {n + 1} "
                              f"!= history shape {self.shape}")
         if self.bank is not None:
@@ -183,7 +197,7 @@ class CaputoHistory:
         self._bank_if_due(tau)
 
 
-def make_history(alpha, shape=(), mode="direct", dt_min=None, T=None, eps=1e-10):
+def make_history(alpha, mode="direct", dt_min=None, T=None, eps=1e-10):
     """History factory.
 
     mode "direct" keeps every level exact; mode "fast" builds an
@@ -195,10 +209,10 @@ def make_history(alpha, shape=(), mode="direct", dt_min=None, T=None, eps=1e-10)
     if mode not in ("direct", "fast"):
         raise ValueError(f"unknown history mode {mode!r}")
     if alpha == 1.0 or mode == "direct":
-        return CaputoHistory(alpha, shape)
+        return CaputoHistory(alpha)
     if dt_min is None or T is None:
         raise ValueError("fast mode needs dt_min and T")
-    return CaputoHistory(alpha, shape, soe=build_soe(alpha, eps, dt_min, T))
+    return CaputoHistory(alpha, soe=build_soe(alpha, eps, dt_min, T))
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +221,17 @@ def make_history(alpha, shape=(), mode="direct", dt_min=None, T=None, eps=1e-10)
 
 @dataclass
 class SAVState:
-    """Committed trajectory head and history.
+    """Committed trajectory head, with the grid, model and history it runs on.
 
     phi^n as grid values and as a half-spectrum, the grid gradients of
     phi^n and phi^{n-1} (the second-order step extrapolates the flux from
-    them), the auxiliary scalar and the convolution history.
+    them), the auxiliary scalar and the convolution history.  The grid
+    and the model parameters are the ones ``init_state`` was given: every
+    step, observable and loop reads them from here.
     """
 
+    grid: object = field(repr=False)
+    params: object
     phi: np.ndarray
     phi_h: np.ndarray
     grad: tuple
@@ -256,26 +274,25 @@ def _functional(params):
 def init_state(grid, phi0, params, history):
     """Initial state with the auxiliary scalar set to sqrt(radicand(phi0)).
 
-    ``history`` sums half-spectra: its shape is ``grid.spec_shape``.
+    The state keeps ``grid`` and ``params`` for the whole trajectory;
+    ``history`` sums the increments of the half-spectrum (its float view).
     """
     phi0 = np.array(phi0, dtype=float, copy=True)
     if phi0.shape != grid.shape:
         raise ValueError(f"field shape {phi0.shape} does not match grid {grid.shape}")
-    if history.shape != grid.spec_shape:
-        raise ValueError(f"history shape {history.shape} does not match the "
-                         f"half-spectrum view shape {grid.spec_shape} of the grid")
     phi_h = grid.fft(phi0)
     grad = grid.gradient_from_spectrum(phi_h)
     _, radicand = _functional(params)(grid, grad, params)
-    return SAVState(phi=phi0, phi_h=phi_h, grad=grad, aux=float(np.sqrt(radicand)),
-                    history=history)
+    return SAVState(grid=grid, params=params, phi=phi0, phi_h=phi_h, grad=grad,
+                    aux=float(np.sqrt(radicand)), history=history)
 
 
-def trajectory_observables(grid, head, params):
+def trajectory_observables(state, head=None):
     """(modified energy, physical energy, roughness, SAV drift) of a field.
 
-    ``head`` is a ``SAVState`` or a ``StepCandidate``: the field's
-    half-spectrum, grid values and gradient, and its auxiliary scalar.
+    ``head`` is the ``state`` itself (the default) or a ``StepCandidate``
+    of it: the field's half-spectrum, grid values and gradient, and its
+    auxiliary scalar, on the state's grid and model.
     modified (the energy the schemes provably dissipate):
         slope:    int(eps2/2 |Lap phi|^2 + beta/2 |grad phi|^2) + aux^2 - C0
         no-slope: same integral - aux^2 + C0
@@ -290,6 +307,8 @@ def trajectory_observables(grid, head, params):
     the auxiliary scalar has moved from the functional it stands for (0 at
     ``init_state``).
     """
+    grid, params = state.grid, state.params
+    head = state if head is None else head
     fh = head.phi_h
     gx, gy = head.grad
     x2 = gx * gx + gy * gy
@@ -328,7 +347,7 @@ def _rank_one_solve(grid, symbol, rhs_h, w_h, coupling):
     return gam_h - coupling * w_phi * chi_h
 
 
-def _sav_step(state, tau_n, params, grid, source, theta, scheme):
+def _sav_step(state, tau_n, source, theta, scheme):
     """Theta-weighted SAV trial step of size tau_n from the committed state.
 
     ``scheme`` ("cn" or "be") names the Caputo kernels.  The linear terms
@@ -340,6 +359,7 @@ def _sav_step(state, tau_n, params, grid, source, theta, scheme):
     """
     if not (math.isfinite(tau_n) and tau_n > 0):
         raise ValueError(f"step size must be finite and positive, got {tau_n}")
+    grid, params = state.grid, state.params
     a0, hist = state.history.caputo_terms(scheme, tau_n)
     gx, gy = state.grad
     if theta < 1.0 and state.n > 0:
@@ -372,14 +392,14 @@ def _sav_step(state, tau_n, params, grid, source, theta, scheme):
                          caputo_dot=caputo_dot)
 
 
-def cn_sav_step(state, tau_n, params, grid, source=None):
+def cn_sav_step(state, tau_n, source=None):
     """Second-order trial step (theta = 1/2, cell-averaged kernels)."""
-    return _sav_step(state, tau_n, params, grid, source, 0.5, "cn")
+    return _sav_step(state, tau_n, source, 0.5, "cn")
 
 
-def be_l1_sav_step(state, tau_n, params, grid, source=None):
+def be_l1_sav_step(state, tau_n):
     """First-order trial step (theta = 1, collocation kernels)."""
-    return _sav_step(state, tau_n, params, grid, source, 1.0, "be")
+    return _sav_step(state, tau_n, None, 1.0, "be")
 
 
 def commit_candidate(state, cand):

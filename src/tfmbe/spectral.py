@@ -16,7 +16,10 @@ transform space; no dealiasing is applied.  Every 2-D transform goes
 through ``Grid2D.fft``/``Grid2D.ifft``.  The SAV step (``tfmbe.sav``)
 costs 7 of them per adaptive trial (second-order step 3, estimator 2,
 observables 2) and 5 per fixed-mesh step; its convolution history holds
-half-spectra, so the history sum needs no transform.
+half-spectra (their float views, whose shape it takes from the first
+committed increment), so the history sum needs no transform.  The SAV
+state keeps the ``Grid2D`` and ``ModelParams`` it starts with, and every
+step reads them from there.
 """
 
 from __future__ import annotations
@@ -79,11 +82,6 @@ class Grid2D:
     @property
     def shape(self):
         return (self.nx, self.ny)
-
-    @property
-    def spec_shape(self):
-        """Shape (nx, nx + 2) of the float view of a half-spectrum."""
-        return (self.nx, 2 * (self.ny // 2 + 1))
 
     @property
     def area(self):

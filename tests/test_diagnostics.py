@@ -17,8 +17,7 @@ def grid():
 
 def roughness(grid, phi):
     params = ModelParams()
-    state = init_state(grid, phi, params, make_history(1.0, grid.spec_shape))
-    return trajectory_observables(grid, state, params)[2]
+    return trajectory_observables(init_state(grid, phi, params, make_history(1.0)))[2]
 
 
 def test_roughness_constant_is_zero(grid):

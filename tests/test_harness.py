@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from tfmbe import (Grid2D, ModelParams, SolverError, StepRecord,
-                   adaptive_benchmark, build_graded, coarsening, init_state,
-                   make_history, ode_convergence, pde_convergence, read_field,
-                   singularity_run, trajectory_observables)
+from tfmbe import (Grid2D, ModelParams, adaptive_benchmark, build_graded,
+                   coarsening, init_state, make_history, ode_convergence,
+                   pde_convergence, read_field, singularity_run,
+                   trajectory_observables)
 from tfmbe.cli import main as cli_main
-from tfmbe.harness import (_benchmark_phi0, _check_energy_bound,
-                           energy_bound_violation, table_mesh)
+from tfmbe.harness import _benchmark_phi0, energy_bound_violation, table_mesh
 
 
 def test_ode_convergence_rejects_bad_sigma():
@@ -164,9 +163,8 @@ def test_pde_convergence_records_model_constants(tmp_path):
 
 def test_benchmark_sav_drift_column():
     grid, params = Grid2D(16), ModelParams()
-    state = init_state(grid, _benchmark_phi0(grid), params,
-                       make_history(0.7, grid.spec_shape))
-    assert trajectory_observables(grid, state, params)[3] == 0.0
+    state = init_state(grid, _benchmark_phi0(grid), params, make_history(0.7))
+    assert trajectory_observables(state)[3] == 0.0
     rep = adaptive_benchmark("slope", 0.7, grid_n=16, T=0.05)
     drift = [r.sav_drift for r in rep.accepted]
     assert 0.0 < max(drift) < 1e-3
@@ -282,22 +280,6 @@ def test_energy_bound_violation_helper():
     assert energy_bound_violation([R(1.5, acc=0)], 1.0) == 0.0
 
 
-def _record(n, energy_mod, accepted=1):
-    return StepRecord(n=n, t=0.1 * n, tau=0.1, energy_mod=energy_mod,
-                      energy_orig=0.0, roughness=0.0, aux=1.0,
-                      accepted=accepted, e_est=math.nan, dphi_dt_max=0.0,
-                      caputo_dot=0.0, sav_drift=0.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_energy_check_names_first_non_finite_step(bad):
-    records = [_record(1, 0.9), _record(2, bad, accepted=0), _record(2, 0.8),
-               _record(3, bad), _record(4, bad)]
-    with pytest.raises(SolverError, match=r"accepted step 3 \(t = 0\.3\)"):
-        _check_energy_bound(records, 1.0)
-    _check_energy_bound(records[:3], 1.0)  # a rejected trial is not checked
-
-
 # ---------------------------------------------------------------------------
 # determinism: identical config + seed => byte-identical CSV
 # ---------------------------------------------------------------------------
@@ -377,6 +359,12 @@ def test_cli_coarsen(tmp_path, capsys):
     assert (tmp_path / "cc" / "steps.csv").exists()
 
 
+def test_cli_singularity_prints_slope(capsys):
+    assert cli_main(["singularity", "--grid", "16", "--N0", "60"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("singularity slope: -0.") and "(alpha - 1 = -0.6000)" in out
+
+
 def test_cli_soe_verify(capsys):
     rc = cli_main(["soe-verify", "--alpha", "0.5", "--eps", "1e-8",
                    "--dt-min", "1e-3", "--T", "10", "--samples", "2000"])
@@ -416,6 +404,8 @@ CLI_DRIVERS = [
      ("slope", 0.7), dict(grid_n=16, T=0.02)),
     ("coarsen", ["--grid", "16", "--T", "0.01"], coarsening,
      ("slope", 0.7), dict(grid_n=16, T=0.01)),
+    ("singularity", ["--grid", "16", "--N0", "60"], singularity_run,
+     (0.4,), dict(grid_n=16, N0=60)),
 ]
 
 
