@@ -123,15 +123,20 @@ def run_fixed(state, mesh):
     The mesh levels count from ``state.t`` at entry, so a run continues a
     committed state without accumulating the clock step by step.  Returns
     the list of StepRecords; a step whose modified energy is not finite
-    raises ``SolverError``.
+    raises ``SolverError``, which carries the records before it as
+    ``records``.
     """
     records = []
     t0 = state.t
-    for k in range(1, mesh.n_steps + 1):
-        cand = cn_sav_step(state, float(mesh.taus[k - 1]))
-        records.append(_record(state, cand, True, math.nan))
-        commit_candidate(state, cand)
-        state.t = t0 + float(mesh.levels[k])
+    try:
+        for k in range(1, mesh.n_steps + 1):
+            cand = cn_sav_step(state, float(mesh.taus[k - 1]))
+            records.append(_record(state, cand, True, math.nan))
+            commit_candidate(state, cand)
+            state.t = t0 + float(mesh.levels[k])
+    except SolverError as err:
+        err.records = records
+        raise
     return records
 
 
@@ -154,34 +159,39 @@ def adaptive_run(state, aparams, T):
     The first trial step is tau_min.  A trial whose error estimate is not
     finite is rejected; at the floor it raises ``SolverError`` naming the
     step, as does an accepted step whose modified energy is not finite.
-    Returns the list of StepRecords, rejected trials included.
+    Returns the list of StepRecords, rejected trials included; a
+    ``SolverError`` carries the records before the failing trial as
+    ``records``.
     """
     records = []
     tau_next = aparams.tau_min
-
-    while T - state.t > 1e-12 * T:
-        tau_n = min(tau_next, T - state.t)
-        retries = 0
-        while True:
-            cand2 = cn_sav_step(state, tau_n)
-            cand1 = be_l1_sav_step(state, tau_n)
-            e = _relative_error(state.grid, cand2, cand1)
-            at_floor = tau_n <= aparams.tau_min * (1.0 + 1e-12)
-            if at_floor and not math.isfinite(e):
-                raise SolverError(f"error estimate e = {e} at floor step {state.n + 1} "
-                                  f"(t = {state.t + tau_n:.6g})")
-            accept = e < aparams.tol or at_floor
-            records.append(_record(state, cand2, accept, e))
-            if accept:
-                if retries >= _MAX_RETRIES and e >= aparams.tol:
-                    log.warning(
-                        "retry budget exhausted at t=%.6g; force-accepting "
-                        "floor step with e=%.3e >= tol=%.3e", state.t, e, aparams.tol)
-                tau_next = aparams.clamp(tau_ada(e, tau_n, aparams)) \
-                    if e < aparams.tol else aparams.tau_min
-                commit_candidate(state, cand2)
-                break
-            retries += 1
-            tau_n = min(aparams.tau_min if retries >= _MAX_RETRIES
-                        else aparams.clamp(tau_ada(e, tau_n, aparams)), T - state.t)
+    try:
+        while T - state.t > 1e-12 * T:
+            tau_n = min(tau_next, T - state.t)
+            retries = 0
+            while True:
+                cand2 = cn_sav_step(state, tau_n)
+                cand1 = be_l1_sav_step(state, tau_n)
+                e = _relative_error(state.grid, cand2, cand1)
+                at_floor = tau_n <= aparams.tau_min * (1.0 + 1e-12)
+                if at_floor and not math.isfinite(e):
+                    raise SolverError(f"error estimate e = {e} at floor step "
+                                      f"{state.n + 1} (t = {state.t + tau_n:.6g})")
+                accept = e < aparams.tol or at_floor
+                records.append(_record(state, cand2, accept, e))
+                if accept:
+                    if retries >= _MAX_RETRIES and e >= aparams.tol:
+                        log.warning(
+                            "retry budget exhausted at t=%.6g; force-accepting "
+                            "floor step with e=%.3e >= tol=%.3e", state.t, e, aparams.tol)
+                    tau_next = aparams.clamp(tau_ada(e, tau_n, aparams)) \
+                        if e < aparams.tol else aparams.tau_min
+                    commit_candidate(state, cand2)
+                    break
+                retries += 1
+                tau_n = min(aparams.tau_min if retries >= _MAX_RETRIES
+                            else aparams.clamp(tau_ada(e, tau_n, aparams)), T - state.t)
+    except SolverError as err:
+        err.records = records
+        raise
     return records

@@ -6,7 +6,13 @@ class ModelViolationError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The decoupled linear solve produced an inadmissible state."""
+    """The decoupled linear solve produced an inadmissible state.
+
+    Raised inside ``run_fixed`` or ``adaptive_run``, it carries the step
+    records made before the failure as ``records``.
+    """
+
+    records = ()
 
 
 class StateError(RuntimeError):

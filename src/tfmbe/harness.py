@@ -306,16 +306,26 @@ def _run_trajectory(meta, grid, params, phi0, history, mesh, aparams=None, T=Non
     """Initial state, time loop, energy check, report and files of every trajectory.
 
     ``mesh`` is marched whole, then ``aparams`` (if given) drives the
-    controller to ``T``; ``fit(records)`` gives the fits.
+    controller to ``T``; ``fit(records)`` gives the fits.  A ``SolverError``
+    still writes ``steps.csv`` and ``run.json`` (with the message under
+    ``"error"``) for the records up to the failing step before it propagates.
     """
     state = init_state(grid, phi0, params, history)
     e0 = trajectory_observables(state)[0]
-    records = run_fixed(state, mesh)
-    if aparams is not None:
-        records += adaptive_run(state, aparams, T)
-    _check_energy_bound(records, e0)
-    report = RunReport(records, dict(meta, energy_mod_initial=e0),
-                       fits={} if fit is None else fit(records), final_phi=state.phi)
+    meta = dict(meta, energy_mod_initial=e0)
+    records = []
+    try:
+        records += run_fixed(state, mesh)
+        if aparams is not None:
+            records += adaptive_run(state, aparams, T)
+        _check_energy_bound(records, e0)
+    except SolverError as err:
+        report = RunReport(records + list(err.records), dict(meta, error=str(err)))
+        report.meta["n_accepted"] = report.n_accepted
+        _emit(out_dir, report)
+        raise
+    report = RunReport(records, meta, fits={} if fit is None else fit(records),
+                       final_phi=state.phi)
     report.meta["n_accepted"] = report.n_accepted
     _emit(out_dir, report)
     if save_field and out_dir is not None:
@@ -364,9 +374,11 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
     strategy "uniform" marches round(T / 1e-3) equal steps, "graded" a
     graded prefix (30 steps to t = 0.01) plus a uniform tail with the same
     total step count, and "adaptive" the estimator-driven controller after
-    the graded prefix, which must end by T.  The modified energy is
-    verified against its initial value.
+    the graded prefix, which must end by T.  The controller inputs are
+    checked for every strategy, since run.json records them.  The modified
+    energy is verified against its initial value.
     """
+    controller = AdaptiveParams(rho=rho, tol=tol, tau_min=tau_min, tau_max=tau_max)
     grid = Grid2D(grid_n)
     params = ModelParams(model=model, **_GROWTH_MODEL)
     prefix = build_graded(_PREFIX_T0, _PREFIX_N0, _PREFIX_GAMMA)
@@ -391,8 +403,7 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
         dt_min = float(np.min(mesh.taus[prefix.n_steps:]))
     elif strategy == "adaptive":
         _check_prefix_end("strategy 'adaptive'", prefix, T)
-        mesh, dt_min, aparams = prefix, tau_min, AdaptiveParams(
-            rho=rho, tol=tol, tau_min=tau_min, tau_max=tau_max)
+        mesh, dt_min, aparams = prefix, tau_min, controller
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 

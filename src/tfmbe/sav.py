@@ -28,7 +28,9 @@ The convolution history is one object, ``CaputoHistory``: an exact prefix
 (steps below the exponential sum's dt_min, summed through the kernel rows)
 followed by the bank of ``tfmbe.soe``.  ``make_history(mode="direct")``
 (``--soe-mode direct``) keeps every level exact.  The history takes its
-shape from the first committed increment.
+shape from the first committed increment.  On the bank, the estimator
+trial reads the sum that the second-order trial's pass over the bank
+already formed, so an adaptive trial reads the bank once.
 
 Each solve is decoupled by a rank-one correction: with
 L = a0 I + theta M (eps2 Lap^2 - beta Lap) (diagonal in transform space)
@@ -128,9 +130,7 @@ class CaputoHistory:
         self.bank = HistoryBank(self.soe, self.shape)
         # the newest step as given, not via the level times: reads check it
         taus = np.append(np.diff(self._levels[:self.n_committed]), tau)
-        # copies: the bank keeps its newest increment, and a view of a block
-        # would keep the dropped store alive until the next commit
-        increments = (row.copy() for block in self._blocks for row in block)
+        increments = (row for block in self._blocks for row in block)
         for tau_k, increment in zip(taus, increments):
             self.bank.commit(tau_k, increment)
         self._levels = self._blocks = None
@@ -242,6 +242,11 @@ class SAVState:
     prev_grad: Optional[tuple] = None
     prev_tau: Optional[float] = None
 
+    @cached_property
+    def lin_sym(self):
+        """Symbol eps2 k^4 + beta k^2 of the linear terms, on the state's grid."""
+        return self.params.eps2 * self.grid.k4 + self.params.beta * self.grid.k2
+
 
 @dataclass(frozen=True)
 class StepCandidate:
@@ -332,14 +337,14 @@ def trajectory_observables(state, head=None):
 # Steps
 # ---------------------------------------------------------------------------
 
-def _rank_one_solve(grid, symbol, rhs_h, w_h, coupling):
-    """Solve (L + coupling * (W, .) W) phi = rhs with L diagonal.
+def _rank_one_solve(grid, inv_symbol, rhs_h, w_h, coupling):
+    """Solve (L + coupling * (W, .) W) phi = rhs with L diagonal, 1/L given.
 
     Takes and returns half-spectra; the two inner products are taken by
     Parseval.
     """
-    gam_h = rhs_h / symbol
-    chi_h = w_h / symbol
+    gam_h = rhs_h * inv_symbol
+    chi_h = w_h * inv_symbol
     denom = 1.0 + coupling * grid.inner_spec(w_h, chi_h)
     if denom <= 0.0:
         raise SolverError(f"rank-one denominator {denom} <= 0")
@@ -374,8 +379,7 @@ def _sav_step(state, tau_n, source, theta, scheme):
     s_aux = 1.0 if params.model == SLOPE else -1.0
     m = params.M
 
-    lin_sym = params.eps2 * grid.k4 + params.beta * grid.k2
-    symbol = a0 + theta * m * lin_sym
+    lin_sym = state.lin_sym
     coupling = s_aux * 0.5 * theta * m
     phi_h = state.phi_h
     hist_h = 0.0 if hist is None else hist.view(complex)
@@ -384,7 +388,8 @@ def _sav_step(state, tau_n, source, theta, scheme):
     if source is not None:
         rhs_h = rhs_h + grid.fft(source(state.t + theta * tau_n))
 
-    phi_new_h = _rank_one_solve(grid, symbol, rhs_h, w_h, coupling)
+    phi_new_h = _rank_one_solve(grid, 1.0 / (a0 + theta * m * lin_sym), rhs_h, w_h,
+                                coupling)
     dphi_h = phi_new_h - phi_h
     aux_new = state.aux - 0.5 * grid.inner_spec(w_h, dphi_h)
     caputo_dot = grid.inner_spec(a0 * dphi_h + hist_h, dphi_h)

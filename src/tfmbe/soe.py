@@ -53,6 +53,17 @@ scratch block allocated with the bank: commits read and write the bank
 once per ``_FOLD_STEPS`` accepted steps, and none allocates anything the
 size of the bank.
 
+A read serves both fast formulas.  The two trials of an adaptive step
+(second order, then the estimator) read the history at the same level and
+step size, so one pass forms both schemes' node weights and takes the two
+sums together: H_ref and the ring are the leading and trailing rows of one
+buffer, and a two-row matrix product per column block of it (blocks of the
+same byte size as the sweep's) writes both sums into an output buffer
+allocated with the bank.  The other scheme's sum is kept for a read at the
+same level and step and dropped by the next commit.  An adaptive trial
+costs one pass over the bank, and so does a fixed-mesh step, which asks
+for the second-order sum only.
+
 The solver's history (``tfmbe.sav.CaputoHistory``) sums an exact prefix
 first, up to its first step of at least dt_min, and then replays it into
 one bank that carries every later level; ``--soe-mode direct`` keeps every
@@ -82,9 +93,10 @@ __all__ = [
 # errors over an O(100)-cell history stays within a small multiple of eps
 _BUILD_MARGIN = 16.0
 
-# bytes of bank a sweep updates per block: a block and its scratch stay in
-# a 2 MiB per-core cache from the matrix product to the update, and the
-# per-block call overhead stays small next to the arithmetic
+# bytes of bank a sweep updates per block (node rows), and a read reads per
+# block (columns): a block and its scratch stay in a 2 MiB per-core cache
+# from the matrix product to the update, and the per-block call overhead
+# stays small next to the arithmetic
 _COMMIT_BLOCK_BYTES = 1 << 19
 
 # increments folded between two sweeps of the bank; the ring that holds
@@ -285,28 +297,43 @@ class HistoryBank:
     since then and ``ring`` the increments folded since then, Q their
     coefficients.  Folding a step scales P and Q and fills a ring slot;
     the commit that fills the last slot sweeps ``h`` once, block by block,
-    and makes that step the new reference.  ``h`` keeps its buffer for the
-    bank's lifetime.  The bank keeps the increment array it is given, not a
-    copy, until the next commit folds it in, so the caller must not modify
-    it meanwhile.
+    and makes that step the new reference.  ``h`` and the ring share one
+    buffer for the bank's lifetime.  A commit copies its increment into the
+    next free ring slot, where the next commit folds it in.
+
+    ``caputo_terms`` reads both schemes' sums in one column-blocked pass
+    over ``h`` and the ring (the pending increment included), into a
+    two-row buffer of the bank, and keeps them for further reads at the
+    same level and step size.
     """
 
     def __init__(self, soe, shape=()):
         self.soe = soe
         self.shape = tuple(shape)
         n_terms, size = soe.n_terms, math.prod(self.shape)
-        self.h = np.zeros((n_terms,) + self.shape)
+        # h and the ring are the leading and trailing rows of one buffer, so
+        # that a read is one product over the rows it needs
+        store = np.zeros((n_terms + _FOLD_STEPS, size))
+        self.h = store[:n_terms].reshape((n_terms,) + self.shape)
+        self._store = store
         self._decay = np.ones(n_terms)
         self._coef = np.zeros((n_terms, _FOLD_STEPS))
-        self._ring = np.empty((_FOLD_STEPS, size))
+        self._ring = store[n_terms:]
         self._n_ring = 0
-        rows = max(1, _COMMIT_BLOCK_BYTES // max(1, self.h.itemsize * size))
+        rows = max(1, _COMMIT_BLOCK_BYTES // max(1, store.itemsize * size))
         scratch = np.empty((min(rows, n_terms), size))
-        h = self.h.reshape(n_terms, size)
+        h = store[:n_terms]
         # (node rows, their view of h, a scratch view of the same shape),
         # built once so that a sweep allocates nothing per block
         self._blocks = [(slice(i, i + rows), h[i:i + rows], scratch[:n_terms - i])
                         for i in range(0, n_terms, rows)]
+        # a read: both schemes' sums, one row each, computed a column block
+        # at a time, and the (n_committed, tau_n) they are for
+        cols = max(1, _COMMIT_BLOCK_BYTES // (store.itemsize * store.shape[0]))
+        self._read_cols = [slice(j, j + cols) for j in range(0, size, cols)]
+        self._read_out = np.zeros((2, size))
+        self._read_key = None
+        self._read_pairs = None
         self.pending = None
         self.n_committed = 0
 
@@ -320,14 +347,12 @@ class HistoryBank:
         inc = np.asarray(increment, dtype=float)
         if inc.shape != self.shape:
             raise ValueError(f"increment shape {inc.shape} != bank shape {self.shape}")
-        if self.pending is not None:
-            tau_p, inc_p = self.pending
-            x = self.soe.nodes * tau_p
+        if self.pending is not None:  # fold it: its increment is in slot m
+            x = self.soe.nodes * self.pending[0]
             decay, m = np.exp(-x), self._n_ring
             self._decay *= decay
             self._coef[:, :m] *= decay[:, None]
             self._coef[:, m] = _relexp(x)
-            self._ring[m] = inc_p.ravel()
             self._n_ring = m + 1
             if self._n_ring == _FOLD_STEPS:
                 for block, h, scratch in self._blocks:
@@ -336,40 +361,55 @@ class HistoryBank:
                     h += scratch
                 self._decay.fill(1.0)
                 self._n_ring = 0
-        self.pending = (float(tau), inc)
+        slot = self._ring[self._n_ring]
+        slot[:] = inc.ravel()
+        self.pending = (float(tau), slot.reshape(self.shape))
         self.n_committed += 1
+        self._read_key = self._read_pairs = None
 
     def caputo_terms(self, scheme, tau_n):
         """(local coefficient, history value) of the fast formula at the trial level.
 
         scheme "cn" is the cell-averaged formula, "be" the collocation one.
+        One pass over the bank gives both schemes' values at ``tau_n``; the
+        other scheme's pair is kept for a read at the same level and step,
+        until the next commit.  The history value is a view of a buffer the
+        bank owns: it holds until the next read at another level or step,
+        and the caller must not modify it.
         """
+        key = (self.n_committed, tau_n)
+        if self._read_key != key:
+            self._read_pairs = self._read_both(tau_n)
+            self._read_key = key
+        return self._read_pairs[scheme]
+
+    def _read_both(self, tau_n):
+        """{"cn": (a0, hist), "be": (a0, hist)} at the trial step ``tau_n``."""
         alpha = self.soe.alpha
-        cn = scheme == "cn"
-        order = (3.0 if cn else 2.0) - alpha
-        a0 = tau_n ** (-alpha) / math.gamma(order)
-        hist = np.zeros(self.shape)
-        if self.pending is not None:
-            tau_p, inc_p = self.pending
-            if cn:
-                a1 = (rl_weight(order, tau_n + tau_p) - rl_weight(order, tau_n)
-                      - rl_weight(order, tau_p)) / (tau_n * tau_p)
-            else:
-                a1 = (rl_weight(order, tau_n + tau_p) - rl_weight(order, tau_n)) / tau_p
-            hist = hist + a1 * inc_p
-            if self.n_committed >= 2:
-                th, weights = self.soe.nodes, self.soe.weights
-                if cn:
-                    w = weights * (-np.expm1(-th * tau_n) / th) \
-                        * np.exp(-th * tau_p) / tau_n
-                else:
-                    w = weights * np.exp(-th * (tau_n + tau_p))
-                hist = hist + np.tensordot(w * self._decay, self.h, axes=1)
-                m = self._n_ring
-                if m:
-                    ring = (w @ self._coef[:, :m]) @ self._ring[:m]
-                    hist = hist + ring.reshape(self.shape)
-        return a0, hist
+        out = self._read_out
+        orders = (3.0 - alpha, 2.0 - alpha)
+        a0 = [tau_n ** (-alpha) / math.gamma(order) for order in orders]
+        if self.pending is None:
+            out.fill(0.0)
+        else:
+            tau_p = self.pending[0]
+            cn, be = orders
+            a1 = [(rl_weight(cn, tau_n + tau_p) - rl_weight(cn, tau_n)
+                   - rl_weight(cn, tau_p)) / (tau_n * tau_p),
+                  (rl_weight(be, tau_n + tau_p) - rl_weight(be, tau_n)) / tau_p]
+            th, weights, m = self.soe.nodes, self.soe.weights, self._n_ring
+            w = np.stack((weights * (-np.expm1(-th * tau_n) / th)
+                          * np.exp(-th * tau_p) / tau_n,
+                          weights * np.exp(-th * (tau_n + tau_p))))
+            # weights of the rows h (w * P), the folded ring slots (w . Q) and
+            # the pending increment in slot m; until the second commit h is
+            # zero and the ring holds only the pending increment
+            rows = np.column_stack((w * self._decay, w @ self._coef[:, :m], a1))
+            store = self._store[:rows.shape[1]]
+            for cols in self._read_cols:
+                np.matmul(rows, store[:, cols], out=out[:, cols])
+        return {scheme: (a0_s, out[i].reshape(self.shape))
+                for i, (scheme, a0_s) in enumerate(zip(("cn", "be"), a0))}
 
 
 def fast_l1plus_apply(bank, tau_n, local_increment):

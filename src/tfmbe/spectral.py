@@ -9,7 +9,8 @@ a divergence from ``divergence_spectrum``.  The Nyquist mode of odd
 derivatives is zeroed, the standard convention for real first
 derivatives.  Quadrature is the scaled grid sum, which is spectrally
 accurate on periodic grids; ``inner_spec`` takes the same inner product
-from two half-spectra (Parseval).
+from two half-spectra (Parseval), as twice one ``np.vdot`` of their float
+views less the first and last columns, which have no conjugate partner.
 
 Nonlinear fluxes are formed pointwise on the grid and differentiated in
 transform space; no dealiasing is applied.  Every 2-D transform goes
@@ -71,11 +72,6 @@ class Grid2D:
         dy[-1] = 0.0
         self._dx = dx[:, None]
         self._dy = dy[None, :]
-        # column weights for Parseval sums over the half-spectrum
-        wcol = np.full(self.ny // 2 + 1, 2.0)
-        wcol[0] = 1.0
-        wcol[-1] = 1.0
-        self._wcol = wcol[None, :]
         x = np.arange(self.nx) * self.hx
         self.x, self.y = np.meshgrid(x, x, indexing="ij")
 
@@ -111,9 +107,17 @@ class Grid2D:
         return float(np.sum(f)) * self.hx * self.hy
 
     def inner_spec(self, fh, gh):
-        """Inner product of two real fields from their half-spectra (Parseval)."""
-        s = float(np.sum(self._wcol * (fh.real * gh.real + fh.imag * gh.imag)))
-        return s * self.hx * self.hy / (self.nx * self.ny)
+        """Inner product of two real fields from their half-spectra (Parseval).
+
+        Every column of the half-spectrum but the first and the last stands
+        for itself and its conjugate, so the sum is twice the dot product of
+        the float views less the two unpaired columns once.
+        """
+        f = np.ascontiguousarray(fh, dtype=complex).view(float)
+        g = np.ascontiguousarray(gh, dtype=complex).view(float)
+        s = (2.0 * np.vdot(f, g) - np.vdot(f[:, :2], g[:, :2])
+             - np.vdot(f[:, -2:], g[:, -2:]))
+        return float(s) * self.hx * self.hy / (self.nx * self.ny)
 
 
 @dataclass(frozen=True)

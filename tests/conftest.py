@@ -51,3 +51,42 @@ def random_mesh(rng, n, t_end=1.0, ratio_lo=0.1, ratio_hi=10.0, spread=30.0):
     levels[-1] = t_end
     from tfmbe import TimeMesh
     return TimeMesh(levels)
+
+
+class BankPassCounter:
+    """numpy for ``tfmbe.soe``, counting the products that read a bank's h.
+
+    A pass over the bank reads its first column block once, so a product
+    with an operand that starts at the first element of ``bank_of().h``
+    counts as one pass.  The bank is looked up on every call, because the
+    history makes its bank at its first step of at least dt_min.
+    """
+
+    def __init__(self, bank_of):
+        self._bank_of = bank_of
+        self.passes = 0
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("matmul", "dot", "tensordot"):
+            return fn
+
+        def product(*args, **kwargs):
+            bank = self._bank_of()
+            if bank is not None:
+                start = bank.h.__array_interface__["data"][0]
+                self.passes += any(isinstance(a, np.ndarray)
+                                   and a.__array_interface__["data"][0] == start
+                                   for a in args)
+            return fn(*args, **kwargs)
+
+        return product
+
+
+def count_bank_passes(monkeypatch, bank_of):
+    """Install a ``BankPassCounter`` over ``bank_of`` and return it."""
+    import tfmbe.soe
+
+    counter = BankPassCounter(bank_of)
+    monkeypatch.setattr(tfmbe.soe, "np", counter)
+    return counter

@@ -13,6 +13,8 @@ from tfmbe import (AdaptiveParams, Grid2D, ModelParams, SolverError, adaptive_ru
                    be_l1_sav_step, build_uniform, cn_sav_step, init_state,
                    make_history, run_fixed, tau_ada, trajectory_observables)
 
+from conftest import count_bank_passes
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -98,6 +100,23 @@ def test_transform_counts(monkeypatch, grid, alpha, soe_mode):
     assert len(calls) == 7 * len(records)
     if soe_mode == "fast" and alpha < 1.0:
         assert state.history.bank is not None
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.7])
+def test_one_bank_pass_per_trial(monkeypatch, grid, alpha):
+    """The two trials of an adaptive step share one pass over the bank."""
+    state = small_state(grid, alpha=alpha, soe_mode="fast")
+    run_fixed(state, build_uniform(0.004, 2))  # steps of dt_min: the bank is read
+    assert state.history.bank.n_committed == 2
+    counter = count_bank_passes(monkeypatch, lambda: state.history.bank)
+    records = run_fixed(state, build_uniform(0.02, 10))
+    assert counter.passes == len(records)
+    counter.passes = 0
+    flip_estimates(monkeypatch, {8})  # a trial above the floor
+    aparams = AdaptiveParams(tol=1e-2, tau_min=1e-3, tau_max=0.05)
+    records = adaptive_run(state, aparams, T=0.2)
+    assert not records[7].accepted  # rejected trials counted too
+    assert counter.passes == len(records)
 
 
 def test_params_validation():
@@ -262,9 +281,10 @@ def test_overflowed_floor_trial_raises(monkeypatch, grid):
 def test_fixed_mesh_names_first_non_finite_energy(monkeypatch, grid, bad):
     spoil_energies(monkeypatch, bad, {3, 4})
     state = small_state(grid)
-    with pytest.raises(SolverError, match=r"accepted step 3 \(t = 0\.003\)"):
+    with pytest.raises(SolverError, match=r"accepted step 3 \(t = 0\.003\)") as err:
         run_fixed(state, build_uniform(0.01, 10))
     assert state.n == 2  # the bad step is not committed
+    assert [r.n for r in err.value.records] == [1, 2]  # the records before it
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -272,5 +292,6 @@ def test_controller_names_first_non_finite_energy(monkeypatch, grid, bad):
     # trial 2 is rejected, so its energy is not checked; trial 4 is step 3
     flip_estimates(monkeypatch, {2})
     spoil_energies(monkeypatch, bad, {2, 4})
-    with pytest.raises(SolverError, match=r"accepted step 3 \(t = "):
+    with pytest.raises(SolverError, match=r"accepted step 3 \(t = ") as err:
         adaptive_run(small_state(grid), LOOSE, 0.2)
+    assert [(r.n, r.accepted) for r in err.value.records] == [(1, 1), (2, 0), (2, 1)]

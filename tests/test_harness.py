@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from tfmbe import (Grid2D, ModelParams, adaptive_benchmark, build_graded,
-                   coarsening, init_state, make_history, ode_convergence,
+from tfmbe import (Grid2D, ModelParams, SolverError, adaptive_benchmark,
+                   build_graded, coarsening, init_state, make_history, ode_convergence,
                    pde_convergence, read_field, singularity_run,
                    trajectory_observables)
 from tfmbe.cli import main as cli_main
@@ -425,3 +425,40 @@ def test_cli_config_ignores_keys_that_are_not_flags(tmp_path):
     adaptive_benchmark("slope", 0.7, grid_n=16, T=0.02,
                        out_dir=tmp_path / "direct")
     assert _tree_bytes(tmp_path / "cli") == _tree_bytes(tmp_path / "direct")
+
+
+@pytest.mark.parametrize("bad_trial", [10, 40], ids=["graded-prefix", "controller"])
+def test_failed_run_writes_records_up_to_the_bad_step(monkeypatch, tmp_path, bad_trial):
+    import tfmbe.adaptive as adaptive
+
+    observables, trials = adaptive.trajectory_observables, iter(range(1, 10 ** 6))
+
+    def spoiled(state, head=None):  # trial ``bad_trial`` has a NaN energy
+        e_mod, *rest = observables(state, head)
+        return (math.nan if next(trials) == bad_trial else e_mod, *rest)
+
+    monkeypatch.setattr(adaptive, "trajectory_observables", spoiled)
+    with pytest.raises(SolverError, match=r"energy_mod = nan at accepted step") as err:
+        adaptive_benchmark("slope", 0.7, grid_n=16, T=0.1, out_dir=tmp_path)
+    meta = _meta(tmp_path)
+    assert meta["error"] == str(err.value)
+    rows = (tmp_path / "steps.csv").read_text().splitlines()
+    assert len(rows) == 1 + bad_trial - 1  # header, then every trial before it
+    assert meta["n_accepted"] == sum(r.split(",")[7] == "1" for r in rows[1:])
+    assert not (tmp_path / "field_final.bin").exists()
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "graded", "adaptive"])
+@pytest.mark.parametrize("bad", [{"tau_min": -1.0}, {"tol": -5.0}, {"rho": 2.0},
+                                 {"tau_min": 0.1, "tau_max": 0.01}],
+                         ids=["tau_min", "tol", "rho", "inverted"])
+def test_benchmark_checks_controller_inputs_for_every_strategy(monkeypatch, strategy,
+                                                               bad):
+    import tfmbe.harness as harness
+
+    def no_history(*args, **kwargs):
+        raise AssertionError("history built before the controller inputs were checked")
+
+    monkeypatch.setattr(harness, "make_history", no_history)
+    with pytest.raises(ValueError, match=r"tolerance|safety factor|tau_min <= tau_max"):
+        adaptive_benchmark("slope", 0.7, strategy=strategy, grid_n=16, T=0.05, **bad)

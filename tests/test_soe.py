@@ -16,7 +16,7 @@ import tfmbe.soe as soe_module
 from tfmbe.soe import (_COMMIT_BLOCK_BYTES, _FOLD_STEPS, _gauss_jacobi, _panel_rule,
                        _relexp)
 
-from conftest import random_mesh
+from conftest import count_bank_passes, random_mesh
 
 
 def test_kernel_value_at_one():
@@ -166,12 +166,12 @@ def test_advance_coefficient_matches_quadrature():
 def _eager_terms(bank, ref, scheme, tau_n):
     """``bank.caputo_terms`` read from the eagerly folded states ``ref``.
 
-    A new bank holds nothing in deferred form, so its read weights its
-    states ``h`` directly.
+    A bank that holds only the pending step keeps nothing in deferred
+    form, so its read weights its states ``h`` directly.
     """
     eager = HistoryBank(bank.soe, bank.shape)
+    eager.commit(*bank.pending)
     eager.h[...] = ref
-    eager.pending, eager.n_committed = bank.pending, bank.n_committed
     return eager.caputo_terms(scheme, tau_n)
 
 
@@ -273,6 +273,64 @@ def test_blocked_commit_matches_whole_bank_update(shape):
             assert np.max(np.abs(bank.h - ref)) <= 1e-13 * np.max(np.abs(ref))
         _assert_reads_match(bank, ref, float(rng.uniform(1e-3, 0.1)))
     assert bank.h.ctypes.data == buffer
+
+
+@pytest.mark.parametrize("order", [("cn", "be"), ("be", "cn")], ids="-then-".join)
+def test_paired_read_matches_eager_fold_in_either_order(order):
+    n_terms, shape = 151, (48, 48)
+    soe = _panel_soe(n_terms)
+    rng = np.random.default_rng(5)
+    bank = HistoryBank(soe, shape)
+    assert len(bank._read_cols) > 1  # several column blocks, the last partial
+    ref, pending = np.zeros((n_terms,) + shape), None
+    for level in range(1, 2 * _FOLD_STEPS + 4):  # two sweeps, then a part-filled ring
+        tau = float(np.exp(rng.uniform(math.log(1e-3), math.log(0.2))))
+        inc = rng.standard_normal(shape)
+        bank.commit(tau, inc, level=level)
+        if pending is not None:
+            _fold_reference(ref, soe, *pending)
+        pending = (tau, inc)
+        tau_n = float(rng.uniform(1e-3, 0.1))
+        for scheme in order:
+            a0, hist = bank.caputo_terms(scheme, tau_n)
+            a0_ref, hist_ref = _eager_terms(bank, ref, scheme, tau_n)
+            assert a0 == a0_ref
+            assert hist.shape == shape
+            assert np.max(np.abs(hist - hist_ref)) <= 1e-13 * np.max(np.abs(hist_ref))
+
+
+def test_paired_read_is_one_pass_per_level_and_step(monkeypatch):
+    soe = build_soe(0.6, 1e-10, 1e-3, 5.0)
+    rng = np.random.default_rng(9)
+    bank = HistoryBank(soe, (6, 6))
+    ref, pending = np.zeros((soe.n_terms, 6, 6)), None
+
+    def commit(level):
+        nonlocal pending
+        tau, inc = 0.01 * level, rng.standard_normal((6, 6))
+        bank.commit(tau, inc, level=level)
+        if pending is not None:
+            _fold_reference(ref, soe, *pending)
+        pending = (tau, inc)
+
+    def assert_read(scheme, tau_n):
+        hist_ref = _eager_terms(bank, ref, scheme, tau_n)[1]
+        hist = bank.caputo_terms(scheme, tau_n)[1]
+        assert np.max(np.abs(hist - hist_ref)) <= 1e-13 * np.max(np.abs(hist_ref))
+
+    for level in range(1, _FOLD_STEPS + 4):
+        commit(level)
+    counter = count_bank_passes(monkeypatch, lambda: bank)
+    assert_read("cn", 0.02)
+    assert_read("be", 0.02)  # the pair of the same pass
+    assert counter.passes == 1
+    assert_read("be", 0.03)  # another step
+    assert_read("cn", 0.03)
+    assert counter.passes == 2
+    commit(_FOLD_STEPS + 4)  # another level, at the same step
+    assert_read("cn", 0.03)
+    assert_read("be", 0.03)
+    assert counter.passes == 3
 
 
 def test_commit_allocates_no_bank_sized_temporary():

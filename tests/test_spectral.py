@@ -219,6 +219,36 @@ def test_parseval_consistency(grid, rng):
     assert spec == pytest.approx(grid.integrate(f * g), rel=1e-11)
 
 
+def _weighted_inner_spec(grid, fh, gh):
+    """Parseval by column weights 1, 2, ..., 2, 1 over the half-spectrum."""
+    wcol = np.full(fh.shape[1], 2.0)
+    wcol[0] = wcol[-1] = 1.0
+    s = np.sum(wcol * (fh.real * gh.real + fh.imag * gh.imag))
+    return float(s) * grid.hx * grid.hy / (grid.nx * grid.ny)
+
+
+@pytest.mark.parametrize("nx", [4, 6, 16, 64, 256])
+def test_inner_spec_matches_weighted_sum_and_grid(nx, rng):
+    grid = Grid2D(nx)
+    f = rng.standard_normal(grid.shape)
+    g = f + 0.5 * rng.standard_normal(grid.shape)  # keeps (f, g) away from 0
+    fh, gh = grid.fft(f), grid.fft(g)
+    value = grid.inner_spec(fh, gh)
+    for ref in (_weighted_inner_spec(grid, fh, gh),
+                grid.integrate(grid.ifft(fh) * grid.ifft(gh))):
+        assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_inner_spec_of_non_contiguous_spectra(grid, rng):
+    fh = grid.fft(rng.standard_normal(grid.shape))
+    gh = grid.fft(rng.standard_normal(grid.shape))
+    # the same values, laid out column-major
+    fh_t, gh_t = fh.T.copy().T, gh.T.copy().T
+    assert not fh_t.flags.c_contiguous
+    assert grid.inner_spec(fh_t, gh_t) == grid.inner_spec(fh, gh)
+    assert grid.inner_spec(fh_t, gh) == grid.inner_spec(fh, gh)
+
+
 def test_snapshot_roundtrip(tmp_path, grid, rng):
     f = band_limited(grid, rng)
     path = tmp_path / "field.bin"
