@@ -117,17 +117,26 @@ def _record(state, cand, accepted, e_est):
         dphi_dt_max=dphi_dt, caputo_dot=cand.caputo_dot, sav_drift=drift)
 
 
+def _require_horizon(T):
+    """A horizon must be finite and positive: an infinite one never ends."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and positive, got T = {T}")
+
+
 def run_fixed(state, mesh):
     """March the second-order scheme over a prescribed mesh, committing all steps.
 
     The mesh levels count from ``state.t`` at entry, so a run continues a
-    committed state without accumulating the clock step by step.  Returns
+    committed state without accumulating the clock step by step.  The
+    mesh's steps are announced to the history (``CaputoHistory.plan``), so
+    one pass over an exact history serves several steps.  Returns
     the list of StepRecords; a step whose modified energy is not finite
     raises ``SolverError``, which carries the records before it as
     ``records``.
     """
     records = []
     t0 = state.t
+    state.history.plan(mesh.taus)
     try:
         for k in range(1, mesh.n_steps + 1):
             cand = cn_sav_step(state, float(mesh.taus[k - 1]))
@@ -161,8 +170,9 @@ def adaptive_run(state, aparams, T):
     step, as does an accepted step whose modified energy is not finite.
     Returns the list of StepRecords, rejected trials included; a
     ``SolverError`` carries the records before the failing trial as
-    ``records``.
+    ``records``.  ``T`` must be finite and positive.
     """
+    _require_horizon(T)
     records = []
     tau_next = aparams.tau_min
     try:

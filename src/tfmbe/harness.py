@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .adaptive import _MAX_RETRIES, AdaptiveParams, StepRecord, adaptive_run, run_fixed
+from .adaptive import (_MAX_RETRIES, AdaptiveParams, StepRecord, _require_horizon,
+                       adaptive_run, run_fixed)
 from .diagnostics import (convergence_order, loglinear_fit, powerlaw_fit,
                           singularity_slope)
 from .errors import SolverError
@@ -194,6 +195,7 @@ def solve_caputo_ode(mesh, alpha, source_mid):
     """Midpoint collocation for d_t^a u = f, u(0) = 0: averaged d_t^a u = f(t_mid)."""
     levels = mesh.levels
     history = CaputoHistory(alpha)
+    history.plan(mesh.taus)
     u = np.zeros(mesh.n_steps + 1)
     for n, tau in enumerate(mesh.taus, start=1):
         a0, hist = history.caputo_terms("cn", tau)
@@ -258,6 +260,7 @@ def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
     def error_of(mesh):
         state = init_state(grid, np.zeros(grid.shape), params,
                            make_history(alpha, mode="direct"))
+        state.history.plan(mesh.taus)
         err = 0.0
         for k in range(1, mesh.n_steps + 1):
             cand = cn_sav_step(state, float(mesh.taus[k - 1]), source=source)
@@ -376,8 +379,10 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
     total step count, and "adaptive" the estimator-driven controller after
     the graded prefix, which must end by T.  The controller inputs are
     checked for every strategy, since run.json records them.  The modified
-    energy is verified against its initial value.
+    energy is verified against its initial value.  ``T`` must be finite and
+    positive.
     """
+    _require_horizon(T)
     controller = AdaptiveParams(rho=rho, tol=tol, tau_min=tau_min, tau_max=tau_max)
     grid = Grid2D(grid_n)
     params = ModelParams(model=model, **_GROWTH_MODEL)
@@ -430,8 +435,10 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
     roughness exponents from the log-log least squares, plus a semilog
     energy slope for the no-slope model.  A fit that cannot be made is
     NaN, and ``fits["reason"]`` says why (for T < 1 the default window is
-    empty); a ``fit_window`` with lo >= hi raises ``ValueError``.
+    empty); a ``fit_window`` with lo >= hi raises ``ValueError``, and so
+    does a ``T`` that is not finite and positive.
     """
+    _require_horizon(T)
     if fit_window is not None and not fit_window[0] < fit_window[1]:
         raise ValueError(f"fit_window {tuple(fit_window)} is empty: need lo < hi")
     if tau_min is None:

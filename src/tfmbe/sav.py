@@ -28,9 +28,13 @@ The convolution history is one object, ``CaputoHistory``: an exact prefix
 (steps below the exponential sum's dt_min, summed through the kernel rows)
 followed by the bank of ``tfmbe.soe``.  ``make_history(mode="direct")``
 (``--soe-mode direct``) keeps every level exact.  The history takes its
-shape from the first committed increment.  On the bank, the estimator
-trial reads the sum that the second-order trial's pass over the bank
-already formed, so an adaptive trial reads the bank once.
+shape from the first committed increment.  Both stores are read in
+passes that form several sums at once.  On the bank and on the exact
+prefix, the estimator trial reads the sum that the second-order trial's
+pass already formed, so an adaptive trial reads its history once.  A
+fixed mesh is announced to a history that keeps every level exact
+(``CaputoHistory.plan``, which ``run_fixed`` calls), and one pass over it
+then serves the next ``_AHEAD`` levels.
 
 Each solve is decoupled by a rank-one correction: with
 L = a0 I + theta M (eps2 Lap^2 - beta Lap) (diagonal in transform space)
@@ -87,8 +91,25 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 # bytes of one block of the exact prefix; a block's pages are only touched
-# as levels fill it, and a history read makes one np.dot call per block
+# as levels fill it, and a pass makes one np.matmul call per block
 _LEVEL_BLOCK_BYTES = 1 << 22
+# levels one pass over the exact prefix serves when the steps are planned.
+# A pass reads the whole prefix from memory however many rows it writes,
+# so its cost per level falls with the rows until the product stops being
+# bound by memory bandwidth; each read adds the increments committed since
+# the pass (fewer than this), and the pass keeps this many fields of sums.
+# Measured on graded-direct-64's mesh (1200 levels of 64^2 half-spectra,
+# one thread, medians of two sets of three runs): about 1.8, 0.55, 0.34,
+# 0.27 and 0.23 ms per read for 1 (an unplanned pass), 4, 8, 16 and 32
+# levels per pass; each row adds two fields of memory.
+_AHEAD = 16
+
+
+def _rows_of(buffer, rows, shape):
+    """``buffer`` if it has at least ``rows`` rows of ``shape``, else a new one."""
+    if buffer is None or buffer.shape[0] < rows:
+        buffer = np.empty((rows, math.prod(shape)))
+    return buffer
 
 
 class CaputoHistory:
@@ -103,6 +124,21 @@ class CaputoHistory:
     ``alpha == 1`` is the memoryless classical limit (CN / backward Euler).
     The first committed increment fixes the shape of every later one, and
     a read before any commit has no sum to add.
+
+    The exact prefix is summed in passes: one matrix product, block by
+    block, reads every stored increment once and writes the history sums
+    of several rows, each a (scheme, level, level time).  A read at the
+    level of a kept row adds only the increments committed since its pass.
+    A read with no kept row makes a pass whose rows are both schemes at the
+    trial level, so an adaptive step's estimator trial reuses the
+    second-order trial's pass.  ``plan(taus)`` announces the next steps
+    to a history with no ``soe``; a second-order read at a planned level
+    then makes a pass for the next ``_AHEAD`` planned levels.  Every read and every commit compares its
+    level time bit for bit with the plan, and the first mismatch drops the
+    plan and the rows kept from it, so a plan changes the order of the
+    summation but never which levels or weights are summed.  The returned
+    history value is a view of a buffer the history owns: it holds until
+    the next pass, and the caller must not modify it.
     """
 
     def __init__(self, alpha, soe=None):
@@ -122,11 +158,37 @@ class CaputoHistory:
         self._block_rows = None
         self._blocks = []
         self._levels = np.zeros(18)
+        # the planned level times t_0..t_m, or None
+        self._plan = None
+        # the rows of the last pass, {(scheme, level, level time): [a0, its
+        # weights, its sum, the increments summed]}, the weights and sums
+        # one-row views of a matrix, and a scratch buffer for the products
+        self._kept = {}
+        self._sums = self._part = None
+
+    def plan(self, taus):
+        """Announce the step sizes of the levels after the committed ones.
+
+        Later reads and commits are checked against the level times these
+        steps give; a plan only ever changes how the exact prefix is summed.
+        A history with an exponential sum ignores plans: its exact prefix
+        holds only the steps below dt_min (the drivers' 30-step graded
+        start), where a pass would save little time and its sums would add
+        2 MB (4%) to growth-slope-128's peak memory.
+        """
+        if self.soe is not None or self.alpha == 1.0:
+            return
+        n = self.n_committed
+        # np.cumsum adds in order, as commit accumulates the level times
+        self._plan = np.concatenate((self._levels[:n],
+                                     np.cumsum(np.append(self._levels[n], taus))))
+        self._kept = {}
 
     def _bank_if_due(self, tau):
         """At the first step of at least dt_min, replay the prefix into a bank."""
         if self.bank is not None or tau < self._floor:
             return
+        self._kept, self._sums, self._part = {}, None, None
         self.bank = HistoryBank(self.soe, self.shape)
         # the newest step as given, not via the level times: reads check it
         taus = np.append(np.diff(self._levels[:self.n_committed]), tau)
@@ -156,18 +218,54 @@ class CaputoHistory:
             return self.bank.caputo_terms(scheme, tau_n)
         levels = self._levels[:n + 1]
         levels[n] = levels[n - 1] + tau_n  # the trial level; a commit overwrites it
-        row = (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, n)
+        plan = self._plan
+        if plan is not None and not (n < plan.size and plan[n] == levels[n]):
+            self._plan = plan = None
+            self._kept = {}
         if n == 1:
-            return row.weights[0], None
-        hist = np.zeros(math.prod(self.shape))
-        part = np.empty_like(hist)
-        weights = row.weights[:0:-1]  # increments 1..n-1 in level order
-        rows = self._block_rows
-        for block, start in zip(self._blocks, range(0, n - 1, rows)):
-            w = weights[start:start + rows]
-            # np.dot copies the reversed weights to BLAS; ``@`` would loop over them
-            hist += np.dot(w, block[:w.size].reshape(w.size, -1), out=part)
-        return row.weights[0], hist.reshape(self.shape)
+            return (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha,
+                                                              1).weights[0], None
+        key = (scheme, n, levels[n])
+        if key not in self._kept:
+            if scheme == "cn" and plan is not None:
+                self._make_pass(plan, range(n, min(n + _AHEAD, plan.size)), ("cn",))
+            else:
+                self._make_pass(levels, (n,), ("cn", "be"))
+        kept = self._kept[key]
+        a0, weights, sums, summed = kept
+        if summed < n - 1:  # increments committed since the pass
+            self._sum_prefix(weights, summed, n - 1, sums)
+            kept[3] = n - 1
+        return a0, sums.reshape(self.shape)
+
+    def _make_pass(self, levels, rows, schemes):
+        """One pass over the stored increments for every (scheme, level) row."""
+        n = self.n_committed
+        keys = [(scheme, level) for level in rows for scheme in schemes]
+        weights = np.zeros((len(keys), keys[-1][1] - 1))
+        self._sums = _rows_of(self._sums, len(keys), self.shape)
+        sums = self._sums[:len(keys)]
+        self._kept = {}
+        for i, (scheme, level) in enumerate(keys):
+            row = (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, level)
+            weights[i, :level - 1] = row.weights[:0:-1]  # increments in level order
+            self._kept[(scheme, level, levels[level])] = [
+                row.weights[0], weights[i:i + 1], sums[i:i + 1], n]
+        self._sum_prefix(weights, 0, n, sums, add=False)
+
+    def _sum_prefix(self, weights, lo, hi, out, add=True):
+        """out (+)= weights[:, lo:hi] @ (stored increments lo+1..hi), a block at a time."""
+        rows, k = self._block_rows, out.shape[0]
+        for b in range(lo // rows, (hi - 1) // rows + 1):
+            start = b * rows
+            i, j = max(lo, start), min(hi, start + rows)
+            block = self._blocks[b][i - start:j - start].reshape(j - i, -1)
+            if add:
+                self._part = _rows_of(self._part, k, self.shape)
+                out += np.matmul(weights[:, i:j], block, out=self._part[:k])
+            else:  # the first block's product is the sum so far
+                np.matmul(weights[:, i:j], block, out=out)
+                add = True
 
     def commit(self, tau, increment, level=None):
         """Append the increment of an accepted step; levels arrive in order."""
@@ -193,6 +291,11 @@ class CaputoHistory:
             if self._levels.size < n + 3:
                 self._levels = np.concatenate((self._levels, np.zeros(self._levels.size)))
             self._levels[n + 1] = self._levels[n] + float(tau)
+            plan = self._plan
+            if plan is not None and not (n + 1 < plan.size
+                                         and plan[n + 1] == self._levels[n + 1]):
+                # rows kept from the plan assumed this level's time
+                self._plan, self._kept = None, {}
         self.n_committed = n + 1
         self._bank_if_due(tau)
 

@@ -244,8 +244,8 @@ def build_soe(alpha, eps, dt_min, T):
         raise ValueError(f"fractional order must lie in (0,1), got {alpha}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"tolerance must lie in (0,1), got {eps}")
-    if not 0.0 < dt_min < T:
-        raise ValueError(f"need 0 < dt_min < T, got dt_min={dt_min}, T={T}")
+    if not 0.0 < dt_min < T < math.inf:  # an infinite T would add panels forever
+        raise ValueError(f"need 0 < dt_min < T < inf, got dt_min={dt_min}, T={T}")
     eps_target = eps / _BUILD_MARGIN
     pref = 1.0 / (math.gamma(alpha) * math.gamma(1.0 - alpha))
     s_max = max(math.log(2.0 * max(pref, 1.0) / (dt_min * eps_target)), 10.0) / dt_min

@@ -53,17 +53,17 @@ def random_mesh(rng, n, t_end=1.0, ratio_lo=0.1, ratio_hi=10.0, spread=30.0):
     return TimeMesh(levels)
 
 
-class BankPassCounter:
-    """numpy for ``tfmbe.soe``, counting the products that read a bank's h.
+class PassCounter:
+    """numpy for a tfmbe module, counting the products that read a store whole.
 
-    A pass over the bank reads its first column block once, so a product
-    with an operand that starts at the first element of ``bank_of().h``
-    counts as one pass.  The bank is looked up on every call, because the
-    history makes its bank at its first step of at least dt_min.
+    A pass over a store reads its first row once, so a product with an
+    operand that starts at the first element of ``store_of()`` counts as
+    one pass.  The store is looked up on every call, because the history
+    makes its stores as it commits.
     """
 
-    def __init__(self, bank_of):
-        self._bank_of = bank_of
+    def __init__(self, store_of):
+        self._store_of = store_of
         self.passes = 0
 
     def __getattr__(self, name):
@@ -72,9 +72,9 @@ class BankPassCounter:
             return fn
 
         def product(*args, **kwargs):
-            bank = self._bank_of()
-            if bank is not None:
-                start = bank.h.__array_interface__["data"][0]
+            store = self._store_of()
+            if store is not None:
+                start = store.__array_interface__["data"][0]
                 self.passes += any(isinstance(a, np.ndarray)
                                    and a.__array_interface__["data"][0] == start
                                    for a in args)
@@ -84,9 +84,26 @@ class BankPassCounter:
 
 
 def count_bank_passes(monkeypatch, bank_of):
-    """Install a ``BankPassCounter`` over ``bank_of`` and return it."""
+    """Count the passes ``tfmbe.soe`` makes over the states of ``bank_of()``."""
     import tfmbe.soe
 
-    counter = BankPassCounter(bank_of)
+    def store_of():
+        bank = bank_of()
+        return None if bank is None else bank.h
+
+    counter = PassCounter(store_of)
     monkeypatch.setattr(tfmbe.soe, "np", counter)
+    return counter
+
+
+def count_prefix_passes(monkeypatch, history):
+    """Count the passes ``tfmbe.sav`` makes over the exact prefix of ``history``.
+
+    A pass reads the first stored increment; the increments a read adds
+    after a pass never include it.
+    """
+    import tfmbe.sav
+
+    counter = PassCounter(lambda: history._blocks[0] if history._blocks else None)
+    monkeypatch.setattr(tfmbe.sav, "np", counter)
     return counter

@@ -13,7 +13,9 @@ from tfmbe import (AdaptiveParams, Grid2D, ModelParams, SolverError, adaptive_ru
                    be_l1_sav_step, build_uniform, cn_sav_step, init_state,
                    make_history, run_fixed, tau_ada, trajectory_observables)
 
-from conftest import count_bank_passes
+import tfmbe.sav as sav
+
+from conftest import count_bank_passes, count_prefix_passes
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +119,44 @@ def test_one_bank_pass_per_trial(monkeypatch, grid, alpha):
     records = adaptive_run(state, aparams, T=0.2)
     assert not records[7].accepted  # rejected trials counted too
     assert counter.passes == len(records)
+
+
+@pytest.mark.parametrize("soe_mode", ["direct", "fast"])
+def test_run_fixed_makes_one_prefix_pass_per_lookahead(monkeypatch, grid, soe_mode):
+    """A fixed mesh is planned: one pass over the exact history serves _AHEAD levels.
+
+    A fast history ignores the plan: its exact prefix holds only steps
+    below dt_min (1e-3 here), and each read makes its own pass.
+    """
+    state = small_state(grid, alpha=0.6, soe_mode=soe_mode)
+    counter = count_prefix_passes(monkeypatch, state.history)
+    n = 2 * sav._AHEAD + 5
+    records = run_fixed(state, build_uniform(5e-4 * n, n))
+    assert len(records) == n and state.history.bank is None
+    # the first level has no sum to read; the passes start at the second
+    assert counter.passes == (math.ceil((n - 1) / sav._AHEAD) if soe_mode == "direct"
+                              else n - 1)
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.7])
+def test_one_prefix_pass_per_adaptive_trial(monkeypatch, grid, alpha):
+    """The two trials of an adaptive step on the exact history share one pass."""
+    state = small_state(grid, alpha=alpha, soe_mode="direct")
+    run_fixed(state, build_uniform(0.002, 2))
+    counter = count_prefix_passes(monkeypatch, state.history)
+    flip_estimates(monkeypatch, {20})  # a trial above the floor
+    aparams = AdaptiveParams(tol=1e-2, tau_min=1e-3, tau_max=0.05)
+    records = adaptive_run(state, aparams, T=0.2)
+    assert not records[19].accepted  # rejected trials counted too
+    assert counter.passes == len(records)
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, 0.0, -1.0])
+def test_adaptive_run_rejects_bad_horizon(grid, T):
+    state = small_state(grid)
+    with pytest.raises(ValueError, match=r"horizon T must be finite and positive"):
+        adaptive_run(state, AdaptiveParams(), T)
+    assert state.n == 0
 
 
 def test_params_validation():

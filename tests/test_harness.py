@@ -109,6 +109,24 @@ def test_uniform_strategy_needs_a_step():
         adaptive_benchmark("slope", 0.7, strategy="uniform", grid_n=16, T=4e-4)
 
 
+@pytest.mark.parametrize("strategy,T", [("graded", math.inf), ("uniform", math.inf),
+                                        ("adaptive", math.inf), ("adaptive", math.nan),
+                                        ("graded", -1.0)])
+def test_benchmark_rejects_bad_horizon(strategy, T):
+    # an infinite horizon used to overflow the step count or end as finished
+    with pytest.raises(ValueError, match=r"horizon T must be finite and positive, "
+                                         r"got T = "):
+        adaptive_benchmark("slope", 0.7, strategy=strategy, grid_n=8, T=T)
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, 0.0])
+def test_coarsening_rejects_bad_horizon(T):
+    # T = inf used to return a 30-step report, as if the run had finished
+    with pytest.raises(ValueError, match=r"horizon T must be finite and positive, "
+                                         r"got T = "):
+        coarsening("slope", 1.0, grid_n=8, T=T)
+
+
 def test_coarsening_rejects_horizon_inside_prefix():
     # the slope prefix ends at 1.25e-4 / (1 - (29/30)^3) = 1.29e-3
     with pytest.raises(ValueError, match=r"coarsening.*prefix ends at t = "

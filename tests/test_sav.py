@@ -7,7 +7,11 @@ import pytest
 from tfmbe import (Grid2D, ModelParams, SolverError, StateError, be_l1_sav_step,
                    build_soe, build_uniform, cn_sav_step, commit_candidate,
                    init_state, make_history, run_fixed, trajectory_observables)
+import tfmbe.sav as sav
+from tfmbe.kernels import l1_row, l1plus_row
 from tfmbe.sav import CaputoHistory
+
+from conftest import random_mesh
 
 
 @pytest.fixture(scope="module")
@@ -410,6 +414,79 @@ def test_history_rejects_increment_of_wrong_shape(mode):
     scalar = make_history(0.5, mode=mode, dt_min=1e-2, T=1.0)
     scalar.commit(1e-3, 0.5, level=1)
     assert scalar.caputo_terms("cn", 1e-3)[1].shape == ()
+
+
+def kernel_row_sum(taus, incs, alpha, scheme, level):
+    """History sum at ``level`` by a loop over one kernel row's weights.
+
+    Returns the sum and the largest sum of its terms' magnitudes, the scale
+    of its rounding error.
+    """
+    levels = np.concatenate(([0.0], np.cumsum(taus)))
+    row = (l1plus_row if scheme == "cn" else l1_row)(levels, alpha, level)
+    terms = [w * inc for w, inc in zip(row.weights[:0:-1], incs[:level - 1])]
+    return sum(terms), np.max(sum(np.abs(term) for term in terms))
+
+
+@pytest.mark.parametrize("shape", [(3, 4), ()], ids=["field", "scalar"])
+@pytest.mark.parametrize("extra", [3, 11])
+def test_planned_and_unplanned_reads_match_kernel_rows(monkeypatch, shape, extra):
+    """A planned pass, an unplanned pass and the kernel rows give the same sums.
+
+    Five levels per block, so the passes and the increments added after a
+    pass cross block boundaries; the mesh is longer than two lookaheads and
+    not a multiple of one.
+    """
+    monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 5 * 8 * math.prod(shape))
+    rng = np.random.default_rng(extra)
+    n, alpha = 2 * sav._AHEAD + extra, 0.6
+    taus = random_mesh(rng, n).taus
+    incs = rng.standard_normal((n,) + shape)
+    planned, unplanned = CaputoHistory(alpha), CaputoHistory(alpha)
+    planned.plan(taus)
+    for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
+        reads = {"planned": planned.caputo_terms("cn", tau)}
+        for scheme in ("cn", "be"):
+            reads[scheme] = unplanned.caputo_terms(scheme, tau)
+        if level > 1:
+            for name, scheme in (("planned", "cn"), ("cn", "cn"), ("be", "be")):
+                ref, scale = kernel_row_sum(taus, incs, alpha, scheme, level)
+                assert np.max(np.abs(reads[name][1] - ref)) <= 1e-13 * scale, (level, name)
+                assert reads[name][1].shape == shape
+        assert reads["planned"][0] == reads["cn"][0]
+        for history in (planned, unplanned):
+            history.commit(tau, inc, level=level)
+    assert planned._plan is not None  # every read was served by the plan
+
+
+@pytest.mark.parametrize("deviation", ["read-other-tau", "commit-other-tau",
+                                       "short-plan"])
+def test_deviating_from_plan_matches_unplanned(monkeypatch, deviation):
+    """From the first deviation from its plan on, a history reads as an unplanned one."""
+    monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 7 * 8 * 6)
+    rng = np.random.default_rng(3)
+    n, at, alpha = 2 * sav._AHEAD + 5, sav._AHEAD + 3, 0.35
+    taus = random_mesh(rng, n).taus
+    incs = rng.standard_normal((n, 2, 3))
+    planned, unplanned = CaputoHistory(alpha), CaputoHistory(alpha)
+    planned.plan(taus[:at - 1] if deviation == "short-plan" else taus)
+    for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
+        deviates = level == at
+        if deviates and deviation == "read-other-tau":
+            probe = [h.caputo_terms("cn", 1.3 * tau) for h in (planned, unplanned)]
+            assert np.array_equal(probe[0][1], probe[1][1])
+        (a_p, h_p), (a_u, h_u) = (h.caputo_terms("cn", tau) for h in (planned, unplanned))
+        assert a_p == a_u
+        identical = level > at if deviation == "commit-other-tau" else level >= at
+        if identical:
+            assert np.array_equal(h_p, h_u), level
+        elif level > 1:
+            _, scale = kernel_row_sum(taus, incs, alpha, "cn", level)
+            assert np.max(np.abs(h_p - h_u)) <= 1e-13 * scale, level
+        step = 1.3 * tau if deviates and deviation == "commit-other-tau" else tau
+        for history in (planned, unplanned):
+            history.commit(step, inc, level=level)
+    assert planned._plan is None
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.8])

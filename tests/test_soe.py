@@ -114,6 +114,13 @@ def test_package_runs_without_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("T", [math.inf, math.nan])
+def test_build_rejects_non_finite_horizon(T):
+    # with T = inf the panel rule used to add dyadic panels forever
+    with pytest.raises(ValueError, match=r"need 0 < dt_min < T < inf"):
+        build_soe(0.7, 1e-10, 1e-3, T)
+
+
 def test_build_validations():
     with pytest.raises(ValueError):
         build_soe(1.5, 1e-8, 1e-3, 10.0)
