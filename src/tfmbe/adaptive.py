@@ -8,21 +8,22 @@ second-order candidate or retries with the step
 
     tau_ada(e, tau) = rho * sqrt(tol / e) * tau
 
-clamped to [tau_min, tau_max].  Steps at the floor are accepted regardless
-of e; a bounded retry budget guards against stalls, after which a floor
-step is force-accepted with a warning.  Rejected trials never touch the
-convolution history, so the committed trajectory is exactly the one a
+clamped to [tau_min, tau_max].  One rule: a trial is accepted if e < tol
+or if it is at the floor tau_min, and a rejected one retries at the
+proposal, or at the floor if the proposal is no smaller (rho = 1, e = tol).
+The drivers count the floor steps accepted with e >= tol in run.json:
+there tau_min, not tol, bounds the accuracy.  Rejected trials never touch
+the convolution history, so the committed trajectory is exactly the one a
 fixed run over the accepted steps would produce.
 
 A candidate whose norm is not finite gives e = inf: it is rejected above
 the floor and raises ``SolverError`` at it, and so does any step about to
-be committed with a non-finite modified energy, so an overflowed
-trajectory stops at its first bad step.
+be committed with a modified energy that is not finite or breaks the
+bound E(n) <= E(0), so a trajectory stops at its first bad step.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -34,12 +35,8 @@ from .sav import (be_l1_sav_step, cn_sav_step, commit_candidate,
 
 __all__ = ["AdaptiveParams", "StepRecord", "tau_ada", "adaptive_run", "run_fixed"]
 
-log = logging.getLogger(__name__)
-
 # growth factor used when the two candidates coincide (e = 0)
 _ZERO_ERROR_GROWTH = 10.0
-# rejected trials of one step before the controller retries at the floor
-_MAX_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,8 @@ class StepRecord:
 def _record(state, cand, accepted, e_est):
     """The StepRecord of trial ``cand`` from the committed ``state``.
 
-    An accepted step with a non-finite modified energy raises
+    An accepted step whose modified energy is not finite, or exceeds
+    ``state.energy0`` by more than 1e-9 of its size, raises
     ``SolverError`` naming the step: it would be committed otherwise.
     """
     n, t = state.n + 1, state.t + cand.tau
@@ -110,6 +108,9 @@ def _record(state, cand, accepted, e_est):
     e_mod, e_orig, rough, drift = trajectory_observables(state, cand)
     if accepted and not math.isfinite(e_mod):
         raise SolverError(f"energy_mod = {e_mod} at accepted step {n} (t = {t:.6g})")
+    if accepted and e_mod - state.energy0 > 1e-9 * abs(state.energy0):
+        raise SolverError(f"energy_mod = {e_mod} above E(0) = {state.energy0} "
+                          f"at accepted step {n} (t = {t:.6g})")
     return StepRecord(
         n=n, t=t, tau=cand.tau,
         energy_mod=e_mod, energy_orig=e_orig, roughness=rough,
@@ -167,18 +168,20 @@ def adaptive_run(state, aparams, T):
 
     The first trial step is tau_min.  A trial whose error estimate is not
     finite is rejected; at the floor it raises ``SolverError`` naming the
-    step, as does an accepted step whose modified energy is not finite.
-    Returns the list of StepRecords, rejected trials included; a
-    ``SolverError`` carries the records before the failing trial as
-    ``records``.  ``T`` must be finite and positive.
+    step, as does an accepted step that breaks the energy checks of
+    ``_record``.  Returns the list of StepRecords, rejected trials
+    included; a ``SolverError`` carries the records before the failing
+    trial as ``records``.  ``T`` must be finite and positive and not before
+    ``state.t`` (within 1e-12 T of it, nothing is left to march).
     """
     _require_horizon(T)
+    if T - state.t < -1e-12 * T:
+        raise ValueError(f"horizon T = {T} is before the state's time t = {state.t}")
     records = []
     tau_next = aparams.tau_min
     try:
         while T - state.t > 1e-12 * T:
             tau_n = min(tau_next, T - state.t)
-            retries = 0
             while True:
                 cand2 = cn_sav_step(state, tau_n)
                 cand1 = be_l1_sav_step(state, tau_n)
@@ -190,17 +193,12 @@ def adaptive_run(state, aparams, T):
                 accept = e < aparams.tol or at_floor
                 records.append(_record(state, cand2, accept, e))
                 if accept:
-                    if retries >= _MAX_RETRIES and e >= aparams.tol:
-                        log.warning(
-                            "retry budget exhausted at t=%.6g; force-accepting "
-                            "floor step with e=%.3e >= tol=%.3e", state.t, e, aparams.tol)
                     tau_next = aparams.clamp(tau_ada(e, tau_n, aparams)) \
                         if e < aparams.tol else aparams.tau_min
                     commit_candidate(state, cand2)
                     break
-                retries += 1
-                tau_n = min(aparams.tau_min if retries >= _MAX_RETRIES
-                            else aparams.clamp(tau_ada(e, tau_n, aparams)), T - state.t)
+                proposal = min(aparams.clamp(tau_ada(e, tau_n, aparams)), T - state.t)
+                tau_n = proposal if proposal < tau_n else aparams.tau_min
     except SolverError as err:
         err.records = records
         raise

@@ -21,14 +21,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .adaptive import (_MAX_RETRIES, AdaptiveParams, StepRecord, _require_horizon,
-                       adaptive_run, run_fixed)
+from .adaptive import (AdaptiveParams, StepRecord, _require_horizon, adaptive_run,
+                       run_fixed)
 from .diagnostics import (convergence_order, loglinear_fit, powerlaw_fit,
                           singularity_slope)
 from .errors import SolverError
 from .kernels import rl_weight
-from .sav import (CaputoHistory, cn_sav_step, commit_candidate, init_state,
-                  make_history, trajectory_observables)
+from .sav import CaputoHistory, cn_sav_step, commit_candidate, init_state, make_history
 from .spectral import (SLOPE, Grid2D, ModelParams, noslope_nonlinearity,
                        slope_nonlinearity, write_field)
 from .timemesh import build_graded, build_uniform, extend_random, extend_uniform
@@ -289,14 +288,6 @@ def energy_bound_violation(records, e0):
     return worst
 
 
-def _check_energy_bound(records, e0):
-    slack = 1e-9 * abs(e0)
-    worst = energy_bound_violation(records, e0)
-    if worst > slack:
-        raise SolverError(
-            f"energy bound violated: max E(n) - E(0) = {worst:.3e} > {slack:.3e}")
-
-
 def _check_prefix_end(what, prefix, T):
     """A run must not end inside its graded prefix, which is marched whole."""
     if prefix.T > T:
@@ -306,30 +297,35 @@ def _check_prefix_end(what, prefix, T):
 
 def _run_trajectory(meta, grid, params, phi0, history, mesh, aparams=None, T=None,
                     fit=None, out_dir=None, save_field=False):
-    """Initial state, time loop, energy check, report and files of every trajectory.
+    """Initial state, time loop, report and files of every trajectory.
 
     ``mesh`` is marched whole, then ``aparams`` (if given) drives the
-    controller to ``T``; ``fit(records)`` gives the fits.  A ``SolverError``
+    controller to ``T``; ``fit(records)`` gives the fits.  A controller
+    run's run.json counts the floor steps accepted with e >= tol and gives
+    their largest e (0 when there are none).  A ``SolverError``
     still writes ``steps.csv`` and ``run.json`` (with the message under
     ``"error"``) for the records up to the failing step before it propagates.
     """
     state = init_state(grid, phi0, params, history)
-    e0 = trajectory_observables(state)[0]
-    meta = dict(meta, energy_mod_initial=e0)
-    records = []
+    records, error = [], None
     try:
         records += run_fixed(state, mesh)
         if aparams is not None:
             records += adaptive_run(state, aparams, T)
-        _check_energy_bound(records, e0)
     except SolverError as err:
-        report = RunReport(records + list(err.records), dict(meta, error=str(err)))
-        report.meta["n_accepted"] = report.n_accepted
-        _emit(out_dir, report)
-        raise
-    report = RunReport(records, meta, fits={} if fit is None else fit(records),
-                       final_phi=state.phi)
+        records, error = records + list(err.records), err
+    report = RunReport(records, dict(meta, energy_mod_initial=state.energy0))
     report.meta["n_accepted"] = report.n_accepted
+    if aparams is not None:
+        over = [r.e_est for r in report.accepted if r.e_est >= aparams.tol]
+        report.meta.update(floor_accepts_over_tol=len(over),
+                           floor_accept_e_max=max(over, default=0.0))
+    if error is not None:
+        report.meta["error"] = str(error)
+        _emit(out_dir, report)
+        raise error
+    report.fits = {} if fit is None else fit(records)
+    report.final_phi = state.phi
     _emit(out_dir, report)
     if save_field and out_dir is not None:
         write_field(os.path.join(out_dir, "field_final.bin"), grid, state.phi)
@@ -416,9 +412,9 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
     meta = {"driver": "adaptive_benchmark", "model": model, "alpha": alpha,
             "strategy": strategy, "grid_n": grid_n, "T": T, **_GROWTH_MODEL,
             "tol": tol, "rho": rho, "tau_min": tau_min, "tau_max": tau_max,
-            "max_retries": _MAX_RETRIES, "prefix_t0": _PREFIX_T0,
-            "prefix_n0": _PREFIX_N0, "prefix_gamma": _PREFIX_GAMMA,
-            "uniform_tau": _UNIFORM_TAU, "soe_eps": soe_eps, "soe_mode": soe_mode}
+            "prefix_t0": _PREFIX_T0, "prefix_n0": _PREFIX_N0,
+            "prefix_gamma": _PREFIX_GAMMA, "uniform_tau": _UNIFORM_TAU,
+            "soe_eps": soe_eps, "soe_mode": soe_mode}
     return _run_trajectory(meta, grid, params, _benchmark_phi0(grid), history, mesh,
                            aparams, T, out_dir=out_dir, save_field=save_field)
 

@@ -330,7 +330,8 @@ class SAVState:
     phi^n and phi^{n-1} (the second-order step extrapolates the flux from
     them), the auxiliary scalar and the convolution history.  The grid
     and the model parameters are the ones ``init_state`` was given: every
-    step, observable and loop reads them from here.
+    step, observable and loop reads them from here.  ``energy0`` is the
+    modified energy at ``init_state``, which bounds every accepted step's.
     """
 
     grid: object = field(repr=False)
@@ -344,6 +345,7 @@ class SAVState:
     t: float = 0.0
     prev_grad: Optional[tuple] = None
     prev_tau: Optional[float] = None
+    energy0: float = math.nan
 
     @cached_property
     def lin_sym(self):
@@ -391,8 +393,10 @@ def init_state(grid, phi0, params, history):
     phi_h = grid.fft(phi0)
     grad = grid.gradient_from_spectrum(phi_h)
     _, radicand = _functional(params)(grid, grad, params)
-    return SAVState(grid=grid, params=params, phi=phi0, phi_h=phi_h, grad=grad,
-                    aux=float(np.sqrt(radicand)), history=history)
+    state = SAVState(grid=grid, params=params, phi=phi0, phi_h=phi_h, grad=grad,
+                     aux=float(np.sqrt(radicand)), history=history)
+    state.energy0 = trajectory_observables(state)[0]
+    return state
 
 
 def trajectory_observables(state, head=None):

@@ -1,3 +1,6 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,24 @@ def random_mesh(rng, n, t_end=1.0, ratio_lo=0.1, ratio_hi=10.0, spread=30.0):
     levels[-1] = t_end
     from tfmbe import TimeMesh
     return TimeMesh(levels)
+
+
+def flip_estimates(monkeypatch, trials):
+    """Negate the estimator's candidate on the given trials (counted from 1).
+
+    The controller then sees e close to 2 there, far above any tolerance
+    used here; the estimator step still runs, so every trial keeps its
+    transforms.
+    """
+    import tfmbe.adaptive as adaptive
+
+    estimator, count = adaptive.be_l1_sav_step, itertools.count(1)
+
+    def flipped(state, tau):
+        cand = estimator(state, tau)
+        return SimpleNamespace(phi_h=-cand.phi_h) if next(count) in trials else cand
+
+    monkeypatch.setattr(adaptive, "be_l1_sav_step", flipped)
 
 
 class PassCounter:

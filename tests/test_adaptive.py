@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from tfmbe import (AdaptiveParams, Grid2D, ModelParams, SolverError, adaptive_ru
 
 import tfmbe.sav as sav
 
-from conftest import count_bank_passes, count_prefix_passes
+from conftest import count_bank_passes, count_prefix_passes, flip_estimates
 
 
 @pytest.fixture(scope="module")
@@ -29,22 +28,6 @@ def small_state(grid, model="slope", alpha=0.7, soe_mode="direct"):
                   + np.sin(5 * grid.x) * np.sin(5 * grid.y))
     history = make_history(alpha, mode=soe_mode, dt_min=1e-3, T=1.0)
     return init_state(grid, phi0, params, history)
-
-
-def flip_estimates(monkeypatch, trials):
-    """Negate the estimator's candidate on the given trials (counted from 1).
-
-    The controller then sees e close to 2 there, far above any tolerance
-    used here; the estimator step still runs, so every trial keeps its
-    transforms.
-    """
-    estimator, count = adaptive.be_l1_sav_step, itertools.count(1)
-
-    def flipped(state, tau):
-        cand = estimator(state, tau)
-        return SimpleNamespace(phi_h=-cand.phi_h) if next(count) in trials else cand
-
-    monkeypatch.setattr(adaptive, "be_l1_sav_step", flipped)
 
 
 def overflow_candidates(monkeypatch, trials):
@@ -229,7 +212,6 @@ def test_committed_steps_within_bounds(grid):
 
 def test_rejected_trials_leave_state_unchanged(grid, monkeypatch):
     # trials 2 and 3 are rejected above the floor; trial 4 falls to the floor
-    monkeypatch.setattr(adaptive, "_MAX_RETRIES", 3)
     flip_estimates(monkeypatch, {2, 3})
     state = small_state(grid)
     ap = AdaptiveParams(rho=0.9, tol=1.0, tau_min=1e-3, tau_max=1e-2)
@@ -244,20 +226,50 @@ def test_rejected_trials_leave_state_unchanged(grid, monkeypatch):
     assert state.t == pytest.approx(3e-2, rel=1e-10)
 
 
-def test_force_accept_after_retry_budget(grid, caplog, monkeypatch):
-    # with a one-retry budget, a rejected trial falls back to a floor step;
-    # the floor step still misses the tolerance, so it is accepted with a warning
-    monkeypatch.setattr(adaptive, "_MAX_RETRIES", 1)
-    flip_estimates(monkeypatch, {2, 3})
+def test_floor_trial_accepted_over_tolerance(grid, caplog, monkeypatch):
+    # trials 2 and 3 are rejected; trial 4, at the floor, misses the tolerance
+    # too and is accepted without a warning
+    flip_estimates(monkeypatch, {2, 3, 4})
     state = small_state(grid)
     ap = AdaptiveParams(rho=0.9, tol=1.0, tau_min=1e-3, tau_max=1e-2)
-    with caplog.at_level("WARNING"):
+    with caplog.at_level("DEBUG", logger="tfmbe"):
         records = adaptive_run(state, ap, 3e-2)
-    assert sum("force-accepting" in m for m in caplog.messages) == 1
-    trial, forced = records[1:3]
-    assert not trial.accepted and trial.tau > ap.tau_min
-    assert forced.accepted and forced.tau == ap.tau_min and forced.e_est >= ap.tol
+    assert not [r for r in caplog.records if r.name.startswith("tfmbe")]
+    assert [(r.n, r.accepted) for r in records[1:4]] == [(2, 0), (2, 0), (2, 1)]
+    floor = records[3]
+    assert floor.tau == ap.tau_min and floor.e_est >= ap.tol
     assert records[-1].t == pytest.approx(3e-2, rel=1e-10)
+
+
+def test_rejection_that_proposes_no_smaller_step_retries_at_floor(grid, monkeypatch):
+    # at rho = 1 a trial with e == tol proposes its own step again; it goes
+    # to the floor instead of repeating the rejected trial
+    ap = AdaptiveParams(rho=1.0, tol=1.0, tau_min=1e-3, tau_max=1e-2)
+    relative_error, count = adaptive._relative_error, itertools.count(1)
+
+    def at_tol_on_trial_2(grid, cand2, cand1):
+        e = relative_error(grid, cand2, cand1)
+        return ap.tol if next(count) == 2 else e
+
+    monkeypatch.setattr(adaptive, "_relative_error", at_tol_on_trial_2)
+    state = small_state(grid)
+    records = adaptive_run(state, ap, 3e-2)
+    trial, retry = records[1:3]
+    assert not trial.accepted and trial.tau > ap.tau_min and trial.e_est == ap.tol
+    assert retry.accepted and retry.n == 2 and retry.tau == ap.tau_min
+    assert state.t == pytest.approx(3e-2, rel=1e-10)
+
+
+def test_adaptive_run_rejects_horizon_before_state(grid):
+    state = small_state(grid)
+    run_fixed(state, build_uniform(0.1, 10))
+    with pytest.raises(ValueError, match=r"T = 0\.05 is before the state's time "
+                                         r"t = 0\.1"):
+        adaptive_run(state, AdaptiveParams(), 0.05)
+    assert state.n == 10
+    # a horizon within the end tolerance of state.t leaves nothing to march
+    for T in (state.t, state.t * (1 - 5e-13)):
+        assert adaptive_run(state, AdaptiveParams(), T) == []
 
 
 def test_deterministic_step_sequence(grid):
@@ -274,6 +286,7 @@ def test_energy_bound_over_adaptive_run(grid):
     for model in ("slope", "noslope"):
         state = small_state(grid, model=model)
         e0 = trajectory_observables(state)[0]
+        assert state.energy0 == e0
         ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1)
         records = adaptive_run(state, ap, 1.0)
         worst = max(r.energy_mod for r in records if r.accepted)
@@ -334,4 +347,32 @@ def test_controller_names_first_non_finite_energy(monkeypatch, grid, bad):
     spoil_energies(monkeypatch, bad, {2, 4})
     with pytest.raises(SolverError, match=r"accepted step 3 \(t = ") as err:
         adaptive_run(small_state(grid), LOOSE, 0.2)
+    assert [(r.n, r.accepted) for r in err.value.records] == [(1, 1), (2, 0), (2, 1)]
+
+
+@pytest.mark.parametrize("excess, raises", [(1e3, True), (2e-9, True), (5e-10, False)])
+def test_fixed_mesh_names_first_step_above_initial_energy(monkeypatch, grid, excess,
+                                                          raises):
+    # the bound E(n) <= E(0) holds up to 1e-9 of |E(0)|
+    state = small_state(grid)
+    e0 = state.energy0
+    spoil_energies(monkeypatch, e0 + excess * abs(e0), {3})
+    mesh = build_uniform(0.01, 10)
+    if not raises:
+        assert len(run_fixed(state, mesh)) == 10
+        return
+    with pytest.raises(SolverError, match=r"above E\(0\) = .* at accepted step 3 "
+                                          r"\(t = 0\.003\)") as err:
+        run_fixed(state, mesh)
+    assert state.n == 2  # the bad step is not committed
+    assert [r.n for r in err.value.records] == [1, 2]  # the records before it
+
+
+def test_controller_names_first_step_above_initial_energy(monkeypatch, grid):
+    # trial 2 is rejected, so its energy is not checked; trial 4 is step 3
+    state = small_state(grid)
+    flip_estimates(monkeypatch, {2})
+    spoil_energies(monkeypatch, state.energy0 + 1e3, {2, 4})
+    with pytest.raises(SolverError, match=r"above E\(0\) = .* at accepted step 3 ") as err:
+        adaptive_run(state, LOOSE, 0.2)
     assert [(r.n, r.accepted) for r in err.value.records] == [(1, 1), (2, 0), (2, 1)]

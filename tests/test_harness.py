@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -10,6 +11,8 @@ from tfmbe import (Grid2D, ModelParams, SolverError, adaptive_benchmark,
                    trajectory_observables)
 from tfmbe.cli import main as cli_main
 from tfmbe.harness import _benchmark_phi0, energy_bound_violation, table_mesh
+
+from conftest import flip_estimates
 
 
 def test_ode_convergence_rejects_bad_sigma():
@@ -146,10 +149,36 @@ def test_benchmark_records_model_constants(tmp_path):
                        out_dir=tmp_path)
     meta = _meta(tmp_path)
     assert {k: meta[k] for k in GROWTH_MODEL} == GROWTH_MODEL
-    assert {k: meta[k] for k in ("max_retries", "prefix_t0", "prefix_n0",
-                                 "prefix_gamma", "uniform_tau")} == \
-        {"max_retries": 10, "prefix_t0": 0.01, "prefix_n0": 30,
-         "prefix_gamma": 3.0, "uniform_tau": 0.001}
+    assert {k: meta[k] for k in ("prefix_t0", "prefix_n0", "prefix_gamma",
+                                 "uniform_tau")} == \
+        {"prefix_t0": 0.01, "prefix_n0": 30, "prefix_gamma": 3.0, "uniform_tau": 0.001}
+    # a fixed mesh has no controller, so nothing to count
+    assert "floor_accepts_over_tol" not in meta and "max_retries" not in meta
+
+
+def test_run_meta_counts_floor_accepts_over_tolerance(tmp_path, monkeypatch):
+    # at tol = 1 no trial misses on its own; the first two controller trials
+    # (at the floor) are made to miss, so exactly they are counted
+    flip_estimates(monkeypatch, {1, 2})
+    rep = adaptive_benchmark("slope", 0.7, grid_n=16, T=0.05, tol=1.0,
+                             out_dir=tmp_path / "b")
+    meta = _meta(tmp_path / "b")
+    over = [r for r in rep.accepted if r.e_est >= 1.0]
+    assert [(r.n, r.tau) for r in over] == [(31, 1e-3), (32, 1e-3)]
+    assert meta["floor_accepts_over_tol"] == 2
+    assert meta["floor_accept_e_max"] == max(r.e_est for r in over) > 1.0
+    # the count is of what steps.csv holds: its accepted rows with e_est >= tol
+    with open(tmp_path / "b" / "steps.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["accepted"] == "1"]
+    assert sum(float(r["e_est"]) >= 1.0 for r in rows) == 2
+    monkeypatch.undo()
+    rep = coarsening("slope", 0.7, grid_n=16, T=0.01, seed=1, out_dir=tmp_path / "c")
+    over = [r for r in rep.accepted if r.e_est >= rep.meta["tol"]]
+    # each at the floor, or the last step, cut short by T
+    assert over and all(r.tau <= rep.meta["tau_min"] for r in over)
+    meta = _meta(tmp_path / "c")
+    assert (meta["floor_accepts_over_tol"], meta["floor_accept_e_max"]) == \
+        (len(over), max(r.e_est for r in over))
 
 
 def test_singularity_run_records_model_constants(tmp_path):
