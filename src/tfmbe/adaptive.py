@@ -104,7 +104,8 @@ def _record(state, cand, accepted, e_est):
     ``SolverError`` naming the step: it would be committed otherwise.
     """
     n, t = state.n + 1, state.t + cand.tau
-    dphi_dt = float(np.max(np.abs(cand.phi - state.phi))) / cand.tau
+    dphi = cand.phi - state.phi
+    dphi_dt = float(np.max(np.abs(dphi, out=dphi))) / cand.tau
     e_mod, e_orig, rough, drift = trajectory_observables(state, cand)
     if accepted and not math.isfinite(e_mod):
         raise SolverError(f"energy_mod = {e_mod} at accepted step {n} (t = {t:.6g})")

@@ -32,9 +32,10 @@ shape from the first committed increment.  Both stores are read in
 passes that form several sums at once.  On the bank and on the exact
 prefix, the estimator trial reads the sum that the second-order trial's
 pass already formed, so an adaptive trial reads its history once.  A
-fixed mesh is announced to a history that keeps every level exact
-(``CaputoHistory.plan``, which ``run_fixed`` calls), and one pass over it
-then serves the next ``_AHEAD`` levels.
+fixed mesh is announced to the history (``CaputoHistory.plan``, which
+``run_fixed`` calls): on a history that keeps every level exact one pass
+then serves the next ``_AHEAD`` levels, and on the exact prefix of one
+with an exponential sum a planned read makes no estimator row.
 
 Each solve is decoupled by a rank-one correction: with
 L = a0 I + theta M (eps2 Lap^2 - beta Lap) (diagonal in transform space)
@@ -45,7 +46,8 @@ gam = L^{-1} g and a scalar division with denominator
 denominator is at least one; the no-slope auxiliary energy enters with the
 opposite sign (its potential is the negative log), so c' < 0 there and the
 denominator is checked at runtime (it stays near one for production
-step sizes).
+step sizes).  The W term of the right-hand side is never formed: it enters
+the solve as a scalar, through chi and (W, chi).
 
 The step runs in transform space: the state carries the half-spectrum of
 phi^n and the grid gradients of phi^n and phi^{n-1}, the flux divergence
@@ -53,7 +55,13 @@ and the right-hand side are formed as half-spectra, and every inner
 product is taken by Parseval.  A candidate's grid values and gradient are
 transformed back on first use.  The convolution history stores the
 increments of the half-spectrum (as its float view, shape (nx, nx + 2)),
-so its sums are half-spectra too and are never transformed.  An adaptive
+so its sums are half-spectra too and are never transformed.  The state
+caches the step operators of each theta, a0 - (1 - theta) M lin_sym and
+1 / (a0 + theta M lin_sym), complex-typed, for the last a0 it was solved
+at (``SAVState.step_operators``): one entry per theta, rebuilt when a0
+changes, so a controller that stays at one step size builds them once.
+A step weights W for Parseval once and takes every (W, .) as a plain dot,
+and assembles its right-hand side in place.  An adaptive
 trial costs 7 transforms: the second-order step 3 (flux 2, grid values 1),
 the estimator 2 (it is never transformed back) and the observables 2 (the
 gradient, which the next step reuses); a fixed-mesh step costs 5.
@@ -71,7 +79,8 @@ import numpy as np
 from .errors import SolverError, StateError
 from .kernels import l1_row, l1plus_row
 from .soe import HistoryBank, build_soe
-from .spectral import SLOPE, sav_radicand, sav_u_functional, sav_v_functional
+from .spectral import (SLOPE, _noslope_radicand, _slope_radicand, _squared_slope,
+                       sav_radicand, sav_u_functional, sav_v_functional)
 
 __all__ = [
     "CaputoHistory",
@@ -131,12 +140,14 @@ class CaputoHistory:
     level of a kept row adds only the increments committed since its pass.
     A read with no kept row makes a pass whose rows are both schemes at the
     trial level, so an adaptive step's estimator trial reuses the
-    second-order trial's pass.  ``plan(taus)`` announces the next steps
-    to a history with no ``soe``; a second-order read at a planned level
-    then makes a pass for the next ``_AHEAD`` planned levels.  Every read and every commit compares its
-    level time bit for bit with the plan, and the first mismatch drops the
-    plan and the rows kept from it, so a plan changes the order of the
-    summation but never which levels or weights are summed.  The returned
+    second-order trial's pass.  ``plan(taus)`` announces the next steps;
+    a second-order read at a planned level then makes a pass with no
+    estimator row, for the next ``_AHEAD`` planned levels, or for that
+    level alone on a history with an ``soe``.  Every read and every commit
+    compares its level time bit for bit with the plan, and the first
+    mismatch drops the plan and the rows kept from it, so a plan changes
+    the order of the summation but never which levels or weights are
+    summed.  The returned
     history value is a view of a buffer the history owns: it holds until
     the next pass, and the caller must not modify it.
     """
@@ -171,12 +182,14 @@ class CaputoHistory:
 
         Later reads and commits are checked against the level times these
         steps give; a plan only ever changes how the exact prefix is summed.
-        A history with an exponential sum ignores plans: its exact prefix
-        holds only the steps below dt_min (the drivers' 30-step graded
-        start), where a pass would save little time and its sums would add
-        2 MB (4%) to growth-slope-128's peak memory.
+        A history with an exponential sum plans one level ahead: its exact
+        prefix holds only the steps below dt_min (the drivers' 30-step
+        graded start), where a longer lookahead would save little time and
+        its sums would add 2 MB (4%) to growth-slope-128's peak memory, but
+        a planned read still makes no estimator row.  Once the bank holds
+        the history, plans are ignored.
         """
-        if self.soe is not None or self.alpha == 1.0:
+        if self.bank is not None or self.alpha == 1.0:
             return
         n = self.n_committed
         # np.cumsum adds in order, as commit accumulates the level times
@@ -188,7 +201,7 @@ class CaputoHistory:
         """At the first step of at least dt_min, replay the prefix into a bank."""
         if self.bank is not None or tau < self._floor:
             return
-        self._kept, self._sums, self._part = {}, None, None
+        self._kept, self._sums, self._part, self._plan = {}, None, None, None
         self.bank = HistoryBank(self.soe, self.shape)
         # the newest step as given, not via the level times: reads check it
         taus = np.append(np.diff(self._levels[:self.n_committed]), tau)
@@ -228,7 +241,8 @@ class CaputoHistory:
         key = (scheme, n, levels[n])
         if key not in self._kept:
             if scheme == "cn" and plan is not None:
-                self._make_pass(plan, range(n, min(n + _AHEAD, plan.size)), ("cn",))
+                ahead = _AHEAD if self.soe is None else 1
+                self._make_pass(plan, range(n, min(n + ahead, plan.size)), ("cn",))
             else:
                 self._make_pass(levels, (n,), ("cn", "be"))
         kept = self._kept[key]
@@ -332,6 +346,8 @@ class SAVState:
     and the model parameters are the ones ``init_state`` was given: every
     step, observable and loop reads them from here.  ``energy0`` is the
     modified energy at ``init_state``, which bounds every accepted step's.
+    ``step_operators`` keeps the linear operators of the last step size
+    each theta was solved at.
     """
 
     grid: object = field(repr=False)
@@ -346,11 +362,32 @@ class SAVState:
     prev_grad: Optional[tuple] = None
     prev_tau: Optional[float] = None
     energy0: float = math.nan
+    # theta -> (a0, explicit part, inverse symbol) of ``step_operators``
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def lin_sym(self):
         """Symbol eps2 k^4 + beta k^2 of the linear terms, on the state's grid."""
         return self.params.eps2 * self.grid.k4 + self.params.beta * self.grid.k2
+
+    def step_operators(self, theta, a0):
+        """(explicit part, inverse symbol) of the theta-weighted step with coefficient a0.
+
+        The explicit part a0 - (1 - theta) M lin_sym multiplies phi^n on the
+        right-hand side; theta = 1 has none (None: it is a0 itself).  The
+        inverse symbol is 1 / (a0 + theta M lin_sym).  Both are complex, so
+        they multiply a half-spectrum without a cast.  One entry is kept
+        per theta and rebuilt when a0 changes: a controller that stays at
+        one step size reuses it.
+        """
+        ops = self._operators.get(theta)
+        if ops is None or ops[0] != a0:
+            m = self.params.M
+            explicit = (None if theta == 1.0 else
+                        (a0 - (1.0 - theta) * m * self.lin_sym).astype(complex))
+            inverse = (1.0 / (a0 + theta * m * self.lin_sym)).astype(complex)
+            ops = self._operators[theta] = (a0, explicit, inverse)
+        return ops[1], ops[2]
 
 
 @dataclass(frozen=True)
@@ -392,9 +429,9 @@ def init_state(grid, phi0, params, history):
         raise ValueError(f"field shape {phi0.shape} does not match grid {grid.shape}")
     phi_h = grid.fft(phi0)
     grad = grid.gradient_from_spectrum(phi_h)
-    _, radicand = _functional(params)(grid, grad, params)
+    radicand = sav_radicand(grid, _squared_slope(grad), params)
     state = SAVState(grid=grid, params=params, phi=phi0, phi_h=phi_h, grad=grad,
-                     aux=float(np.sqrt(radicand)), history=history)
+                     aux=math.sqrt(radicand), history=history)
     state.energy0 = trajectory_observables(state)[0]
     return state
 
@@ -414,7 +451,8 @@ def trajectory_observables(state, head=None):
     phi the no-slope form equals the physical energy, and the slope form
     exceeds it by the constant (beta/2 + beta^2/4)|Omega|.
     physical: int(eps2/2 |Lap phi|^2 + F(grad phi)), pointwise gradient.
-    roughness: the spatial standard deviation of phi.
+    roughness: the spatial standard deviation of phi, by Parseval over
+    every mode but the mean.
     SAV drift: |aux - sqrt(radicand(phi))| / sqrt(radicand(phi)), how far
     the auxiliary scalar has moved from the functional it stands for (0 at
     ``init_state``).
@@ -422,21 +460,28 @@ def trajectory_observables(state, head=None):
     grid, params = state.grid, state.params
     head = state if head is None else head
     fh = head.phi_h
-    gx, gy = head.grad
-    x2 = gx * gx + gy * gy
+    x2 = _squared_slope(head.grad)
     k2fh = grid.k2 * fh
-    bend = 0.5 * params.eps2 * grid.inner_spec(k2fh, k2fh)
-    quad = bend + 0.5 * params.beta * grid.inner_spec(fh, k2fh)
+    weighted = grid.weigh(k2fh)
+    bend = 0.5 * params.eps2 * grid.dot(weighted, k2fh)
+    quad = bend + 0.5 * params.beta * grid.dot(weighted, fh)
     aux = head.aux
     if params.model == SLOPE:
         e_mod = quad + aux * aux - params.C0
-        e_orig = bend + 0.25 * grid.integrate((x2 - 1.0) ** 2)
+        x2 -= 1.0
+        flat = x2.reshape(-1)
+        e_orig = bend + 0.25 * (float(np.dot(flat, flat)) * grid.hx * grid.hy)
+        x2 -= params.beta
+        radicand = _slope_radicand(grid, x2, params)
     else:
         e_mod = quad - aux * aux + params.C0
-        e_orig = bend - 0.5 * grid.integrate(np.log1p(x2))
-    root = math.sqrt(sav_radicand(grid, x2, params))
-    d = head.phi - np.mean(head.phi)
-    rough = float(np.sqrt(grid.integrate(d * d) / grid.area))
+        log1p_x2 = np.log1p(x2)
+        e_orig = bend - 0.5 * grid.integrate(log1p_x2)
+        radicand = _noslope_radicand(grid, x2, log1p_x2, params)
+    root = math.sqrt(radicand)
+    weighted = grid.weigh(fh)
+    weighted[:2] = 0.0  # the mean mode
+    rough = math.sqrt(grid.dot(weighted, fh) / grid.area)
     return e_mod, e_orig, rough, abs(aux - root) / root
 
 
@@ -444,19 +489,35 @@ def trajectory_observables(state, head=None):
 # Steps
 # ---------------------------------------------------------------------------
 
-def _rank_one_solve(grid, inv_symbol, rhs_h, w_h, coupling):
-    """Solve (L + coupling * (W, .) W) phi = rhs with L diagonal, 1/L given.
+def _rank_one_solve(grid, inv_symbol, rhs_h, w_h, w_weighted, coupling, w_coef):
+    """Solve (L + coupling * (W, .) W) phi = rhs + w_coef * W, L diagonal, 1/L given.
 
-    Takes and returns half-spectra; the two inner products are taken by
-    Parseval.
+    Takes and returns half-spectra, and solves in the storage of
+    ``rhs_h``; ``w_weighted`` is ``grid.weigh(w_h)``, so the products
+    (W, .) are plain dots.  The W term of the right-hand side is never
+    formed: with gam = L^-1 rhs and chi = L^-1 W,
+    phi = gam + (w_coef - coupling (W, phi)) chi and
+    (W, phi) = ((W, gam) + w_coef (W, chi)) / (1 + coupling (W, chi)).
     """
-    gam_h = rhs_h * inv_symbol
     chi_h = w_h * inv_symbol
-    denom = 1.0 + coupling * grid.inner_spec(w_h, chi_h)
+    w_chi = grid.dot(w_weighted, chi_h)
+    denom = 1.0 + coupling * w_chi
     if denom <= 0.0:
         raise SolverError(f"rank-one denominator {denom} <= 0")
-    w_phi = grid.inner_spec(w_h, gam_h) / denom
-    return gam_h - coupling * w_phi * chi_h
+    gam_h = rhs_h
+    gam_h *= inv_symbol
+    w_phi = (grid.dot(w_weighted, gam_h) + w_coef * w_chi) / denom
+    chi_h *= w_coef - coupling * w_phi
+    gam_h += chi_h
+    return gam_h
+
+
+def _extrapolated(g, g_prev, r):
+    """g + (g - g_prev) * r, in one new array."""
+    out = g - g_prev
+    out *= r
+    out += g
+    return out
 
 
 def _sav_step(state, tau_n, source, theta, scheme):
@@ -473,12 +534,11 @@ def _sav_step(state, tau_n, source, theta, scheme):
         raise ValueError(f"step size must be finite and positive, got {tau_n}")
     grid, params = state.grid, state.params
     a0, hist = state.history.caputo_terms(scheme, tau_n)
-    gx, gy = state.grad
+    grad = state.grad
     if theta < 1.0 and state.n > 0:
         r = tau_n / (2.0 * state.prev_tau)
-        px, py = state.prev_grad
-        gx, gy = gx + (gx - px) * r, gy + (gy - py) * r
-    w_h, _ = _functional(params)(grid, (gx, gy), params)
+        grad = tuple(_extrapolated(g, p, r) for g, p in zip(grad, state.prev_grad))
+    w_h, _ = _functional(params)(grid, grad, params)
     # sign of the frozen-flux source: -M(... - W u) for slope, -M(... + W v)
     # for no-slope.  The auxiliary scalar obeys aux_t = -(1/2)(W, phi_t) in
     # both cases (chain rule on sqrt(radicand)), so the implicit rank-one
@@ -486,20 +546,27 @@ def _sav_step(state, tau_n, source, theta, scheme):
     s_aux = 1.0 if params.model == SLOPE else -1.0
     m = params.M
 
-    lin_sym = state.lin_sym
     coupling = s_aux * 0.5 * theta * m
+    explicit, inv_symbol = state.step_operators(theta, a0)
     phi_h = state.phi_h
-    hist_h = 0.0 if hist is None else hist.view(complex)
-    rhs_h = ((a0 - (1.0 - theta) * m * lin_sym) * phi_h - hist_h
-             + (s_aux * m * state.aux + coupling * grid.inner_spec(w_h, phi_h)) * w_h)
+    w_weighted = grid.weigh(w_h)
+    # the right-hand side but its W term, assembled in place
+    rhs_h = a0 * phi_h if explicit is None else explicit * phi_h
+    if hist is not None:
+        hist_h = hist.view(complex)
+        rhs_h -= hist_h
     if source is not None:
-        rhs_h = rhs_h + grid.fft(source(state.t + theta * tau_n))
+        rhs_h += grid.fft(source(state.t + theta * tau_n))
+    w_coef = s_aux * m * state.aux + coupling * grid.dot(w_weighted, phi_h)
 
-    phi_new_h = _rank_one_solve(grid, 1.0 / (a0 + theta * m * lin_sym), rhs_h, w_h,
-                                coupling)
+    phi_new_h = _rank_one_solve(grid, inv_symbol, rhs_h, w_h, w_weighted, coupling,
+                                w_coef)
     dphi_h = phi_new_h - phi_h
-    aux_new = state.aux - 0.5 * grid.inner_spec(w_h, dphi_h)
-    caputo_dot = grid.inner_spec(a0 * dphi_h + hist_h, dphi_h)
+    aux_new = state.aux - 0.5 * grid.dot(w_weighted, dphi_h)
+    dphi_weighted = grid.weigh(dphi_h)
+    caputo_dot = a0 * grid.dot(dphi_weighted, dphi_h)
+    if hist is not None:
+        caputo_dot += grid.dot(dphi_weighted, hist_h)
     return StepCandidate(grid=grid, phi_h=phi_new_h, aux=aux_new, tau=float(tau_n),
                          caputo_dot=caputo_dot)
 

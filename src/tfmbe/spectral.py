@@ -5,22 +5,30 @@ the square (0, 2 pi)^2; x varies along the first axis.  Differential operators
 are diagonal in transform space (real FFTs with Hermitian symmetry), so a
 field is carried by its half-spectrum between steps: the grid values of
 its gradient come from ``gradient_from_spectrum`` and the half-spectrum of
-a divergence from ``divergence_spectrum``.  The Nyquist mode of odd
-derivatives is zeroed, the standard convention for real first
-derivatives.  Quadrature is the scaled grid sum, which is spectrally
-accurate on periodic grids; ``inner_spec`` takes the same inner product
-from two half-spectra (Parseval), as twice one ``np.vdot`` of their float
-views less the first and last columns, which have no conjugate partner.
+a divergence from ``divergence_spectrum``.  The grid keeps the derivative
+operators complex and at the full half-spectrum shape, so applying one
+neither casts nor broadcasts.  The Nyquist mode of odd derivatives is
+zeroed, the standard convention for real first derivatives.  Quadrature
+is the scaled grid sum, which is spectrally accurate on periodic grids;
+``inner_spec`` takes the same inner product from two half-spectra
+(Parseval) as one BLAS dot of their flattened float views, the left one
+multiplied by the grid's Parseval weights (2 for a column that stands for
+its conjugate too, 1 for the first and last columns, which have none,
+times the quadrature scale).  A left operand shared by several products
+is weighted once (``weigh``) and each product is then a plain ``dot``.
 
 Nonlinear fluxes are formed pointwise on the grid and differentiated in
-transform space; no dealiasing is applied.  Every 2-D transform goes
-through ``Grid2D.fft``/``Grid2D.ifft``.  The SAV step (``tfmbe.sav``)
-costs 7 of them per adaptive trial (second-order step 3, estimator 2,
-observables 2) and 5 per fixed-mesh step; its convolution history holds
-half-spectra (their float views, whose shape it takes from the first
-committed increment), so the history sum needs no transform.  The SAV
-state keeps the ``Grid2D`` and ``ModelParams`` it starts with, and every
-step reads them from there.
+transform space; no dealiasing is applied.  The auxiliary-variable
+functionals form their pointwise factor once (the slope model takes its
+radicand from it) and scale it by 1/sqrt(radicand) before the two
+forward transforms.  Every 2-D transform goes through
+``Grid2D.fft``/``Grid2D.ifft``.  The SAV step (``tfmbe.sav``) costs 7 of
+them per adaptive trial (second-order step 3, estimator 2, observables 2)
+and 5 per fixed-mesh step; its convolution history holds half-spectra
+(their float views, whose shape it takes from the first committed
+increment), so the history sum needs no transform.  The SAV state keeps
+the ``Grid2D`` and ``ModelParams`` it starts with, and every step reads
+them from there.
 """
 
 from __future__ import annotations
@@ -65,13 +73,21 @@ class Grid2D:
         ky = TWO_PI * np.fft.rfftfreq(self.ny, d=self.hy)
         self.k2 = kx[:, None] ** 2 + ky[None, :] ** 2
         self.k4 = self.k2 ** 2
-        # odd derivatives drop the (unpaired) Nyquist mode
+        # the derivative operators are complex and full-shape, so a multiply
+        # neither casts nor broadcasts; odd derivatives drop the (unpaired)
+        # Nyquist mode
         dx = 1j * kx
         dx[self.nx // 2] = 0.0
-        dy = 1j * ky.copy()
+        dy = 1j * ky
         dy[-1] = 0.0
-        self._dx = dx[:, None]
-        self._dy = dy[None, :]
+        self._dx = np.ascontiguousarray(np.broadcast_to(dx[:, None], self.k2.shape))
+        self._dy = np.ascontiguousarray(np.broadcast_to(dy[None, :], self.k2.shape))
+        # Parseval weights over the flattened float view of a half-spectrum:
+        # 2 for a column that stands for itself and its conjugate, 1 for the
+        # unpaired first and last columns, times the quadrature scale
+        weights = np.full((self.nx, 2 * ky.size), 2.0)
+        weights[:, :2] = weights[:, -2:] = 1.0
+        self._parseval = (weights * (self.hx * self.hy / (self.nx * self.ny))).ravel()
         x = np.arange(self.nx) * self.hx
         self.x, self.y = np.meshgrid(x, x, indexing="ij")
 
@@ -99,25 +115,43 @@ class Grid2D:
 
     def divergence_spectrum(self, fx, fy):
         """Half-spectrum of d_x fx + d_y fy for grid fields fx, fy."""
-        return self._dx * self.fft(fx) + self._dy * self.fft(fy)
+        div_h = self.fft(fx)
+        div_h *= self._dx
+        fy_h = self.fft(fy)
+        fy_h *= self._dy
+        div_h += fy_h
+        return div_h
 
     # -- quadrature ----------------------------------------------------
 
     def integrate(self, f):
         return float(np.sum(f)) * self.hx * self.hy
 
+    def weigh(self, fh):
+        """The flattened float view of half-spectrum fh times the Parseval weights.
+
+        Its first two entries are the mean mode's.
+        """
+        return self._parseval * _flat(fh)
+
+    def dot(self, weighted, gh):
+        """Inner product of two fields given ``weigh(fh)`` and the half-spectrum gh."""
+        return float(np.dot(weighted, _flat(gh)))
+
     def inner_spec(self, fh, gh):
         """Inner product of two real fields from their half-spectra (Parseval).
 
         Every column of the half-spectrum but the first and the last stands
-        for itself and its conjugate, so the sum is twice the dot product of
-        the float views less the two unpaired columns once.
+        for itself and its conjugate, so the sum weights its float view by
+        2, those two columns by 1: one weighted dot.  A left operand shared
+        by several products is weighted once, ``dot(weigh(fh), gh)``.
         """
-        f = np.ascontiguousarray(fh, dtype=complex).view(float)
-        g = np.ascontiguousarray(gh, dtype=complex).view(float)
-        s = (2.0 * np.vdot(f, g) - np.vdot(f[:, :2], g[:, :2])
-             - np.vdot(f[:, -2:], g[:, -2:]))
-        return float(s) * self.hx * self.hy / (self.nx * self.ny)
+        return self.dot(self.weigh(fh), gh)
+
+
+def _flat(fh):
+    """The float view of a half-spectrum, flattened (a copy if it is not contiguous)."""
+    return np.ascontiguousarray(fh, dtype=complex).view(float).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -166,15 +200,39 @@ def sav_radicand(grid, x2, params):
     no-slope: int (log(1 + x2) + beta x2) / 2 + C0
     """
     if params.model == SLOPE:
-        m = x2 - 1.0 - params.beta
-        radicand = 0.25 * grid.integrate(m * m) + params.C0
-    else:
-        radicand = (grid.integrate(0.5 * np.log1p(x2) + 0.5 * params.beta * x2)
-                    + params.C0)
+        return _slope_radicand(grid, x2 - 1.0 - params.beta, params)
+    return _noslope_radicand(grid, x2, np.log1p(x2), params)
+
+
+def _slope_radicand(grid, m, params):
+    """The slope model's radicand from its factor m = x2 - 1 - beta.
+
+    The sum is numpy's pairwise one, not a BLAS dot: the SAV drift compares
+    sqrt(radicand) with the auxiliary scalar to about 1e-6, so a change of
+    one ulp in either reads as 1e-10 of the drift.
+    """
+    return _positive(0.25 * grid.integrate(m * m) + params.C0, params)
+
+
+def _noslope_radicand(grid, x2, log1p_x2, params):
+    """The no-slope model's radicand from x2 and log(1 + x2)."""
+    return _positive(0.5 * (grid.integrate(log1p_x2) + params.beta * grid.integrate(x2))
+                     + params.C0, params)
+
+
+def _positive(radicand, params):
     if radicand <= 0.0:
         raise ModelViolationError(
             f"nonpositive radicand {radicand}; increase C0 (= {params.C0})")
     return radicand
+
+
+def _squared_slope(grad):
+    """|grad phi|^2 on the grid from ``grad`` = (d_x phi, d_y phi), in one new array."""
+    gx, gy = grad
+    x2 = gx * gx
+    x2 += gy * gy
+    return x2
 
 
 def sav_u_functional(grid, grad, params):
@@ -183,13 +241,15 @@ def sav_u_functional(grid, grad, params):
     ``grad`` holds the grid values (d_x phi, d_y phi).  Returns
     (U_h, radicand): the half-spectrum of
     U = div((|grad phi|^2 - 1 - beta) grad phi) / sqrt(radicand), with
-    ``sav_radicand`` of the slope model.
+    ``sav_radicand`` of the slope model.  The factor in the divergence is
+    formed once, gives the radicand and carries 1/sqrt(radicand).
     """
     gx, gy = grad
-    x2 = gx * gx + gy * gy
-    radicand = sav_radicand(grid, x2, params)
-    m = x2 - 1.0 - params.beta
-    return grid.divergence_spectrum(m * gx, m * gy) / np.sqrt(radicand), radicand
+    m = _squared_slope(grad)
+    m -= 1.0 + params.beta
+    radicand = _slope_radicand(grid, m, params)
+    m *= 1.0 / math.sqrt(radicand)
+    return grid.divergence_spectrum(m * gx, m * gy), radicand
 
 
 def sav_v_functional(grid, grad, params):
@@ -198,13 +258,17 @@ def sav_v_functional(grid, grad, params):
     ``grad`` holds the grid values (d_x phi, d_y phi).  Returns
     (V_h, radicand): the half-spectrum of
     V = div((1/(1 + |grad phi|^2) + beta) grad phi) / sqrt(radicand), with
-    ``sav_radicand`` of the no-slope model.
+    ``sav_radicand`` of the no-slope model.  The factor in the divergence
+    is formed once and carries 1/sqrt(radicand).
     """
     gx, gy = grad
-    x2 = gx * gx + gy * gy
-    radicand = sav_radicand(grid, x2, params)
-    fac = 1.0 / (1.0 + x2) + params.beta
-    return grid.divergence_spectrum(fac * gx, fac * gy) / np.sqrt(radicand), radicand
+    fac = _squared_slope(grad)
+    radicand = sav_radicand(grid, fac, params)
+    fac += 1.0
+    np.reciprocal(fac, out=fac)
+    fac += params.beta
+    fac *= 1.0 / math.sqrt(radicand)
+    return grid.divergence_spectrum(fac * gx, fac * gy), radicand
 
 
 # -- field snapshots ----------------------------------------------------

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import tfmbe.adaptive as adaptive
 from tfmbe import (AdaptiveParams, Grid2D, ModelParams, SolverError, adaptive_run,
-                   be_l1_sav_step, build_uniform, cn_sav_step, init_state,
-                   make_history, run_fixed, tau_ada, trajectory_observables)
+                   be_l1_sav_step, build_graded, build_uniform, cn_sav_step,
+                   commit_candidate, init_state, make_history, run_fixed, tau_ada,
+                   trajectory_observables)
 
 import tfmbe.sav as sav
 
@@ -108,7 +109,7 @@ def test_one_bank_pass_per_trial(monkeypatch, grid, alpha):
 def test_run_fixed_makes_one_prefix_pass_per_lookahead(monkeypatch, grid, soe_mode):
     """A fixed mesh is planned: one pass over the exact history serves _AHEAD levels.
 
-    A fast history ignores the plan: its exact prefix holds only steps
+    A fast history plans one level ahead: its exact prefix holds only steps
     below dt_min (1e-3 here), and each read makes its own pass.
     """
     state = small_state(grid, alpha=0.6, soe_mode=soe_mode)
@@ -119,6 +120,43 @@ def test_run_fixed_makes_one_prefix_pass_per_lookahead(monkeypatch, grid, soe_mo
     # the first level has no sum to read; the passes start at the second
     assert counter.passes == (math.ceil((n - 1) / sav._AHEAD) if soe_mode == "direct"
                               else n - 1)
+
+
+def test_fast_history_graded_start_reads_no_estimator_rows(monkeypatch, grid):
+    """The drivers' graded start on a fast history: one kernel row per level.
+
+    Its steps are all below dt_min, so the exact prefix serves every read;
+    a planned read makes a pass for the second-order row alone, and the
+    fields match an unplanned march of the same steps.
+    """
+    mesh = build_graded(0.01, 30, 3.0)
+    assert mesh.taus.max() < 1e-3
+    unplanned, expected = small_state(grid, alpha=0.7, soe_mode="fast"), []
+    for tau in mesh.taus:
+        expected.append(cn_sav_step(unplanned, float(tau)))
+        commit_candidate(unplanned, expected[-1])
+        assert unplanned.history.bank is None
+    rows = []
+    for name in ("l1_row", "l1plus_row"):
+        def counted(*args, _row=getattr(sav, name), _name=name):
+            rows.append(_name)
+            return _row(*args)
+        monkeypatch.setattr(sav, name, counted)
+    fields = []
+
+    def committing(state, cand):
+        fields.append(cand.phi_h)
+        return commit_candidate(state, cand)
+
+    monkeypatch.setattr(adaptive, "commit_candidate", committing)
+    planned = small_state(grid, alpha=0.7, soe_mode="fast")
+    counter = count_prefix_passes(monkeypatch, planned.history)
+    run_fixed(planned, mesh)
+    assert rows == ["l1plus_row"] * mesh.n_steps
+    assert counter.passes == mesh.n_steps - 1  # the first level has no sum
+    assert len(fields) == mesh.n_steps
+    for got, cand in zip(fields, expected):
+        assert np.linalg.norm(got - cand.phi_h) <= 1e-15 * np.linalg.norm(cand.phi_h)
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.7])

@@ -72,6 +72,37 @@ def test_init_state_noslope_aux(grid):
     assert state.aux == pytest.approx(1.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("model", ["slope", "noslope"])
+def test_init_state_reads_radicand_from_gradient(monkeypatch, grid, model):
+    """init_state transforms the field and its gradient only: 3 transforms.
+
+    The auxiliary scalar is the square root of the radicand formula summed
+    on the grid; the slope model sums it as the functional used to, bit
+    for bit, and the no-slope model sums its two terms apart.
+    """
+    params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(self, f, _transform=getattr(Grid2D, name)):
+            calls.append(name)
+            return _transform(self, f)
+        monkeypatch.setattr(Grid2D, name, counted)
+    state = init_state(grid, two_mode(grid), params, make_history(0.7))
+    assert len(calls) == 3
+    gx, gy = state.grad
+    x2 = gx * gx + gy * gy
+    if model == "slope":
+        m = x2 - 1.0 - params.beta
+        radicand = 0.25 * grid.integrate(m * m) + params.C0
+        assert state.aux == math.sqrt(radicand)
+    else:
+        radicand = (grid.integrate(0.5 * np.log1p(x2) + 0.5 * params.beta * x2)
+                    + params.C0)
+        assert state.aux == pytest.approx(math.sqrt(radicand), rel=1e-15)
+    _, functional_radicand = sav._functional(params)(grid, state.grad, params)
+    assert state.aux == pytest.approx(math.sqrt(functional_radicand), rel=1e-15)
+
+
 def test_init_state_rejects_wrong_shape(grid):
     params = ModelParams(model="slope")
     with pytest.raises(ValueError, match="does not match grid"):
@@ -141,6 +172,18 @@ def test_observables_match_standalone(grid):
     noisy = phi + 0.01 * np.random.default_rng(3).standard_normal(grid.shape)
     assert trajectory_observables(head(grid, noisy, aux, params))[2] \
         == pytest.approx(np.std(noisy), rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_roughness_by_parseval_matches_grid_std(grid, offset):
+    """The mean mode is left out of the Parseval sum, so an offset cancels nothing."""
+    params = ModelParams(model="slope")
+    noise = 0.01 * np.random.default_rng(5).standard_normal(grid.shape)
+    phi = two_mode(grid) + noise
+    phi += offset - np.mean(phi)  # zero mean before the offset
+    rough = trajectory_observables(head(grid, phi, 1.0, params))[2]
+    assert rough == pytest.approx(np.std(phi - offset), rel=1e-12)
+    assert rough == pytest.approx(np.std(phi), rel=1e-12)
 
 
 def test_modified_energy_keeps_nyquist_mode(grid):
@@ -513,3 +556,82 @@ def test_rank_one_denominator_guard(grid):
     state = init_state(grid, two_mode(grid), params, make_history(0.7))
     cand = cn_sav_step(state, 10.0)
     assert np.all(np.isfinite(cand.phi))
+
+
+def test_rank_one_denominator_below_zero_raises(grid):
+    """A coupling below -1 / (W, L^-1 W) makes the denominator negative."""
+    rng = np.random.default_rng(11)
+    w_h = grid.fft(rng.standard_normal(grid.shape))
+    inv_symbol = (1.0 / (1.0 + grid.k2)).astype(complex)
+    w_weighted = grid.weigh(w_h)
+    w_chi = grid.inner_spec(w_h, w_h * inv_symbol)
+    rhs_h = grid.fft(rng.standard_normal(grid.shape))
+    with pytest.raises(SolverError, match="rank-one denominator"):
+        sav._rank_one_solve(grid, inv_symbol, rhs_h.copy(), w_h, w_weighted,
+                            -2.0 / w_chi, 0.3)
+    # above the threshold the solve holds: (L + c (W, .) W) phi = rhs + a W
+    coupling, w_coef = -0.5 / w_chi, 0.3
+    phi_h = sav._rank_one_solve(grid, inv_symbol, rhs_h.copy(), w_h, w_weighted,
+                                coupling, w_coef)
+    lhs = phi_h / inv_symbol + coupling * grid.inner_spec(w_h, phi_h) * w_h
+    assert np.max(np.abs(lhs - (rhs_h + w_coef * w_h))) <= 1e-12 * np.max(np.abs(rhs_h))
+
+
+# ---------------------------------------------------------------------------
+# cached step operators
+# ---------------------------------------------------------------------------
+
+def trial_pair(state, tau):
+    """Both trials of an adaptive step, as bytes and scalars that must match."""
+    cands = (cn_sav_step(state, tau), be_l1_sav_step(state, tau))
+    return [(c.phi_h.tobytes(), c.aux, c.caputo_dot) for c in cands]
+
+
+def fresh_state(grid, model, steps=()):
+    params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
+    state = init_state(grid, two_mode(grid), params, make_history(0.6))
+    for tau in steps:
+        commit_candidate(state, cn_sav_step(state, tau))
+    return state
+
+
+@pytest.mark.parametrize("model", ["slope", "noslope"])
+def test_cached_operators_match_fresh_states(grid, model):
+    """Trials at tau1, tau2, then tau1 again equal trials from fresh states."""
+    tau1, tau2 = 2e-3, 5e-3
+    state = fresh_state(grid, model, [1e-3, 1e-3])
+    for tau in (tau1, tau2, tau1):
+        assert trial_pair(state, tau) == trial_pair(fresh_state(grid, model,
+                                                                [1e-3, 1e-3]), tau)
+        assert sorted(state._operators) == [0.5, 1.0]  # one entry per theta
+
+
+def test_retry_after_rejected_trial_matches_fresh_state(grid):
+    """A rejected trial leaves cached operators that a retry rebuilds or reuses exactly."""
+    state = fresh_state(grid, "slope", [1e-3])
+    trial_pair(state, 4e-2)  # rejected: nothing is committed
+    retry = trial_pair(state, 1e-3)
+    assert retry == trial_pair(fresh_state(grid, "slope", [1e-3]), 1e-3)
+    # commit the retry and step on at the same size: the cached entry is reused
+    commit_candidate(state, cn_sav_step(state, 1e-3))
+    reused = state._operators[0.5]
+    assert trial_pair(state, 1e-3) == trial_pair(fresh_state(grid, "slope",
+                                                             [1e-3, 1e-3]), 1e-3)
+    assert state._operators[0.5] is reused
+
+
+def test_operator_cache_entries(grid):
+    """theta = 1 has no explicit part; both operators are complex; one entry per theta."""
+    state = fresh_state(grid, "slope", [1e-3])
+    for tau in (1e-3, 3e-3, 7e-3, 1e-3):
+        trial_pair(state, tau)
+        assert sorted(state._operators) == [0.5, 1.0]
+    a0, explicit, inverse = state._operators[1.0]
+    assert explicit is None
+    assert inverse.dtype == complex and inverse.shape == state.phi_h.shape
+    a0, explicit, inverse = state._operators[0.5]
+    assert explicit.dtype == complex and explicit.shape == state.phi_h.shape
+    m_lin = state.params.M * state.lin_sym
+    assert np.array_equal(explicit.real, a0 - 0.5 * m_lin)
+    assert np.array_equal(inverse.real, 1.0 / (a0 + 0.5 * m_lin))
+    assert not np.any(explicit.imag) and not np.any(inverse.imag)

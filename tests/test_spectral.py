@@ -188,6 +188,36 @@ def test_functionals_zero_mean(grid, rng):
         assert abs(np.mean(f)) <= 1e-11 * max(np.sqrt(grid.integrate(f * f)), 1e-30)
 
 
+@pytest.mark.parametrize("model", ["slope", "noslope"])
+def test_functionals_fold_normalization_into_factor(grid, rng, model):
+    """The flux scaled before the transforms matches the flux divided after them."""
+    params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
+    grad = gradient(grid, 0.3 * band_limited(grid, rng, kmax=6))
+    gx, gy = grad
+    x2 = gx * gx + gy * gy
+    if model == "slope":
+        fac = x2 - 1.0 - params.beta
+        radicand = 0.25 * grid.integrate(fac * fac) + params.C0
+        w_h, got = sav_u_functional(grid, grad, params)
+    else:
+        fac = 1.0 / (1.0 + x2) + params.beta
+        radicand = grid.integrate(0.5 * np.log1p(x2) + 0.5 * params.beta * x2) + params.C0
+        w_h, got = sav_v_functional(grid, grad, params)
+    ref = grid.divergence_spectrum(fac * gx, fac * gy) / np.sqrt(radicand)
+    assert got == pytest.approx(radicand, rel=1e-14)
+    assert np.max(np.abs(w_h - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_weighted_left_operand_gives_inner_spec(grid, rng):
+    fh = grid.fft(rng.standard_normal(grid.shape))
+    gh = grid.fft(rng.standard_normal(grid.shape))
+    weighted = grid.weigh(fh)
+    assert weighted.shape == (2 * grid.nx * (grid.ny // 2 + 1),)
+    assert grid.dot(weighted, gh) == grid.inner_spec(fh, gh)
+    assert grid.dot(weighted, fh) == pytest.approx(grid.integrate(grid.ifft(fh) ** 2),
+                                                   rel=1e-13)
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(M=-1.0)
