@@ -28,6 +28,7 @@ from .diagnostics import (convergence_order, loglinear_fit, powerlaw_fit,
 from .errors import SolverError
 from .kernels import rl_weight
 from .sav import CaputoHistory, cn_sav_step, commit_candidate, init_state, make_history
+from .soe import _VERIFY_SAMPLES, build_soe, verify_soe
 from .spectral import (SLOPE, Grid2D, ModelParams, noslope_nonlinearity,
                        slope_nonlinearity, write_field)
 from .timemesh import build_graded, build_uniform, extend_random, extend_uniform
@@ -42,6 +43,8 @@ __all__ = [
     "adaptive_benchmark",
     "coarsening",
     "singularity_run",
+    "soe_verify",
+    "table_mesh",
     "write_steps_csv",
     "write_orders_csv",
     "write_run_meta",
@@ -224,6 +227,15 @@ def ode_convergence(alpha, sigma, n_list, T=1.0, gamma=1.0, seed=0,
         "driver": "ode_convergence", "alpha": alpha, "sigma": sigma,
         "T": T, "gamma": gamma, "seed": seed, "tail": tail,
         "n_list": list(n_list)}, out_dir)
+
+
+def soe_verify(alpha, eps=_SOE_EPS, dt_min=1e-4, T=30.0, samples=_VERIFY_SAMPLES):
+    """Build the exponential sum of w_{1-a} on [dt_min, T] and certify it.
+
+    Returns the sum and its max kernel error over ``samples`` log-spaced times.
+    """
+    soe = build_soe(alpha, eps, dt_min, T)
+    return soe, verify_soe(soe, samples)
 
 
 # ---------------------------------------------------------------------------

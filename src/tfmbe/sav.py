@@ -401,6 +401,7 @@ class StepCandidate:
 
     grid: object = field(repr=False)
     phi_h: np.ndarray = field(repr=False)
+    dphi_h: np.ndarray = field(repr=False)   # phi_h minus the stepped state's
     aux: float
     tau: float
     caputo_dot: float   # (discrete Caputo value, phi^n - phi^{n-1}), for audits
@@ -567,8 +568,8 @@ def _sav_step(state, tau_n, source, theta, scheme):
     caputo_dot = a0 * grid.dot(dphi_weighted, dphi_h)
     if hist is not None:
         caputo_dot += grid.dot(dphi_weighted, hist_h)
-    return StepCandidate(grid=grid, phi_h=phi_new_h, aux=aux_new, tau=float(tau_n),
-                         caputo_dot=caputo_dot)
+    return StepCandidate(grid=grid, phi_h=phi_new_h, dphi_h=dphi_h, aux=aux_new,
+                         tau=float(tau_n), caputo_dot=caputo_dot)
 
 
 def cn_sav_step(state, tau_n, source=None):
@@ -583,8 +584,7 @@ def be_l1_sav_step(state, tau_n):
 
 def commit_candidate(state, cand):
     """Accept a candidate: advance the convolution history and the clock."""
-    state.history.commit(cand.tau, (cand.phi_h - state.phi_h).view(float),
-                         level=state.n + 1)
+    state.history.commit(cand.tau, cand.dphi_h.view(float), level=state.n + 1)
     state.prev_grad = state.grad
     state.prev_tau = cand.tau
     state.phi, state.phi_h, state.grad = cand.phi, cand.phi_h, cand.grad

@@ -105,6 +105,8 @@ _FOLD_STEPS = 8
 
 # log-spaced sample count at which build_soe verifies each candidate rule
 _BUILD_SAMPLES = 4001
+# and the count verify_soe checks by default
+_VERIFY_SAMPLES = 10000
 
 # the reduction fits on every tenth verification sample (401 of them), so
 # a fit that misses the target on its own samples cannot be certified
@@ -266,7 +268,7 @@ def build_soe(alpha, eps, dt_min, T):
         f"(alpha={alpha}, dt_min={dt_min}, T={T})", achieved=best_err)
 
 
-def verify_soe(soe, samples=10000):
+def verify_soe(soe, samples=_VERIFY_SAMPLES):
     """Max absolute kernel error over log-spaced samples of [dt_min, T]."""
     if samples < 2:
         raise ValueError("need at least 2 samples")

@@ -288,12 +288,20 @@ def write_field(path, grid, f):
 
 
 def read_field(path):
-    """Read a field snapshot; returns (values, (lx, ly))."""
+    """Read a field snapshot; returns (values, (lx, ly)).
+
+    A file that is not a snapshot, or is cut short, raises ``ValueError``.
+    """
     with open(path, "rb") as fh:
-        magic, nx, ny, lx, ly = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: truncated snapshot header")
+        magic, nx, ny, lx, ly = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a field snapshot (magic {magic!r})")
-        data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8")
-    if data.size != nx * ny:
+        if nx < 1 or ny < 1:
+            raise ValueError(f"{path}: snapshot grid {nx} x {ny} is empty")
+        data = fh.read(8 * nx * ny)
+    if len(data) != 8 * nx * ny:
         raise ValueError(f"{path}: truncated snapshot")
-    return data.reshape(nx, ny).astype(float), (lx, ly)
+    return np.frombuffer(data, dtype="<f8").reshape(nx, ny).astype(float), (lx, ly)

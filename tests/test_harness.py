@@ -1,4 +1,7 @@
+import argparse
 import csv
+import functools
+import inspect
 import json
 import math
 
@@ -417,6 +420,117 @@ def test_cli_soe_verify(capsys):
                    "--dt-min", "1e-3", "--T", "10", "--samples", "2000"])
     assert rc == 0
     assert "max error" in capsys.readouterr().out
+
+
+def test_cli_soe_verify_fails_above_eps(monkeypatch, capsys):
+    import tfmbe.harness as harness
+
+    monkeypatch.setattr(harness, "verify_soe", lambda soe, samples: 2e-8)
+    rc = cli_main(["soe-verify", "--alpha", "0.5", "--eps", "1e-8",
+                   "--dt-min", "1e-3", "--T", "1"])
+    assert rc == 1
+    assert "max error 2.000e-08 on [0.001, 1]" in capsys.readouterr().out
+
+
+_F, _I, _STORE = "float", "int", "_StoreAction"
+_MODEL = ("slope", "noslope")
+_TAIL = ("random", "uniform")
+_OUT = {"--out": ("out_dir", None, None, None, _STORE)}
+_SAVE = {"--save-field": ("save_field", None, None, 0, "_StoreTrueAction")}
+# subcommand -> option string -> (dest, type, choices, nargs, action)
+CLI_FLAGS = {
+    "ode-conv": {
+        "--alpha": ("alpha", _F, None, None, _STORE),
+        "--sigma": ("sigma", _F, None, None, _STORE),
+        "--N": ("n_list", "_int_list", None, None, _STORE),
+        "--gamma": ("gamma", _F, None, None, _STORE),
+        "--T": ("T", _F, None, None, _STORE),
+        "--seed": ("seed", _I, None, None, _STORE),
+        "--tail": ("tail", None, _TAIL, None, _STORE), **_OUT},
+    "pde-conv": {
+        "--model": ("model", None, _MODEL, None, _STORE),
+        "--alpha": ("alpha", _F, None, None, _STORE),
+        "--sigma": ("sigma", _F, None, None, _STORE),
+        "--gamma": ("gamma", _F, None, None, _STORE),
+        "--N": ("n_list", "_int_list", None, None, _STORE),
+        "--grid": ("grid_n", _I, None, None, _STORE),
+        "--T": ("T", _F, None, None, _STORE),
+        "--seed": ("seed", _I, None, None, _STORE),
+        "--tail": ("tail", None, _TAIL, None, _STORE), **_OUT},
+    "benchmark": {
+        "--model": ("model", None, _MODEL, None, _STORE),
+        "--alpha": ("alpha", _F, None, None, _STORE),
+        "--strategy": ("strategy", None, ("uniform", "graded", "adaptive"), None,
+                       _STORE),
+        "--grid": ("grid_n", _I, None, None, _STORE),
+        "--T": ("T", _F, None, None, _STORE),
+        "--tol": ("tol", _F, None, None, _STORE),
+        "--rho": ("rho", _F, None, None, _STORE),
+        "--tau-min": ("tau_min", _F, None, None, _STORE),
+        "--tau-max": ("tau_max", _F, None, None, _STORE),
+        "--soe-eps": ("soe_eps", _F, None, None, _STORE),
+        "--soe-mode": ("soe_mode", None, ("fast", "direct"), None, _STORE),
+        **_SAVE, **_OUT},
+    "coarsen": {
+        "--model": ("model", None, _MODEL, None, _STORE),
+        "--alpha": ("alpha", _F, None, None, _STORE),
+        "--grid": ("grid_n", _I, None, None, _STORE),
+        "--T": ("T", _F, None, None, _STORE),
+        "--seed": ("seed", _I, None, None, _STORE),
+        "--tau-min": ("tau_min", _F, None, None, _STORE),
+        "--tau-max": ("tau_max", _F, None, None, _STORE),
+        "--window": ("fit_window", _F, None, 2, _STORE), **_SAVE, **_OUT},
+    "singularity": {
+        "--alpha": ("alpha", _F, None, None, _STORE),
+        "--grid": ("grid_n", _I, None, None, _STORE),
+        "--N0": ("N0", _I, None, None, _STORE),
+        "--gamma": ("gamma", _F, None, None, _STORE), **_OUT},
+    "soe-verify": {
+        "--alpha": ("alpha", _F, None, None, _STORE),
+        "--eps": ("eps", _F, None, None, _STORE),
+        "--dt-min": ("dt_min", _F, None, None, _STORE),
+        "--T": ("T", _F, None, None, _STORE),
+        "--samples": ("samples", _I, None, None, _STORE)},
+}
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "wrapped"])
+def test_cli_flag_inventory(monkeypatch, wrapped):
+    import tfmbe.harness as harness
+
+    class Built(Exception):
+        pass
+
+    def wrap(driver):  # as a tracer wraps a driver
+        @functools.wraps(driver)
+        def call(*args, **kwargs):
+            return driver(*args, **kwargs)
+        return call
+
+    for name in harness.__all__ if wrapped else ():
+        if inspect.isfunction(getattr(harness, name)):
+            monkeypatch.setattr(harness, name, wrap(getattr(harness, name)))
+
+    def stop(parser, *args, **kwargs):
+        raise Built(parser)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", stop)
+    with pytest.raises(Built) as built:
+        cli_main(["ode-conv"])
+    parser = built.value.args[0]
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(CLI_FLAGS)
+    for cmd, expected in CLI_FLAGS.items():
+        found = {}
+        for a in sub.choices[cmd]._actions:
+            if a.dest == "help":
+                continue
+            [flag] = a.option_strings
+            assert a.default is None, (cmd, flag)
+            choices = None if a.choices is None else tuple(a.choices)
+            found[flag] = (a.dest, getattr(a.type, "__name__", None), choices,
+                           a.nargs, type(a).__name__)
+        assert found == expected, cmd
 
 
 def test_cli_config_file(tmp_path, capsys):

@@ -240,6 +240,25 @@ def test_commit_advances_state_and_history(grid):
         assert np.allclose(g, ref, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("step", [cn_sav_step, be_l1_sav_step])
+def test_commit_hands_the_history_the_candidates_increment(grid, step):
+    params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
+    state = init_state(grid, two_mode(grid), params, make_history(0.7))
+    committed, commit = [], state.history.commit
+
+    def recording(tau, increment, level=None):
+        committed.append(increment)
+        return commit(tau, increment, level=level)
+
+    state.history.commit = recording
+    phi_h = state.phi_h
+    cand = step(state, 0.01)
+    commit_candidate(state, cand)
+    [inc] = committed
+    assert np.shares_memory(inc, cand.dphi_h)
+    assert inc.tobytes() == (cand.phi_h - phi_h).view(float).tobytes()
+
+
 def test_step_validates_tau(grid):
     params = ModelParams(model="slope")
     for mode in ("direct", "fast"):

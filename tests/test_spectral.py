@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -296,6 +297,26 @@ def test_snapshot_rejects_bad_magic(tmp_path):
     p.write_bytes(b"NOTMAGIC" + b"\x00" * 100)
     with pytest.raises(ValueError):
         read_field(p)
+
+
+@pytest.mark.parametrize("cut", [20, 32 + 8 * 64 - 4, 32 + 8 * 64 - 8],
+                         ids=["header", "mid-value", "value-boundary"])
+def test_snapshot_rejects_truncated_file(tmp_path, cut):
+    grid = Grid2D(8)
+    path = tmp_path / "field.bin"
+    write_field(path, grid, np.ones(grid.shape))
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match=r"field\.bin: truncated snapshot"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("nx,ny", [(-8, -8), (0, 8)])
+def test_snapshot_rejects_empty_grid(tmp_path, nx, ny):
+    path = tmp_path / "field.bin"
+    header = struct.pack("<8sii2d", b"TFMBE2D\x00", nx, ny, 1.0, 1.0)
+    path.write_bytes(header + b"\x00" * 8 * 64)
+    with pytest.raises(ValueError, match=r"field\.bin: snapshot grid"):
+        read_field(path)
 
 
 def test_radicand_guard():
