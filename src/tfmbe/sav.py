@@ -50,21 +50,25 @@ step sizes).  The W term of the right-hand side is never formed: it enters
 the solve as a scalar, through chi and (W, chi).
 
 The step runs in transform space: the state carries the half-spectrum of
-phi^n and the grid gradients of phi^n and phi^{n-1}, the flux divergence
-and the right-hand side are formed as half-spectra, and every inner
-product is taken by Parseval.  A candidate's grid values and gradient are
-transformed back on first use.  The convolution history stores the
-increments of the half-spectrum (as its float view, shape (nx, nx + 2)),
-so its sums are half-spectra too and are never transformed.  The state
-caches the step operators of each theta, a0 - (1 - theta) M lin_sym and
-1 / (a0 + theta M lin_sym), complex-typed, for the last a0 it was solved
-at (``SAVState.step_operators``): one entry per theta, rebuilt when a0
+phi^n and the grid gradients of phi^n and phi^{n-1}, each one (2, nx, nx)
+array, the flux divergence and the right-hand side are formed as
+half-spectra, and every inner product is taken by Parseval.  A
+candidate's grid values and gradient are transformed back together on
+first use, by one shared inverse pass (``Grid2D.field_and_gradient``).
+The convolution history stores the increments of the half-spectrum (as
+its float view, shape (nx, nx + 2)), so its sums are half-spectra too
+and are never transformed.  The state caches the step operators of each
+theta, a0 - (1 - theta) M lin_sym and 1 / (a0 + theta M lin_sym),
+complex-typed, for the last a0 it was solved at
+(``SAVState.step_operators``): one entry per theta, rebuilt when a0
 changes, so a controller that stays at one step size builds them once.
 A step weights W for Parseval once and takes every (W, .) as a plain dot,
-and assembles its right-hand side in place.  An adaptive
-trial costs 7 transforms: the second-order step 3 (flux 2, grid values 1),
-the estimator 2 (it is never transformed back) and the observables 2 (the
-gradient, which the next step reuses); a fixed-mesh step costs 5.
+and assembles its right-hand side in place.  An adaptive trial makes 3
+transform calls: the second-order step's flux divergence (one forward
+call on the stacked flux), the estimator's (it is never transformed
+back), and the shared inverse pass that gives the second-order
+candidate's grid values and the gradient that the observables and the
+next step reuse; a fixed-mesh step makes 2.
 """
 
 from __future__ import annotations
@@ -341,25 +345,25 @@ class SAVState:
     """Committed trajectory head, with the grid, model and history it runs on.
 
     phi^n as grid values and as a half-spectrum, the grid gradients of
-    phi^n and phi^{n-1} (the second-order step extrapolates the flux from
-    them), the auxiliary scalar and the convolution history.  The grid
-    and the model parameters are the ones ``init_state`` was given: every
-    step, observable and loop reads them from here.  ``energy0`` is the
-    modified energy at ``init_state``, which bounds every accepted step's.
-    ``step_operators`` keeps the linear operators of the last step size
-    each theta was solved at.
+    phi^n and phi^{n-1}, (2, nx, nx) arrays (the second-order step
+    extrapolates the flux from them), the auxiliary scalar and the
+    convolution history.  The grid and the model parameters are the ones
+    ``init_state`` was given: every step, observable and loop reads them
+    from here.  ``energy0`` is the modified energy at ``init_state``,
+    which bounds every accepted step's.  ``step_operators`` keeps the
+    linear operators of the last step size each theta was solved at.
     """
 
     grid: object = field(repr=False)
     params: object
     phi: np.ndarray
     phi_h: np.ndarray
-    grad: tuple
+    grad: np.ndarray
     aux: float
     history: object
     n: int = 0
     t: float = 0.0
-    prev_grad: Optional[tuple] = None
+    prev_grad: Optional[np.ndarray] = None
     prev_tau: Optional[float] = None
     energy0: float = math.nan
     # theta -> (a0, explicit part, inverse symbol) of ``step_operators``
@@ -395,8 +399,9 @@ class StepCandidate:
     """Result of one trial step; harmless to discard.
 
     The new field is its half-spectrum ``phi_h``; its grid values ``phi``
-    and gradient ``grad`` are transformed back on first use, so a
-    candidate that is only compared costs no inverse transform.
+    and gradient ``grad`` are transformed back together on first use, by
+    one shared inverse pass, so a candidate that is only compared costs
+    no inverse transform.
     """
 
     grid: object = field(repr=False)
@@ -407,12 +412,16 @@ class StepCandidate:
     caputo_dot: float   # (discrete Caputo value, phi^n - phi^{n-1}), for audits
 
     @cached_property
-    def phi(self):
-        return self.grid.ifft(self.phi_h)
+    def _values(self):
+        return self.grid.field_and_gradient(self.phi_h)
 
-    @cached_property
+    @property
+    def phi(self):
+        return self._values[0]
+
+    @property
     def grad(self):
-        return self.grid.gradient_from_spectrum(self.phi_h)
+        return self._values[1]
 
 
 def _functional(params):
@@ -429,7 +438,7 @@ def init_state(grid, phi0, params, history):
     if phi0.shape != grid.shape:
         raise ValueError(f"field shape {phi0.shape} does not match grid {grid.shape}")
     phi_h = grid.fft(phi0)
-    grad = grid.gradient_from_spectrum(phi_h)
+    _, grad = grid.field_and_gradient(phi_h)
     radicand = sav_radicand(grid, _squared_slope(grad), params)
     state = SAVState(grid=grid, params=params, phi=phi0, phi_h=phi_h, grad=grad,
                      aux=math.sqrt(radicand), history=history)
@@ -537,8 +546,7 @@ def _sav_step(state, tau_n, source, theta, scheme):
     a0, hist = state.history.caputo_terms(scheme, tau_n)
     grad = state.grad
     if theta < 1.0 and state.n > 0:
-        r = tau_n / (2.0 * state.prev_tau)
-        grad = tuple(_extrapolated(g, p, r) for g, p in zip(grad, state.prev_grad))
+        grad = _extrapolated(grad, state.prev_grad, tau_n / (2.0 * state.prev_tau))
     w_h, _ = _functional(params)(grid, grad, params)
     # sign of the frozen-flux source: -M(... - W u) for slope, -M(... + W v)
     # for no-slope.  The auxiliary scalar obeys aux_t = -(1/2)(W, phi_t) in

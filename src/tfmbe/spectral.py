@@ -3,32 +3,39 @@
 Fields are real arrays of shape (nx, nx) on the uniform periodic grid of
 the square (0, 2 pi)^2; x varies along the first axis.  Differential operators
 are diagonal in transform space (real FFTs with Hermitian symmetry), so a
-field is carried by its half-spectrum between steps: the grid values of
-its gradient come from ``gradient_from_spectrum`` and the half-spectrum of
-a divergence from ``divergence_spectrum``.  The grid keeps the derivative
-operators complex and at the full half-spectrum shape, so applying one
-neither casts nor broadcasts.  The Nyquist mode of odd derivatives is
-zeroed, the standard convention for real first derivatives.  Quadrature
-is the scaled grid sum, which is spectrally accurate on periodic grids;
-``inner_spec`` takes the same inner product from two half-spectra
-(Parseval) as one BLAS dot of their flattened float views, the left one
-multiplied by the grid's Parseval weights (2 for a column that stands for
-its conjugate too, 1 for the first and last columns, which have none,
-times the quadrature scale).  A left operand shared by several products
-is weighted once (``weigh``) and each product is then a plain ``dot``.
+field is carried by its half-spectrum between steps.  A 2-D transform is
+two 1-D passes, one along the rows and one along the columns, and
+``Grid2D.fft``/``Grid2D.ifft`` take one field or a stack of them along
+leading axes, so one call serves a stack.  A gradient is one (2, nx, nx)
+array; the half-spectrum of a divergence comes from one forward call on
+the stacked flux (``divergence_spectrum``), and the grid values of a
+field and its gradient from one shared inverse pass
+(``field_and_gradient``): d_y acts along the rows, so the field and d_y
+of it share one column pass.  The grid keeps its gradient operator
+(d_x, d_y) as one complex stack at the full half-spectrum shape, so
+applying it neither casts nor broadcasts.  The Nyquist mode of odd
+derivatives is zeroed, the standard convention for real first
+derivatives.  Quadrature is the scaled grid sum, which is spectrally
+accurate on periodic grids; ``inner_spec`` takes the same inner product
+from two half-spectra (Parseval) as one BLAS dot of their flattened float
+views, the left one multiplied by the grid's Parseval weights (2 for a
+column that stands for its conjugate too, 1 for the first and last
+columns, which have none, times the quadrature scale).  A left operand
+shared by several products is weighted once (``weigh``) and each product
+is then a plain ``dot``.
 
 Nonlinear fluxes are formed pointwise on the grid and differentiated in
 transform space; no dealiasing is applied.  The auxiliary-variable
 functionals form their pointwise factor once (the slope model takes its
-radicand from it) and scale it by 1/sqrt(radicand) before the two
-forward transforms.  Every 2-D transform goes through
-``Grid2D.fft``/``Grid2D.ifft``.  The SAV step (``tfmbe.sav``) costs 7 of
-them per adaptive trial (second-order step 3, estimator 2, observables 2)
-and 5 per fixed-mesh step; its convolution history holds half-spectra
-(their float views, whose shape it takes from the first committed
-increment), so the history sum needs no transform.  The SAV state keeps
-the ``Grid2D`` and ``ModelParams`` it starts with, and every step reads
-them from there.
+radicand from it), scale it by 1/sqrt(radicand) and multiply the stacked
+gradient by it once before the forward call.  The SAV step
+(``tfmbe.sav``) makes 3 transform calls per adaptive trial (two forward
+calls, one per flux divergence, and the shared inverse pass of the new
+field) and 2 per fixed-mesh step; its convolution history holds
+half-spectra (their float views, whose shape it takes from the first
+committed increment), so the history sum needs no transform.  The SAV
+state keeps the ``Grid2D`` and ``ModelParams`` it starts with, and every
+step reads them from there.
 """
 
 from __future__ import annotations
@@ -73,15 +80,22 @@ class Grid2D:
         ky = TWO_PI * np.fft.rfftfreq(self.ny, d=self.hy)
         self.k2 = kx[:, None] ** 2 + ky[None, :] ** 2
         self.k4 = self.k2 ** 2
-        # the derivative operators are complex and full-shape, so a multiply
-        # neither casts nor broadcasts; odd derivatives drop the (unpaired)
-        # Nyquist mode
+        # the gradient operator (d_x, d_y), one stack, complex and full-shape,
+        # so a multiply neither casts nor broadcasts; odd derivatives drop
+        # the (unpaired) Nyquist mode
         dx = 1j * kx
         dx[self.nx // 2] = 0.0
         dy = 1j * ky
         dy[-1] = 0.0
-        self._dx = np.ascontiguousarray(np.broadcast_to(dx[:, None], self.k2.shape))
-        self._dy = np.ascontiguousarray(np.broadcast_to(dy[None, :], self.k2.shape))
+        self._grad = np.empty((2,) + self.k2.shape, dtype=complex)
+        self._grad[0] = dx[:, None]
+        self._grad[1] = dy[None, :]
+        # the column passes of ``field_and_gradient``, kept: a fresh stack
+        # per call is a large allocation that the C allocator may hand back
+        # to the system when it is freed; in a loop of calls at 128^2 and
+        # 256^2, faulting its pages in again made the shared pass slower
+        # than three separate inverse transforms
+        self._cols = np.empty((3,) + self.k2.shape, dtype=complex)
         # Parseval weights over the flattened float view of a half-spectrum:
         # 2 for a column that stands for itself and its conjugate, 1 for the
         # unpaired first and last columns, times the quadrature scale
@@ -102,25 +116,49 @@ class Grid2D:
     # -- transforms ----------------------------------------------------
 
     def fft(self, f):
-        return np.fft.rfft2(f)
+        """Half-spectrum of field f, or of each field of a stack along leading axes.
+
+        Two 1-D passes, a real one along the rows and a complex one along
+        the columns (in place): ``np.fft.rfft2`` bit for bit, but one call
+        serves a stack.
+        """
+        fh = np.fft.rfft(f, axis=-1)
+        return np.fft.fft(fh, axis=-2, out=fh)
 
     def ifft(self, fh):
-        return np.fft.irfft2(fh, s=self.shape)
+        """Grid values of half-spectrum fh, or of each one of a stack.
+
+        The inverse of ``fft`` as two 1-D passes, columns then rows:
+        ``np.fft.irfft2`` bit for bit.
+        """
+        return np.fft.irfft(np.fft.ifft(fh, axis=-2), self.nx, axis=-1)
 
     # -- operators -----------------------------------------------------
 
-    def gradient_from_spectrum(self, fh):
-        """Grid values (d_x f, d_y f) of the field with half-spectrum fh."""
-        return self.ifft(self._dx * fh), self.ifft(self._dy * fh)
+    def field_and_gradient(self, fh):
+        """Grid values f and grad = (d_x f, d_y f) of the field with half-spectrum fh.
 
-    def divergence_spectrum(self, fx, fy):
-        """Half-spectrum of d_x fx + d_y fy for grid fields fx, fy."""
-        div_h = self.fft(fx)
-        div_h *= self._dx
-        fy_h = self.fft(fy)
-        fy_h *= self._dy
-        div_h += fy_h
-        return div_h
+        One shared inverse: d_y acts along the rows, so f and d_y f share
+        the column pass of fh; d_x f has its own.  The two column passes
+        write into one stack that the grid keeps (so a grid is not for
+        concurrent use), d_y is applied to the first, and one row pass over
+        the three gives f and the (2, nx, nx) gradient, views of one new
+        array.
+        """
+        cols = self._cols
+        np.fft.ifft(fh, axis=0, out=cols[0])
+        np.multiply(self._grad[0], fh, out=cols[1])
+        np.fft.ifft(cols[1], axis=0, out=cols[1])
+        np.multiply(self._grad[1], cols[0], out=cols[2])
+        values = np.fft.irfft(cols, self.nx, axis=-1)
+        return values[0], values[1:]
+
+    def divergence_spectrum(self, flux):
+        """Half-spectrum of d_x fx + d_y fy for the (2, nx, nx) grid flux (fx, fy)."""
+        div_h = self.fft(flux)
+        div_h *= self._grad
+        div_h[0] += div_h[1]
+        return div_h[0]
 
     # -- quadrature ----------------------------------------------------
 
@@ -181,16 +219,16 @@ class ModelParams:
 
 def slope_nonlinearity(grid, phi):
     """Variational flux of the double-well potential: -div((|grad|^2 - 1) grad)."""
-    gx, gy = grid.gradient_from_spectrum(grid.fft(phi))
-    fac = gx * gx + gy * gy - 1.0
-    return -grid.ifft(grid.divergence_spectrum(fac * gx, fac * gy))
+    _, grad = grid.field_and_gradient(grid.fft(phi))
+    fac = _squared_slope(grad) - 1.0
+    return -grid.ifft(grid.divergence_spectrum(fac * grad))
 
 
 def noslope_nonlinearity(grid, phi):
     """Variational flux of the logarithmic potential: div(grad/(1 + |grad|^2))."""
-    gx, gy = grid.gradient_from_spectrum(grid.fft(phi))
-    fac = 1.0 / (1.0 + gx * gx + gy * gy)
-    return grid.ifft(grid.divergence_spectrum(fac * gx, fac * gy))
+    _, grad = grid.field_and_gradient(grid.fft(phi))
+    fac = 1.0 / (1.0 + _squared_slope(grad))
+    return grid.ifft(grid.divergence_spectrum(fac * grad))
 
 
 def sav_radicand(grid, x2, params):
@@ -238,37 +276,35 @@ def _squared_slope(grad):
 def sav_u_functional(grid, grad, params):
     """Normalized double-well flux used by the slope-model auxiliary variable.
 
-    ``grad`` holds the grid values (d_x phi, d_y phi).  Returns
-    (U_h, radicand): the half-spectrum of
+    ``grad`` is the (2, nx, nx) stack of grid values (d_x phi, d_y phi).
+    Returns (U_h, radicand): the half-spectrum of
     U = div((|grad phi|^2 - 1 - beta) grad phi) / sqrt(radicand), with
     ``sav_radicand`` of the slope model.  The factor in the divergence is
     formed once, gives the radicand and carries 1/sqrt(radicand).
     """
-    gx, gy = grad
     m = _squared_slope(grad)
     m -= 1.0 + params.beta
     radicand = _slope_radicand(grid, m, params)
     m *= 1.0 / math.sqrt(radicand)
-    return grid.divergence_spectrum(m * gx, m * gy), radicand
+    return grid.divergence_spectrum(m * grad), radicand
 
 
 def sav_v_functional(grid, grad, params):
     """Normalized logarithmic-potential flux for the no-slope auxiliary variable.
 
-    ``grad`` holds the grid values (d_x phi, d_y phi).  Returns
-    (V_h, radicand): the half-spectrum of
+    ``grad`` is the (2, nx, nx) stack of grid values (d_x phi, d_y phi).
+    Returns (V_h, radicand): the half-spectrum of
     V = div((1/(1 + |grad phi|^2) + beta) grad phi) / sqrt(radicand), with
     ``sav_radicand`` of the no-slope model.  The factor in the divergence
     is formed once and carries 1/sqrt(radicand).
     """
-    gx, gy = grad
     fac = _squared_slope(grad)
     radicand = sav_radicand(grid, fac, params)
     fac += 1.0
     np.reciprocal(fac, out=fac)
     fac += params.beta
     fac *= 1.0 / math.sqrt(radicand)
-    return grid.divergence_spectrum(fac * gx, fac * gy), radicand
+    return grid.divergence_spectrum(fac * grad), radicand
 
 
 # -- field snapshots ----------------------------------------------------

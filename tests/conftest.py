@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -128,3 +129,21 @@ def count_prefix_passes(monkeypatch, history):
     counter = PassCounter(lambda: history._blocks[0] if history._blocks else None)
     monkeypatch.setattr(tfmbe.sav, "np", counter)
     return counter
+
+
+def count_transforms(monkeypatch):
+    """Count the transform calls on every ``Grid2D``, by method name.
+
+    ``fft`` and ``ifft`` are one call per field or per stack of fields;
+    ``field_and_gradient`` is the shared inverse pass of a field and its
+    gradient.
+    """
+    from tfmbe import Grid2D
+
+    calls = Counter()
+    for name in ("fft", "ifft", "field_and_gradient"):
+        def counted(self, f, _transform=getattr(Grid2D, name), _name=name):
+            calls[_name] += 1
+            return _transform(self, f)
+        monkeypatch.setattr(Grid2D, name, counted)
+    return calls

@@ -15,7 +15,8 @@ from tfmbe import (AdaptiveParams, Grid2D, ModelParams, SolverError, adaptive_ru
 
 import tfmbe.sav as sav
 
-from conftest import count_bank_passes, count_prefix_passes, flip_estimates
+from conftest import (count_bank_passes, count_prefix_passes, count_transforms,
+                      flip_estimates)
 
 
 @pytest.fixture(scope="module")
@@ -68,22 +69,22 @@ def spoil_energies(monkeypatch, bad, trials):
 @pytest.mark.parametrize("soe_mode", ["fast", "direct"])
 @pytest.mark.parametrize("alpha", [0.7, 1.0])
 def test_transform_counts(monkeypatch, grid, alpha, soe_mode):
-    """7 two-dimensional transforms per adaptive trial, 5 per fixed-mesh step."""
+    """3 transform calls per adaptive trial, 2 per fixed-mesh step.
+
+    A fixed-mesh step makes one forward call (the flux divergence) and one
+    shared inverse pass (the new field and its gradient); an adaptive
+    trial adds the estimator's forward call.
+    """
     state = small_state(grid, alpha=alpha, soe_mode=soe_mode)
-    calls = []
-    for name in ("fft", "ifft"):
-        def counted(self, f, _transform=getattr(Grid2D, name)):
-            calls.append(name)
-            return _transform(self, f)
-        monkeypatch.setattr(Grid2D, name, counted)
+    calls = count_transforms(monkeypatch)
     records = run_fixed(state, build_uniform(0.02, 12))
-    assert len(calls) == 5 * len(records)
-    del calls[:]
+    assert calls == {"fft": len(records), "field_and_gradient": len(records)}
+    calls.clear()
     flip_estimates(monkeypatch, {2})  # the first trial above the floor
     aparams = AdaptiveParams(tol=1e-2, tau_min=1e-3, tau_max=0.05)
     records = adaptive_run(state, aparams, T=0.2)
     assert not records[1].accepted  # rejected trials counted too
-    assert len(calls) == 7 * len(records)
+    assert calls == {"fft": 2 * len(records), "field_and_gradient": len(records)}
     if soe_mode == "fast" and alpha < 1.0:
         assert state.history.bank is not None
 

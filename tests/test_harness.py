@@ -15,7 +15,7 @@ from tfmbe import (Grid2D, ModelParams, SolverError, adaptive_benchmark,
 from tfmbe.cli import main as cli_main
 from tfmbe.harness import _benchmark_phi0, energy_bound_violation, table_mesh
 
-from conftest import flip_estimates
+from conftest import count_transforms, flip_estimates
 
 
 def test_ode_convergence_rejects_bad_sigma():
@@ -221,16 +221,18 @@ def test_benchmark_sav_drift_column():
 
 
 def test_adaptive_step_transform_budget(monkeypatch):
-    calls = []
-    fft, ifft = Grid2D.fft, Grid2D.ifft
-    monkeypatch.setattr(Grid2D, "fft", lambda g, f: calls.append(1) or fft(g, f))
-    monkeypatch.setattr(Grid2D, "ifft", lambda g, f: calls.append(1) or ifft(g, f))
-    # at alpha = 1 neither candidate transforms a history sum (there is none)
-    for alpha, per_step in ((0.7, 10), (1.0, 7)):
+    """At most 3 transform calls per accepted step, and no plain inverse.
+
+    An adaptive trial makes 3 (two forward calls and the shared inverse
+    pass), a step of the graded start 2 and ``init_state`` 2.
+    """
+    calls = count_transforms(monkeypatch)
+    for alpha in (0.7, 1.0):
         calls.clear()
         rep = adaptive_benchmark("slope", alpha, grid_n=16, T=0.05)
         assert rep.n_accepted > 30  # past the graded prefix
-        assert len(calls) <= per_step * rep.n_accepted
+        assert calls["ifft"] == 0
+        assert calls.total() <= 3 * rep.n_accepted
 
 
 def test_benchmark_alpha_one_runs():

@@ -11,7 +11,7 @@ import tfmbe.sav as sav
 from tfmbe.kernels import l1_row, l1plus_row
 from tfmbe.sav import CaputoHistory
 
-from conftest import random_mesh
+from conftest import count_transforms, random_mesh
 
 
 @pytest.fixture(scope="module")
@@ -74,21 +74,16 @@ def test_init_state_noslope_aux(grid):
 
 @pytest.mark.parametrize("model", ["slope", "noslope"])
 def test_init_state_reads_radicand_from_gradient(monkeypatch, grid, model):
-    """init_state transforms the field and its gradient only: 3 transforms.
+    """init_state makes one forward call and one shared inverse pass.
 
     The auxiliary scalar is the square root of the radicand formula summed
     on the grid; the slope model sums it as the functional used to, bit
     for bit, and the no-slope model sums its two terms apart.
     """
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model=model)
-    calls = []
-    for name in ("fft", "ifft"):
-        def counted(self, f, _transform=getattr(Grid2D, name)):
-            calls.append(name)
-            return _transform(self, f)
-        monkeypatch.setattr(Grid2D, name, counted)
+    calls = count_transforms(monkeypatch)
     state = init_state(grid, two_mode(grid), params, make_history(0.7))
-    assert len(calls) == 3
+    assert calls == {"fft": 1, "field_and_gradient": 1}
     gx, gy = state.grad
     x2 = gx * gx + gy * gy
     if model == "slope":
@@ -236,8 +231,9 @@ def test_commit_advances_state_and_history(grid):
     assert state.prev_grad is grad0
     assert state.phi_h is cand.phi_h
     assert np.allclose(grid.fft(state.phi), state.phi_h, rtol=0, atol=1e-12)
-    for g, ref in zip(state.grad, grid.gradient_from_spectrum(grid.fft(state.phi))):
-        assert np.allclose(g, ref, rtol=0, atol=1e-12)
+    assert state.grad.shape == (2,) + grid.shape
+    _, ref = grid.field_and_gradient(grid.fft(state.phi))
+    assert np.allclose(state.grad, ref, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("step", [cn_sav_step, be_l1_sav_step])

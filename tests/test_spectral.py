@@ -42,7 +42,7 @@ def biharmonic(grid, f):
 
 
 def gradient(grid, f):
-    return grid.gradient_from_spectrum(grid.fft(f))
+    return grid.field_and_gradient(grid.fft(f))[1]
 
 
 def test_laplacian_eigenfunction(grid):
@@ -64,9 +64,53 @@ def test_biharmonic_eigenfunction_roundoff_floor(grid):
 
 def test_divergence_of_gradient_is_laplacian(grid, rng):
     f = band_limited(grid, rng)
-    gx, gy = gradient(grid, f)
-    div = grid.ifft(grid.divergence_spectrum(gx, gy))
+    grad = gradient(grid, f)
+    assert grad.shape == (2,) + grid.shape
+    div = grid.ifft(grid.divergence_spectrum(grad))
     assert np.max(np.abs(div - laplacian(grid, f))) < 1e-11
+
+
+@pytest.mark.parametrize("nx", [16, 64, 128])
+def test_stacked_transforms_match_rfft2_bit_for_bit(nx, rng):
+    grid = Grid2D(nx)
+    fields = rng.standard_normal((3,) + grid.shape)
+    spectra = grid.fft(fields)
+    assert spectra.shape == (3, nx, nx // 2 + 1)
+    values = grid.ifft(spectra)
+    for f, fh, back in zip(fields, spectra, values):
+        assert np.array_equal(fh, np.fft.rfft2(f))
+        assert np.array_equal(grid.fft(f), fh)
+        assert np.array_equal(back, np.fft.irfft2(fh, s=grid.shape))
+        assert np.array_equal(grid.ifft(fh), back)
+
+
+def _derivative_symbols(nx):
+    """i kx and i ky of the half-spectrum, each with its Nyquist mode zeroed."""
+    kx = np.fft.fftfreq(nx, d=1.0 / nx)
+    ky = np.fft.rfftfreq(nx, d=1.0 / nx)
+    kx[nx // 2] = ky[-1] = 0.0
+    return 1j * kx[:, None], 1j * ky[None, :]
+
+
+@pytest.mark.parametrize("nx", [16, 64, 128])
+def test_shared_inverse_pass_matches_separate_inverses(nx, rng):
+    """f and (d_x f, d_y f) from one pass match three separate inverse transforms.
+
+    The field is white noise, so its Nyquist modes are not small: the odd
+    derivatives must drop them as the separate transforms do.
+    """
+    grid = Grid2D(nx)
+    fh = grid.fft(rng.standard_normal(grid.shape))
+    f, grad = grid.field_and_gradient(fh)
+    ikx, iky = _derivative_symbols(nx)
+    for got, ref in ((f, grid.ifft(fh)), (grad[0], grid.ifft(ikx * fh)),
+                     (grad[1], grid.ifft(iky * fh))):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # a Nyquist wave has a zero gradient on the grid, and keeps it
+    nyquist = np.cos(nx // 2 * grid.x) + np.cos(nx // 2 * grid.y)
+    f, grad = grid.field_and_gradient(grid.fft(nyquist))
+    assert np.max(np.abs(f - nyquist)) <= 1e-13
+    assert np.max(np.abs(grad)) <= 1e-13
 
 
 def test_gradient_of_trigonometric_field(grid):
@@ -204,7 +248,7 @@ def test_functionals_fold_normalization_into_factor(grid, rng, model):
         fac = 1.0 / (1.0 + x2) + params.beta
         radicand = grid.integrate(0.5 * np.log1p(x2) + 0.5 * params.beta * x2) + params.C0
         w_h, got = sav_v_functional(grid, grad, params)
-    ref = grid.divergence_spectrum(fac * gx, fac * gy) / np.sqrt(radicand)
+    ref = grid.divergence_spectrum(np.stack((fac * gx, fac * gy))) / np.sqrt(radicand)
     assert got == pytest.approx(radicand, rel=1e-14)
     assert np.max(np.abs(w_h - ref)) <= 1e-14 * np.max(np.abs(ref))
 
