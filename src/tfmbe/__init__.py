@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 from .timemesh import (TimeMesh, build_uniform, build_graded, extend_random,
                        extend_uniform)
 from .kernels import (L1, L1PLUS, rl_weight, l1_row, l1plus_row,
-                      apply_direct, quadratic_form, kernel_sign_gap)
+                      apply_direct, quadratic_form)
 from .soe import (SOEApprox, build_soe, verify_soe, HistoryBank,
                   fast_l1plus_apply, fast_l1_apply)
 from .spectral import (Grid2D, ModelParams, slope_nonlinearity,

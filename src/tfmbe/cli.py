@@ -3,9 +3,10 @@
 Each subcommand runs one ``tfmbe.harness`` driver, and its flags are the
 driver's inputs with ``_`` spelled ``-`` (``_FLAGS`` holds the four
 renamed ones).  Options may come from a JSON config file (one section per
-subcommand) with explicit flags taking precedence; an option set by
-neither takes the driver's own keyword default.  Every run writes its
-resolved parameters to run.json next to the CSV output.
+subcommand, whose keys must be the subcommand's inputs) with explicit flags
+taking precedence; an option set by neither takes the driver's own keyword
+default.  Every run writes its resolved parameters to run.json next to the
+CSV output.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ _FLAGS = {
     "N0": {"type": int},
     "samples": {"type": int},
     "model": {"choices": ("slope", "noslope")},
-    "tail": {"choices": ("random", "uniform")},
     "strategy": {"choices": ("uniform", "graded", "adaptive")},
     "soe_mode": {"choices": ("fast", "direct")},
 }
@@ -88,16 +88,20 @@ def _load_section(path, section):
     return cfg.get(section, {})
 
 
-def _resolve(args, cfg, defaults):
+def _resolve(parser, args, cfg, defaults):
     """defaults < config file < explicit flags (argparse leaves None when unset).
 
     An option in none of the three is not passed, so the driver's keyword
-    default applies; config keys that are not flags of the subcommand are
-    ignored.
+    default applies.  A config key that is not an input of the subcommand is
+    an error of ``parser``.
     """
     flags = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
+    unknown = sorted(set(cfg) - set(flags))
+    if unknown:
+        parser.error(f"config keys that are not inputs of {args.cmd!r}: "
+                     f"{', '.join(unknown)}")
     out = dict(defaults)
-    out.update({k: v for k, v in cfg.items() if k in flags})
+    out.update(cfg)
     out.update({k: v for k, v in flags.items() if v is not None})
     return out
 
@@ -117,7 +121,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     driver, _, required, printer = _COMMANDS[args.cmd]
-    opts = _resolve(args, _load_section(args.config, args.cmd), required)
+    opts = _resolve(sub.choices[args.cmd], args,
+                    _load_section(args.config, args.cmd), required)
     return printer(getattr(harness, driver)(**opts)) or 0
 
 

@@ -24,12 +24,17 @@ def convergence_order(errors, taus):
     return list(np.log(errors[:-1] / errors[1:]) / np.log(taus[:-1] / taus[1:]))
 
 
-def _window_mask(times, window):
-    times = np.asarray(times, dtype=float)
-    if window is None:
-        return times, np.ones(times.size, dtype=bool)
-    lo, hi = window
-    return times, (times >= lo) & (times <= hi)
+def _windowed(times, values, window):
+    """The (time, value) samples with times in ``window`` (all when None), at least 2."""
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if window is not None:
+        lo, hi = window
+        keep = (t >= lo) & (t <= hi)
+        t, y = t[keep], y[keep]
+    if t.size < 2:
+        raise ValueError("window keeps fewer than 2 samples")
+    return t, y
 
 
 def powerlaw_fit(times, values, window=None):
@@ -38,11 +43,7 @@ def powerlaw_fit(times, values, window=None):
     Exact (zero residual) on exact power laws.  The raw OLS slope is
     returned: negate it for a decay exponent, keep it for a growth rate.
     """
-    times, mask = _window_mask(times, window)
-    values = np.asarray(values, dtype=float)
-    t, y = times[mask], values[mask]
-    if t.size < 2:
-        raise ValueError("window keeps fewer than 2 samples")
+    t, y = _windowed(times, values, window)
     if np.any(t <= 0) or np.any(y <= 0):
         raise ValueError("power-law fit needs positive times and values")
     slope, intercept = np.polyfit(np.log10(t), np.log10(y), 1)
@@ -51,11 +52,7 @@ def powerlaw_fit(times, values, window=None):
 
 def loglinear_fit(times, values, window=None):
     """OLS fit of values = intercept + slope * log10(times) (semilog decay)."""
-    times, mask = _window_mask(times, window)
-    values = np.asarray(values, dtype=float)
-    t, y = times[mask], values[mask]
-    if t.size < 2:
-        raise ValueError("window keeps fewer than 2 samples")
+    t, y = _windowed(times, values, window)
     slope, intercept = np.polyfit(np.log10(t), y, 1)
     return float(slope), float(intercept)
 

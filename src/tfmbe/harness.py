@@ -28,7 +28,7 @@ from .diagnostics import (convergence_order, loglinear_fit, powerlaw_fit,
 from .errors import SolverError
 from .kernels import rl_weight
 from .sav import CaputoHistory, cn_sav_step, commit_candidate, init_state, make_history
-from .soe import _VERIFY_SAMPLES, build_soe, verify_soe
+from .soe import _SOE_EPS, _VERIFY_SAMPLES, build_soe, verify_soe
 from .spectral import (SLOPE, Grid2D, ModelParams, noslope_nonlinearity,
                        slope_nonlinearity, write_field)
 from .timemesh import build_graded, build_uniform, extend_random, extend_uniform
@@ -58,9 +58,11 @@ _COARSEN_EPSILON = 0.03
 _COARSEN_MODEL = dict(_GROWTH_MODEL, eps2=_COARSEN_EPSILON ** 2)
 # initial-layer mesh end and the initial-field amplitudes
 _SINGULARITY_T0, _SINGULARITY_AMPLITUDE, _COARSEN_AMPLITUDE = 1e-3, 0.1, 1e-3
-# graded prefix, uniform step and exponential sum: the benchmark's defaults
+# graded prefix and uniform step: the benchmark's defaults
 _PREFIX_T0, _PREFIX_N0, _PREFIX_GAMMA = 0.01, 30, 3.0
-_UNIFORM_TAU, _SOE_EPS = 1e-3, 1e-10
+_UNIFORM_TAU = 1e-3
+# the scalar table's horizon: the paper's interval [0, 1]
+_ODE_T = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -155,31 +157,25 @@ def _emit(out_dir, report):
 # Meshes for the table runs
 # ---------------------------------------------------------------------------
 
-def table_mesh(T, N, gamma, seed, tail="random"):
-    """Graded prefix on [0, T0], T0 = min(1/gamma, T), plus a tail to T.
+def table_mesh(T, N, gamma, seed):
+    """Graded prefix on [0, T0], T0 = min(1/gamma, T), plus a random tail to T.
 
-    Half the cells grade the prefix, half fill the tail (random by
-    default).  gamma = 1 (or any T0 >= T) degenerates to a single graded
-    segment, i.e. the uniform mesh for gamma = 1.
+    Half the cells grade the prefix, half fill the tail.  gamma = 1 (or
+    any T0 >= T) degenerates to a single graded segment, i.e. the uniform
+    mesh for gamma = 1.
     """
     T0 = min(1.0 / gamma, T)
     if T0 >= T:
         return build_graded(T, N, gamma)
     n0 = N // 2
-    prefix = build_graded(T0, n0, gamma)
-    if tail == "random":
-        return extend_random(prefix, T, N - n0, seed)
-    if tail == "uniform":
-        return extend_uniform(prefix, T, N - n0)
-    raise ValueError(f"unknown tail kind {tail!r}")
+    return extend_random(build_graded(T0, n0, gamma), T, N - n0, seed)
 
 
 def _order_table(error_of, meta, out_dir):
     """Error/order table of ``error_of(mesh)`` over the table meshes ``meta`` names."""
     rows = []
     for N in meta["n_list"]:
-        mesh = table_mesh(meta["T"], N, meta["gamma"], meta["seed"] + N,
-                          tail=meta["tail"])
+        mesh = table_mesh(meta["T"], N, meta["gamma"], meta["seed"] + N)
         err = error_of(mesh)
         order = math.nan if not rows else convergence_order(
             [rows[-1].error, err], [rows[-1].tau_max, mesh.tau_max])[0]
@@ -209,12 +205,12 @@ def solve_caputo_ode(mesh, alpha, source_mid):
     return u
 
 
-def ode_convergence(alpha, sigma, n_list, T=1.0, gamma=1.0, seed=0,
-                    tail="random", out_dir=None):
+def ode_convergence(alpha, sigma, n_list, gamma=1.0, seed=0, out_dir=None):
     """Error/order table for the scalar problem with exact solution w_{1+s}(t).
 
-    The matching source is w_{1+s-a}(t); the reported error is
-    max_n |u(t_n) - u^n| and orders are formed against the max step size.
+    The matching source is w_{1+s-a}(t) on the paper's interval [0, 1];
+    the reported error is max_n |u(t_n) - u^n| and orders are formed
+    against the max step size.
     """
     if sigma <= 0:
         raise ValueError(f"regularity parameter must be positive, got {sigma}")
@@ -225,7 +221,7 @@ def ode_convergence(alpha, sigma, n_list, T=1.0, gamma=1.0, seed=0,
 
     return _order_table(error_of, {
         "driver": "ode_convergence", "alpha": alpha, "sigma": sigma,
-        "T": T, "gamma": gamma, "seed": seed, "tail": tail,
+        "T": _ODE_T, "gamma": gamma, "seed": seed, "tail": "random",
         "n_list": list(n_list)}, out_dir)
 
 
@@ -247,7 +243,7 @@ def _nonlinearity(model):
 
 
 def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
-                    seed=1, tail="random", out_dir=None):
+                    seed=1, out_dir=None):
     """Error/order table for the forced growth model with a separable exact field.
 
     The exact solution is w_{1+s}(t) sin(x) sin(y); the matching source is
@@ -284,7 +280,8 @@ def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
     return _order_table(error_of, {
         "driver": "pde_convergence", "model": model, "alpha": alpha,
         "sigma": sigma, "gamma": gamma, "grid_n": grid_n, "T": T,
-        "seed": seed, "tail": tail, **_TABLE_MODEL, "n_list": list(n_list)}, out_dir)
+        "seed": seed, "tail": "random", **_TABLE_MODEL, "n_list": list(n_list)},
+        out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +305,17 @@ def _check_prefix_end(what, prefix, T):
 
 
 def _run_trajectory(meta, grid, params, phi0, history, mesh, aparams=None, T=None,
-                    fit=None, out_dir=None, save_field=False):
+                    fitters=None, out_dir=None, save_field=False):
     """Initial state, time loop, report and files of every trajectory.
 
     ``mesh`` is marched whole, then ``aparams`` (if given) drives the
-    controller to ``T``; ``fit(records)`` gives the fits.  A controller
-    run's run.json counts the floor steps accepted with e >= tol and gives
-    their largest e (0 when there are none).  A ``SolverError``
-    still writes ``steps.csv`` and ``run.json`` (with the message under
-    ``"error"``) for the records up to the failing step before it propagates.
+    controller to ``T``; ``fitters`` maps each fit's name to a function of
+    the records, and a fit that raises ``ValueError`` is NaN, with the first
+    such message under ``fits["reason"]``.  A controller run's run.json
+    counts the floor steps accepted with e >= tol and gives their largest e
+    (0 when there are none).  A ``SolverError`` still writes ``steps.csv``
+    and ``run.json`` (with the message under ``"error"``) for the records
+    up to the failing step before it propagates.
     """
     state = init_state(grid, phi0, params, history)
     records, error = [], None
@@ -336,7 +335,12 @@ def _run_trajectory(meta, grid, params, phi0, history, mesh, aparams=None, T=Non
         report.meta["error"] = str(error)
         _emit(out_dir, report)
         raise error
-    report.fits = {} if fit is None else fit(records)
+    for name, fitter in (fitters or {}).items():
+        try:
+            report.fits[name] = fitter(records)
+        except ValueError as err:
+            report.fits[name] = math.nan
+            report.fits.setdefault("reason", str(err))
     report.final_phi = state.phi
     _emit(out_dir, report)
     if save_field and out_dir is not None:
@@ -349,24 +353,26 @@ def singularity_run(alpha, grid_n=32, N0=200, gamma=3.0, out_dir=None):
 
     A single-mode initial state keeps the fast-relaxing harmonics out of
     the max-norm quotient, so the early-window slope of
-    log|dphi/dt| vs log(t) exposes the exponent alpha - 1.
+    log|dphi/dt| vs log(t) exposes the exponent alpha - 1.  A mesh too
+    short to fit gives a NaN slope and ``fits["reason"]``.
     """
     grid = Grid2D(grid_n)
     params = ModelParams(model=SLOPE, **_GROWTH_MODEL)
     phi0 = _SINGULARITY_AMPLITUDE * np.sin(grid.x) * np.sin(grid.y)
 
-    def fit(records):
+    def slope(records):
         t_mid = np.array([r.t - 0.5 * r.tau for r in records])
         quot = np.array([r.dphi_dt_max for r in records])
-        return {"singularity_slope": singularity_slope(t_mid, quot),
-                "target": alpha - 1.0}
+        return singularity_slope(t_mid, quot)
 
     meta = {"driver": "singularity_run", "model": SLOPE, "alpha": alpha,
             "grid_n": grid_n, "T0": _SINGULARITY_T0, "N0": N0, "gamma": gamma,
             **_GROWTH_MODEL, "ic_amplitude": _SINGULARITY_AMPLITUDE}
     return _run_trajectory(meta, grid, params, phi0,
                            make_history(alpha, mode="direct"),
-                           build_graded(_SINGULARITY_T0, N0, gamma), fit=fit,
+                           build_graded(_SINGULARITY_T0, N0, gamma),
+                           fitters={"singularity_slope": slope,
+                                    "target": lambda records: alpha - 1.0},
                            out_dir=out_dir)
 
 
@@ -378,8 +384,7 @@ def _benchmark_phi0(grid):
 def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
                        tol=AdaptiveParams.tol, rho=AdaptiveParams.rho,
                        tau_min=AdaptiveParams.tau_min, tau_max=AdaptiveParams.tau_max,
-                       soe_eps=_SOE_EPS, soe_mode="fast", out_dir=None,
-                       save_field=False):
+                       soe_mode="fast", out_dir=None, save_field=False):
     """Film-growth benchmark from the smooth two-mode initial state.
 
     strategy "uniform" marches round(T / 1e-3) equal steps, "graded" a
@@ -420,13 +425,13 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    history = make_history(alpha, mode=soe_mode, dt_min=dt_min, T=T, eps=soe_eps)
+    history = make_history(alpha, mode=soe_mode, dt_min=dt_min, T=T)
     meta = {"driver": "adaptive_benchmark", "model": model, "alpha": alpha,
             "strategy": strategy, "grid_n": grid_n, "T": T, **_GROWTH_MODEL,
             "tol": tol, "rho": rho, "tau_min": tau_min, "tau_max": tau_max,
             "prefix_t0": _PREFIX_T0, "prefix_n0": _PREFIX_N0,
             "prefix_gamma": _PREFIX_GAMMA, "uniform_tau": _UNIFORM_TAU,
-            "soe_eps": soe_eps, "soe_mode": soe_mode}
+            "soe_eps": _SOE_EPS, "soe_mode": soe_mode}
     return _run_trajectory(meta, grid, params, _benchmark_phi0(grid), history, mesh,
                            aparams, T, out_dir=out_dir, save_field=save_field)
 
@@ -462,29 +467,24 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
     prefix = build_graded(tau_min / shrink, _PREFIX_N0, _PREFIX_GAMMA)
     _check_prefix_end("coarsening", prefix, T)
 
-    history = make_history(alpha, mode="fast", dt_min=tau_min, T=T, eps=_SOE_EPS)
+    history = make_history(alpha, mode="fast", dt_min=tau_min, T=T)
     window = fit_window if fit_window is not None else (1.0, min(500.0, T))
 
-    def fit(records):
-        acc = [r for r in records if r.accepted]
-        times = np.array([r.t for r in acc])
-        energies = np.array([r.energy_orig for r in acc])
-        roughnesses = np.array([r.roughness for r in acc])
-        fits = {"window": list(window)}
+    def series(records, name):
+        """Times and ``name`` values of the accepted steps."""
         if not window[0] < window[1]:
-            fits["reason"] = (f"default fit window {list(window)} is empty for T < 1; "
-                              "pass fit_window")
-        fitters = {"beta": lambda: -powerlaw_fit(times, energies, window)[0],
-                   "R": lambda: powerlaw_fit(times, roughnesses, window)[0],
-                   "energy_semilog_slope":
-                       lambda: loglinear_fit(times, energies, window)[0]}
-        for name, fitter in fitters.items():
-            try:
-                fits[name] = fitter()
-            except ValueError as err:
-                fits[name] = math.nan
-                fits.setdefault("reason", str(err))
-        return fits
+            raise ValueError(f"default fit window {list(window)} is empty for T < 1; "
+                             "pass fit_window")
+        acc = [r for r in records if r.accepted]
+        return (np.array([r.t for r in acc]),
+                np.array([getattr(r, name) for r in acc]))
+
+    fitters = {"window": lambda records: list(window),
+               "beta": lambda records:
+                   -powerlaw_fit(*series(records, "energy_orig"), window)[0],
+               "R": lambda records: powerlaw_fit(*series(records, "roughness"), window)[0],
+               "energy_semilog_slope": lambda records:
+                   loglinear_fit(*series(records, "energy_orig"), window)[0]}
 
     meta = {"driver": "coarsening", "model": model, "alpha": alpha,
             "grid_n": grid_n, "T": T, "seed": seed, "M": params.M,
@@ -495,4 +495,4 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
             "ic_amplitude": _COARSEN_AMPLITUDE, "soe_eps": _SOE_EPS,
             "soe_mode": "fast"}
     return _run_trajectory(meta, grid, params, phi0, history, prefix, aparams, T,
-                           fit=fit, out_dir=out_dir, save_field=save_field)
+                           fitters=fitters, out_dir=out_dir, save_field=save_field)

@@ -43,7 +43,6 @@ __all__ = [
     "l1plus_row",
     "apply_direct",
     "quadratic_form",
-    "kernel_sign_gap",
 ]
 
 L1 = "l1"
@@ -155,19 +154,3 @@ def quadratic_form(mesh, alpha, w, kind=L1PLUS):
         row = row_fn(mesh, alpha, k)
         total += w[k - 1] * float(np.dot(row.weights[::-1], w[:k]))
     return total
-
-
-def kernel_sign_gap(alpha, rho, tau_n):
-    """Difference a0 - a1 of the two newest l1plus weights.
-
-    With rho = tau_{n-1}/tau_n the gap equals
-    [1 + rho + rho^(2-a) - (1+rho)^(2-a)] / (Gamma(3-a) tau_n^a rho);
-    it changes sign as the order varies over (0,1), so no uniform
-    monotonicity of the leading weights holds.
-    """
-    _require_order(alpha)
-    if rho <= 0:
-        raise ValueError(f"step ratio must be positive, got {rho}")
-    bracket = 1.0 + rho + rho ** (2.0 - alpha) - (1.0 + rho) ** (2.0 - alpha)
-    return bracket / (math.gamma(3.0 - alpha) * tau_n ** alpha * rho)
-

@@ -82,7 +82,7 @@ import numpy as np
 
 from .errors import SolverError, StateError
 from .kernels import l1_row, l1plus_row
-from .soe import HistoryBank, build_soe
+from .soe import _SOE_EPS, HistoryBank, build_soe
 from .spectral import (SLOPE, _noslope_radicand, _slope_radicand, _squared_slope,
                        sav_radicand, sav_u_functional, sav_v_functional)
 
@@ -318,14 +318,14 @@ class CaputoHistory:
         self._bank_if_due(tau)
 
 
-def make_history(alpha, mode="direct", dt_min=None, T=None, eps=1e-10):
+def make_history(alpha, mode="direct", dt_min=None, T=None):
     """History factory.
 
     mode "direct" keeps every level exact; mode "fast" builds an
-    exponential-sum approximation certified on [dt_min, T], which the
-    history reads from its first committed step of at least dt_min on
-    (graded prefixes step far below it).  alpha = 1 always yields the
-    memoryless classical history.
+    exponential-sum approximation certified on [dt_min, T] to the drivers'
+    tolerance ``_SOE_EPS``, which the history reads from its first committed
+    step of at least dt_min on (graded prefixes step far below it).
+    alpha = 1 always yields the memoryless classical history.
     """
     if mode not in ("direct", "fast"):
         raise ValueError(f"unknown history mode {mode!r}")
@@ -333,7 +333,7 @@ def make_history(alpha, mode="direct", dt_min=None, T=None, eps=1e-10):
         return CaputoHistory(alpha)
     if dt_min is None or T is None:
         raise ValueError("fast mode needs dt_min and T")
-    return CaputoHistory(alpha, soe=build_soe(alpha, eps, dt_min, T))
+    return CaputoHistory(alpha, soe=build_soe(alpha, _SOE_EPS, dt_min, T))
 
 
 # ---------------------------------------------------------------------------

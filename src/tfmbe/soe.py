@@ -107,6 +107,8 @@ _FOLD_STEPS = 8
 _BUILD_SAMPLES = 4001
 # and the count verify_soe checks by default
 _VERIFY_SAMPLES = 10000
+# kernel tolerance of every driver's exponential sum (run.json's soe_eps)
+_SOE_EPS = 1e-10
 
 # the reduction fits on every tenth verification sample (401 of them), so
 # a fit that misses the target on its own samples cannot be certified

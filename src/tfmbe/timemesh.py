@@ -48,11 +48,6 @@ class TimeMesh:
         return self._taus
 
     @property
-    def rhos(self):
-        """Local step ratios rho_k = tau_k / tau_{k+1}, k = 1..N-1."""
-        return self._taus[:-1] / self._taus[1:]
-
-    @property
     def tau_max(self):
         return float(self._taus.max())
 
@@ -92,6 +87,18 @@ def build_graded(T0, N0, gamma):
     return TimeMesh(levels)
 
 
+def _extend(mesh, T, N1, new_levels):
+    """``mesh`` plus the levels ``new_levels(T0)`` of N1 steps, the last pinned to T."""
+    T0 = mesh.T
+    if T <= T0:
+        raise ValueError(f"extension target T={T} must exceed current T0={T0}")
+    if N1 < 1:
+        raise ValueError(f"N1 must be at least 1, got {N1}")
+    levels = np.concatenate([mesh.levels, new_levels(T0)])
+    levels[-1] = T
+    return TimeMesh(levels)
+
+
 def extend_random(mesh, T, N1, seed):
     """Append N1 random steps reaching T exactly.
 
@@ -99,30 +106,17 @@ def extend_random(mesh, T, N1, seed):
     (0, 1) by a seeded PCG64 generator; the result is a pure function of
     (mesh, T, N1, seed).
     """
-    T0 = mesh.T
-    if T <= T0:
-        raise ValueError(f"extension target T={T} must exceed current T0={T0}")
-    if N1 < 1:
-        raise ValueError(f"N1 must be at least 1, got {N1}")
-    rng = np.random.default_rng(seed)
-    eps = rng.random(N1)
-    while np.any(eps == 0.0):  # open interval (0,1); a zero step is invalid
-        idx = eps == 0.0
-        eps[idx] = rng.random(int(idx.sum()))
-    steps = (T - T0) * eps / eps.sum()
-    levels = np.concatenate([mesh.levels, T0 + np.cumsum(steps)])
-    levels[-1] = T
-    return TimeMesh(levels)
+    def new_levels(T0):
+        rng = np.random.default_rng(seed)
+        eps = rng.random(N1)
+        while np.any(eps == 0.0):  # open interval (0,1); a zero step is invalid
+            idx = eps == 0.0
+            eps[idx] = rng.random(int(idx.sum()))
+        return T0 + np.cumsum((T - T0) * eps / eps.sum())
+
+    return _extend(mesh, T, N1, new_levels)
 
 
 def extend_uniform(mesh, T, N1):
     """Append N1 equal steps reaching T exactly."""
-    T0 = mesh.T
-    if T <= T0:
-        raise ValueError(f"extension target T={T} must exceed current T0={T0}")
-    if N1 < 1:
-        raise ValueError(f"N1 must be at least 1, got {N1}")
-    tail = np.linspace(T0, T, N1 + 1)[1:]
-    levels = np.concatenate([mesh.levels, tail])
-    levels[-1] = T
-    return TimeMesh(levels)
+    return _extend(mesh, T, N1, lambda T0: np.linspace(T0, T, N1 + 1)[1:])

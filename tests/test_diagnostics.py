@@ -68,6 +68,15 @@ def test_powerlaw_decay_maps_to_positive_exponent():
     assert 10 ** intercept == pytest.approx(5.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("fit", [powerlaw_fit, loglinear_fit])
+def test_fits_need_two_samples_in_the_window(fit):
+    t = np.geomspace(1.0, 10.0, 5)
+    assert np.isfinite(fit(t, t, window=(1.0, 1.8))[0])
+    for window in [(1.0, 1.5), (20.0, 30.0)]:
+        with pytest.raises(ValueError, match="window keeps fewer than 2 samples"):
+            fit(t, t, window=window)
+
+
 def test_powerlaw_window():
     t = np.geomspace(0.01, 1000.0, 200)
     y = t ** 1.5

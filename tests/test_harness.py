@@ -42,10 +42,6 @@ def test_table_mesh_conventions():
     comp = table_mesh(1.0, 64, 4.0, seed=0)
     assert comp.n_steps == 64
     assert comp.levels[32] == pytest.approx(0.25, rel=1e-12)  # T0 = 1/gamma
-    fixed = table_mesh(1.0, 64, 4.0, seed=0, tail="uniform")
-    assert np.allclose(fixed.taus[32:], 0.75 / 32)
-    with pytest.raises(ValueError):
-        table_mesh(1.0, 64, 4.0, seed=0, tail="sorted")
     # T0 = min(1/gamma, T): a horizon within 1/gamma is one graded segment
     short = table_mesh(0.1, 16, 2.0, seed=0)
     assert np.array_equal(short.levels, build_graded(0.1, 16, 2.0).levels)
@@ -190,6 +186,27 @@ def test_singularity_run_records_model_constants(tmp_path):
     assert {k: meta[k] for k in GROWTH_MODEL} == GROWTH_MODEL
     assert (meta["T0"], meta["ic_amplitude"], meta["n_accepted"]) == (1e-3, 0.1, 8)
     assert meta["model"] == "slope"
+
+
+def test_singularity_run_too_short_to_fit_keeps_its_files(tmp_path, capsys):
+    # the fit used to raise after the run, so no file was written
+    singularity_run(0.4, grid_n=8, N0=2, out_dir=tmp_path / "s")
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["run.json", "steps.csv"]
+    fits = _meta(tmp_path / "s")["fits"]
+    assert math.isnan(fits["singularity_slope"]) and fits["target"] == -0.6
+    assert fits["reason"] == "not enough early steps to fit"
+    assert cli_main(["singularity", "--grid", "8", "--N0", "2"]) == 0
+    assert capsys.readouterr().out == "singularity slope: nan (alpha - 1 = -0.6000)\n"
+
+
+def test_runs_record_the_settings_that_became_constants(tmp_path):
+    ode_convergence(0.5, 2.5, [4, 8], out_dir=tmp_path / "o")
+    pde_convergence("slope", 0.8, 0.4, 5.0, [4], grid_n=8, T=0.1, out_dir=tmp_path / "p")
+    adaptive_benchmark("slope", 0.7, strategy="uniform", grid_n=8, T=0.005,
+                       out_dir=tmp_path / "b")
+    ode, pde, bench = (_meta(tmp_path / d) for d in "opb")
+    assert (ode["T"], ode["tail"], pde["tail"]) == (1.0, "random", "random")
+    assert bench["soe_eps"] == 1e-10
 
 
 def test_coarsening_records_model_constants(tmp_path):
@@ -436,7 +453,6 @@ def test_cli_soe_verify_fails_above_eps(monkeypatch, capsys):
 
 _F, _I, _STORE = "float", "int", "_StoreAction"
 _MODEL = ("slope", "noslope")
-_TAIL = ("random", "uniform")
 _OUT = {"--out": ("out_dir", None, None, None, _STORE)}
 _SAVE = {"--save-field": ("save_field", None, None, 0, "_StoreTrueAction")}
 # subcommand -> option string -> (dest, type, choices, nargs, action)
@@ -446,9 +462,7 @@ CLI_FLAGS = {
         "--sigma": ("sigma", _F, None, None, _STORE),
         "--N": ("n_list", "_int_list", None, None, _STORE),
         "--gamma": ("gamma", _F, None, None, _STORE),
-        "--T": ("T", _F, None, None, _STORE),
-        "--seed": ("seed", _I, None, None, _STORE),
-        "--tail": ("tail", None, _TAIL, None, _STORE), **_OUT},
+        "--seed": ("seed", _I, None, None, _STORE), **_OUT},
     "pde-conv": {
         "--model": ("model", None, _MODEL, None, _STORE),
         "--alpha": ("alpha", _F, None, None, _STORE),
@@ -457,8 +471,7 @@ CLI_FLAGS = {
         "--N": ("n_list", "_int_list", None, None, _STORE),
         "--grid": ("grid_n", _I, None, None, _STORE),
         "--T": ("T", _F, None, None, _STORE),
-        "--seed": ("seed", _I, None, None, _STORE),
-        "--tail": ("tail", None, _TAIL, None, _STORE), **_OUT},
+        "--seed": ("seed", _I, None, None, _STORE), **_OUT},
     "benchmark": {
         "--model": ("model", None, _MODEL, None, _STORE),
         "--alpha": ("alpha", _F, None, None, _STORE),
@@ -470,7 +483,6 @@ CLI_FLAGS = {
         "--rho": ("rho", _F, None, None, _STORE),
         "--tau-min": ("tau_min", _F, None, None, _STORE),
         "--tau-max": ("tau_max", _F, None, None, _STORE),
-        "--soe-eps": ("soe_eps", _F, None, None, _STORE),
         "--soe-mode": ("soe_mode", None, ("fast", "direct"), None, _STORE),
         **_SAVE, **_OUT},
     "coarsen": {
@@ -580,14 +592,33 @@ def test_cli_uses_driver_defaults(tmp_path, cmd, flags, driver, args, kwargs):
     assert _tree_bytes(tmp_path / "cli") == _tree_bytes(tmp_path / "direct")
 
 
-def test_cli_config_ignores_keys_that_are_not_flags(tmp_path):
+@pytest.mark.parametrize("cmd,keys", [("benchmark", {"M": 5.0}),
+                                      ("benchmark", {"soe_eps": 1e-8}),
+                                      ("ode-conv", {"T": 2.0, "tail": "uniform"}),
+                                      ("pde-conv", {"tail": "uniform"})],
+                         ids=["benchmark-M", "benchmark-soe_eps", "ode-conv-T-tail",
+                              "pde-conv-tail"])
+def test_cli_config_rejects_keys_that_are_not_flags(tmp_path, capsys, cmd, keys):
+    # such a key used to be dropped, so the run went on without the setting
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"benchmark": {
-        "grid_n": 16, "T": 0.02, "M": 5.0, "out_dir": str(tmp_path / "cli")}}))
-    assert cli_main(["--config", str(cfg_path), "benchmark"]) == 0
-    adaptive_benchmark("slope", 0.7, grid_n=16, T=0.02,
-                       out_dir=tmp_path / "direct")
-    assert _tree_bytes(tmp_path / "cli") == _tree_bytes(tmp_path / "direct")
+    cfg_path.write_text(json.dumps({cmd: dict(keys, out_dir=str(tmp_path / "cli"))}))
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["--config", str(cfg_path), cmd])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"not inputs of '{cmd}': {', '.join(sorted(keys))}" in err
+    assert not (tmp_path / "cli").exists()
+
+
+@pytest.mark.parametrize("cmd,flag", [("benchmark", ["--soe-eps", "1e-8"]),
+                                      ("ode-conv", ["--T", "2"]),
+                                      ("ode-conv", ["--tail", "uniform"]),
+                                      ("pde-conv", ["--tail", "uniform"])])
+def test_cli_removed_flags_exit_2(capsys, cmd, flag):
+    with pytest.raises(SystemExit) as stop:
+        cli_main([cmd, *flag])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad_trial", [10, 40], ids=["graded-prefix", "controller"])

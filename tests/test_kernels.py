@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tfmbe import (apply_direct, build_uniform, convergence_order,
-                   kernel_sign_gap, l1_row, l1plus_row, quadratic_form,
-                   rl_weight)
+from tfmbe import (apply_direct, build_uniform, convergence_order, l1_row,
+                   l1plus_row, quadratic_form, rl_weight)
 
 from conftest import random_mesh
 
@@ -165,26 +164,6 @@ def test_summation_by_cells_identity(rng):
     lhs = sum(w[k - 1] * float(apply_direct(mesh, alpha, w, k)) for k in range(1, 15))
     rhs = quadratic_form(mesh, alpha, w)
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
-
-
-def test_sign_gap_values():
-    assert kernel_sign_gap(0.9, 1.0, 1.0) > 0
-    assert kernel_sign_gap(0.01, 1.0, 1.0) < 0
-    with pytest.raises(ValueError):
-        kernel_sign_gap(0.5, -1.0, 1.0)
-
-
-@given(st.floats(0.05, 0.95), st.floats(0.2, 5.0))
-@settings(max_examples=40, deadline=None)
-def test_sign_gap_matches_rows(alpha, rho):
-    # two steps: tau_1 = rho * tau_2
-    tau2 = 0.37
-    tau1 = rho * tau2
-    mesh = np.array([0.0, tau1, tau1 + tau2])
-    row = l1plus_row(mesh, alpha, 2)
-    gap = row.weights[0] - row.weights[1]
-    assert kernel_sign_gap(alpha, rho, tau2) == pytest.approx(
-        gap, abs=1e-12 * max(1.0, abs(gap)))
 
 
 # ---------------------------------------------------------------------------

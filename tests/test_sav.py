@@ -384,8 +384,7 @@ def test_direct_vs_fast_trajectories(grid):
     params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="slope")
     phis = {}
     for mode in ("direct", "fast"):
-        history = make_history(alpha, mode=mode,
-                               dt_min=T / n_steps, T=T, eps=eps)
+        history = make_history(alpha, mode=mode, dt_min=T / n_steps, T=T)
         state = init_state(grid, two_mode(grid), params, history)
         run_fixed(state, mesh)
         phis[mode] = state.phi

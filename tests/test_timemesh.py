@@ -10,7 +10,6 @@ from tfmbe import (TimeMesh, build_graded, build_uniform, extend_random,
 def test_uniform_levels():
     mesh = build_uniform(1.0, 4)
     assert np.allclose(mesh.levels, [0, 0.25, 0.5, 0.75, 1.0], atol=0)
-    assert np.all(mesh.rhos == 1.0)
 
 
 def test_uniform_single_step():
@@ -75,6 +74,17 @@ def test_extend_random_sums_and_determinism():
 def test_extend_random_requires_larger_horizon():
     with pytest.raises(ValueError):
         extend_random(build_uniform(1.0, 2), 0.5, 3, seed=0)
+
+
+@pytest.mark.parametrize("extend", [lambda m, T, n: extend_random(m, T, n, seed=0),
+                                    extend_uniform], ids=["random", "uniform"])
+def test_extensions_share_validation(extend):
+    base = build_uniform(1.0, 2)
+    with pytest.raises(ValueError, match=r"extension target T=1\.0 must exceed"):
+        extend(base, 1.0, 3)
+    with pytest.raises(ValueError, match=r"N1 must be at least 1, got 0"):
+        extend(base, 2.0, 0)
+    assert extend(base, 2.0, 3).levels[-1] == 2.0
 
 
 def test_extend_uniform_steps():
