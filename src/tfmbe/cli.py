@@ -1,15 +1,10 @@
 """Command line entry points for the experiment drivers.
 
-Each subcommand runs one ``tfmbe.harness`` driver, and its flags are the
-driver's inputs with ``_`` spelled ``-`` (``_FLAGS`` holds the four
-renamed ones).  Options may come from a JSON config file (one section per
-subcommand, whose keys must be the subcommand's inputs) with explicit flags
-taking precedence; an option set by neither takes the driver's own keyword
-default.  Every run writes its resolved parameters to run.json next to the
-CSV output.
+Each subcommand runs one ``tfmbe.harness`` driver, whose inputs are its flags
+(``_`` spelled ``-``; ``_FLAGS`` holds the four renamed ones).  A JSON config
+section, or a run.json replaying its run, parses as flags ahead of the
+explicit ones; an option set by neither takes the driver's default.
 """
-
-from __future__ import annotations
 
 import argparse
 import inspect
@@ -20,7 +15,10 @@ from . import harness
 
 
 def _int_list(text):
-    return [int(v) for v in text.split(",") if v]
+    values = [int(v) for v in text.split(",") if v]
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"need positive integers, got {text!r}")
+    return values
 
 
 # argparse keywords (and spelling, under "flag") of the driver inputs that
@@ -55,74 +53,76 @@ def _print_soe(result):
     return 0 if err <= soe.eps else 1
 
 
-# subcommand -> driver name, help, the values given to the driver's required
-# inputs, and the printer of its result (which may return an exit code)
+# subcommand -> driver name, help, printer of its result (may return an exit code)
 _COMMANDS = {
     "ode-conv": ("ode_convergence", "scalar Caputo problem error/order table",
-                 {"alpha": 0.5, "sigma": 2.5, "n_list": [64, 128, 256, 512]},
                  _print_orders),
     "pde-conv": ("pde_convergence", "forced growth-model error/order table",
-                 {"model": "slope", "alpha": 0.8, "sigma": 0.4, "gamma": 5.0,
-                  "n_list": [64, 128, 256, 512]}, _print_orders),
+                 _print_orders),
     "benchmark": ("adaptive_benchmark", "two-mode film growth benchmark",
-                  {"model": "slope", "alpha": 0.7},
                   lambda r: print(f"accepted steps: {r.n_accepted} (records incl. "
                                   f"rejected trials: {len(r.records)})")),
     "coarsen": ("coarsening", "coarsening dynamics with power-law fits",
-                {"model": "slope", "alpha": 0.7},
                 lambda r: print(f"accepted steps: {r.n_accepted}  fits: {r.fits}")),
     "singularity": ("singularity_run", "initial-layer slope on a graded mesh",
-                    {"alpha": 0.4},
                     lambda r: print("singularity slope: {singularity_slope:.4f} "
                                     "(alpha - 1 = {target:.4f})".format(**r.fits))),
-    "soe-verify": ("soe_verify", "build and certify an exponential sum",
-                   {"alpha": 0.5}, _print_soe),
+    "soe-verify": ("soe_verify", "build and certify an exponential sum", _print_soe),
 }
 
 
-def _load_section(path, section):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    return cfg.get(section, {})
+def _config_tokens(parser, cmd, path, actions):
+    """Yield the argv tokens of the ``cmd`` section of the JSON config file ``path``.
 
-
-def _resolve(parser, args, cfg, defaults):
-    """defaults < config file < explicit flags (argparse leaves None when unset).
-
-    An option in none of the three is not passed, so the driver's keyword
-    default applies.  A config key that is not an input of the subcommand is
-    an error of ``parser``.
+    A value becomes its flag's text, and ``null`` (or ``false`` for a switch)
+    no token.  A run record (a file with a "driver" key) is its "inputs".
     """
-    flags = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
-    unknown = sorted(set(cfg) - set(flags))
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+        if isinstance(cfg, dict) and "driver" in cfg:
+            cfg = {cmd: harness.record_inputs(cfg, _COMMANDS[cmd][0])}
+    except (OSError, ValueError) as err:
+        parser.error(f"--config {path}: {err}")
+    section = cfg.get(cmd, {}) if isinstance(cfg, dict) else None
+    if not isinstance(section, dict):
+        parser.error(f"--config {path}: need an object whose {cmd!r} entry is an object")
+    unknown = sorted(set(section) - set(actions))
     if unknown:
-        parser.error(f"config keys that are not inputs of {args.cmd!r}: "
-                     f"{', '.join(unknown)}")
-    out = dict(defaults)
-    out.update(cfg)
-    out.update({k: v for k, v in flags.items() if v is not None})
-    return out
+        parser.error(f"config keys that are not inputs of {cmd!r}: {', '.join(unknown)}")
+    for name, value in section.items():
+        action = actions[name]
+        flag, switch = action.option_strings[0], action.nargs == 0
+        if isinstance(value, list) and action.nargs:
+            yield from (flag, *map(str, value))
+        elif isinstance(value, list) and action.type is _int_list:
+            yield f"{flag}={','.join(map(str, value))}"
+        elif not (value is None or switch and value is False):
+            yield flag if switch and value is True else f"{flag}={value}"
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        prog="tfmbe",
-        description="time-fractional MBE growth model experiments")
-    parser.add_argument("--config", help="JSON config file with per-command sections")
+        prog="tfmbe", description="time-fractional MBE growth model experiments")
+    parser.add_argument("--config", help="JSON config file with per-command sections, "
+                        "or a run.json to replay")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for cmd, (driver, help_text, _, _) in _COMMANDS.items():
-        p = sub.add_parser(cmd, help=help_text)
+    actions = {}
+    for cmd, (driver, help_text, _) in _COMMANDS.items():
+        p, actions[cmd] = sub.add_parser(cmd, help=help_text), {}
         for name in inspect.signature(getattr(harness, driver)).parameters:
             kwargs = dict(_FLAGS.get(name, {"type": float}))
             flag = kwargs.pop("flag", "--" + name.replace("_", "-"))
-            p.add_argument(flag, dest=name, **kwargs)
+            actions[cmd][name] = p.add_argument(flag, dest=name, **kwargs)
 
-    args = parser.parse_args(argv)
-    driver, _, required, printer = _COMMANDS[args.cmd]
-    opts = _resolve(sub.choices[args.cmd], args,
-                    _load_section(args.config, args.cmd), required)
+    args = vars(parser.parse_args(argv))
+    cmd, path = args.pop("cmd"), args.pop("config")
+    if path is not None:  # the config fills the flags left unset (None)
+        p = sub.choices[cmd]
+        config = vars(p.parse_args(list(_config_tokens(p, cmd, path, actions[cmd]))))
+        args = {k: config[k] if v is None else v for k, v in args.items()}
+    driver, _, printer = _COMMANDS[cmd]
+    opts = {k: v for k, v in args.items() if v is not None}
     return printer(getattr(harness, driver)(**opts)) or 0
 
 

@@ -7,7 +7,10 @@ byte-identical output files.
 
 The paper fixes the model parameters of each experiment, so they are
 module constants, as are the settings no experiment varies; run.json
-records them.  The trajectory drivers share one body, ``_run_trajectory``.
+records them (``CONSTANTS`` holds each driver's) and the driver's inputs,
+which ``record_inputs`` reads back to replay the run.  Every input has its
+default in the driver's signature.  The trajectory drivers share one
+body, ``_run_trajectory``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ __all__ = [
     "write_steps_csv",
     "write_orders_csv",
     "write_run_meta",
+    "record_inputs",
+    "CONSTANTS",
     "energy_bound_violation",
 ]
 
@@ -63,6 +68,24 @@ _PREFIX_T0, _PREFIX_N0, _PREFIX_GAMMA = 0.01, 30, 3.0
 _UNIFORM_TAU = 1e-3
 # the scalar table's horizon: the paper's interval [0, 1]
 _ODE_T = 1.0
+
+# Each driver's constants, as run.json records them; a replayed record
+# must still match them
+CONSTANTS = {
+    "ode_convergence": {"T": _ODE_T, "tail": "random"},
+    "pde_convergence": {"tail": "random", **_TABLE_MODEL},
+    "adaptive_benchmark": {**_GROWTH_MODEL, "prefix_t0": _PREFIX_T0,
+                           "prefix_n0": _PREFIX_N0, "prefix_gamma": _PREFIX_GAMMA,
+                           "uniform_tau": _UNIFORM_TAU, "soe_eps": _SOE_EPS},
+    "coarsening": {"M": _COARSEN_MODEL["M"], "beta": _COARSEN_MODEL["beta"],
+                   "epsilon": _COARSEN_EPSILON, "C0": _COARSEN_MODEL["C0"],
+                   "tol": AdaptiveParams.tol, "rho": AdaptiveParams.rho,
+                   "prefix_n0": _PREFIX_N0, "prefix_gamma": _PREFIX_GAMMA,
+                   "ic_amplitude": _COARSEN_AMPLITUDE, "soe_eps": _SOE_EPS,
+                   "soe_mode": "fast"},
+    "singularity_run": {"model": SLOPE, "T0": _SINGULARITY_T0, **_GROWTH_MODEL,
+                        "ic_amplitude": _SINGULARITY_AMPLITUDE},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +163,36 @@ def write_run_meta(path, meta):
         fh.write("\n")
 
 
+def _record(driver, inputs):
+    """run.json's fields of a ``driver`` run: its ``inputs`` and its constants.
+
+    ``inputs`` is the driver's ``locals()`` on entry.  All of them but
+    ``out_dir`` go under "inputs", a config that replays the run; the top
+    level repeats them, except the field switch and the fit window (which
+    ``fits["window"]`` resolves).
+    """
+    inputs = {k: v for k, v in inputs.items() if k != "out_dir"}
+    top = {k: v for k, v in inputs.items() if k not in ("save_field", "fit_window")}
+    return {"driver": driver, **top, **CONSTANTS[driver], "inputs": inputs}
+
+
+def record_inputs(record, driver):
+    """The inputs of a run.json ``record`` of ``driver``, to run it again.
+
+    A record of another driver, or one whose constants differ from this
+    version's, is a ``ValueError`` naming them.
+    """
+    if record.get("driver") != driver:
+        raise ValueError(f"a run record of {record.get('driver')!r}, not of {driver!r}")
+    changed = sorted(k for k, v in CONSTANTS[driver].items() if record.get(k) != v)
+    if changed:
+        raise ValueError("recorded constants that differ from this version's: "
+                         + ", ".join(changed))
+    if "inputs" not in record:
+        raise ValueError("the record has no inputs: it predates replayable records")
+    return record["inputs"]
+
+
 def _emit(out_dir, report):
     if out_dir is None:
         return
@@ -173,6 +226,8 @@ def table_mesh(T, N, gamma, seed):
 
 def _order_table(error_of, meta, out_dir):
     """Error/order table of ``error_of(mesh)`` over the table meshes ``meta`` names."""
+    if len(meta["n_list"]) == 0:
+        raise ValueError("n_list is empty: the table needs at least one mesh")
     rows = []
     for N in meta["n_list"]:
         mesh = table_mesh(meta["T"], N, meta["gamma"], meta["seed"] + N)
@@ -205,13 +260,16 @@ def solve_caputo_ode(mesh, alpha, source_mid):
     return u
 
 
-def ode_convergence(alpha, sigma, n_list, gamma=1.0, seed=0, out_dir=None):
+def ode_convergence(alpha=0.5, sigma=2.5, n_list=(64, 128, 256, 512), gamma=1.0,
+                    seed=0, out_dir=None):
     """Error/order table for the scalar problem with exact solution w_{1+s}(t).
 
     The matching source is w_{1+s-a}(t) on the paper's interval [0, 1];
     the reported error is max_n |u(t_n) - u^n| and orders are formed
     against the max step size.
     """
+    n_list = list(n_list)
+    meta = _record("ode_convergence", locals())
     if sigma <= 0:
         raise ValueError(f"regularity parameter must be positive, got {sigma}")
 
@@ -219,13 +277,10 @@ def ode_convergence(alpha, sigma, n_list, gamma=1.0, seed=0, out_dir=None):
         u = solve_caputo_ode(mesh, alpha, lambda t: rl_weight(1.0 + sigma - alpha, t))
         return float(np.max(np.abs(rl_weight(1.0 + sigma, mesh.levels[1:]) - u[1:])))
 
-    return _order_table(error_of, {
-        "driver": "ode_convergence", "alpha": alpha, "sigma": sigma,
-        "T": _ODE_T, "gamma": gamma, "seed": seed, "tail": "random",
-        "n_list": list(n_list)}, out_dir)
+    return _order_table(error_of, meta, out_dir)
 
 
-def soe_verify(alpha, eps=_SOE_EPS, dt_min=1e-4, T=30.0, samples=_VERIFY_SAMPLES):
+def soe_verify(alpha=0.5, eps=_SOE_EPS, dt_min=1e-4, T=30.0, samples=_VERIFY_SAMPLES):
     """Build the exponential sum of w_{1-a} on [dt_min, T] and certify it.
 
     Returns the sum and its max kernel error over ``samples`` log-spaced times.
@@ -242,8 +297,8 @@ def _nonlinearity(model):
     return slope_nonlinearity if model == SLOPE else noslope_nonlinearity
 
 
-def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
-                    seed=1, out_dir=None):
+def pde_convergence(model=SLOPE, alpha=0.8, sigma=0.4, gamma=5.0,
+                    n_list=(64, 128, 256, 512), grid_n=64, T=1.0, seed=1, out_dir=None):
     """Error/order table for the forced growth model with a separable exact field.
 
     The exact solution is w_{1+s}(t) sin(x) sin(y); the matching source is
@@ -252,6 +307,8 @@ def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
     beta = 1, C0 = 1, eps2 = 0.5).  Errors are pointwise max over grid
     and levels.
     """
+    n_list = list(n_list)
+    meta = _record("pde_convergence", locals())
     if sigma <= 0:
         raise ValueError(f"regularity parameter must be positive, got {sigma}")
     grid = Grid2D(grid_n)
@@ -277,11 +334,7 @@ def pde_convergence(model, alpha, sigma, gamma, n_list, grid_n=64, T=1.0,
             err = max(err, float(np.max(np.abs(exact - state.phi))))
         return err
 
-    return _order_table(error_of, {
-        "driver": "pde_convergence", "model": model, "alpha": alpha,
-        "sigma": sigma, "gamma": gamma, "grid_n": grid_n, "T": T,
-        "seed": seed, "tail": "random", **_TABLE_MODEL, "n_list": list(n_list)},
-        out_dir)
+    return _order_table(error_of, meta, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +401,7 @@ def _run_trajectory(meta, grid, params, phi0, history, mesh, aparams=None, T=Non
     return report
 
 
-def singularity_run(alpha, grid_n=32, N0=200, gamma=3.0, out_dir=None):
+def singularity_run(alpha=0.4, grid_n=32, N0=200, gamma=3.0, out_dir=None):
     """Graded-mesh slope-model run on [0, 1e-3] probing the initial layer, with its fit.
 
     A single-mode initial state keeps the fast-relaxing harmonics out of
@@ -356,6 +409,7 @@ def singularity_run(alpha, grid_n=32, N0=200, gamma=3.0, out_dir=None):
     log|dphi/dt| vs log(t) exposes the exponent alpha - 1.  A mesh too
     short to fit gives a NaN slope and ``fits["reason"]``.
     """
+    meta = _record("singularity_run", locals())
     grid = Grid2D(grid_n)
     params = ModelParams(model=SLOPE, **_GROWTH_MODEL)
     phi0 = _SINGULARITY_AMPLITUDE * np.sin(grid.x) * np.sin(grid.y)
@@ -365,9 +419,6 @@ def singularity_run(alpha, grid_n=32, N0=200, gamma=3.0, out_dir=None):
         quot = np.array([r.dphi_dt_max for r in records])
         return singularity_slope(t_mid, quot)
 
-    meta = {"driver": "singularity_run", "model": SLOPE, "alpha": alpha,
-            "grid_n": grid_n, "T0": _SINGULARITY_T0, "N0": N0, "gamma": gamma,
-            **_GROWTH_MODEL, "ic_amplitude": _SINGULARITY_AMPLITUDE}
     return _run_trajectory(meta, grid, params, phi0,
                            make_history(alpha, mode="direct"),
                            build_graded(_SINGULARITY_T0, N0, gamma),
@@ -381,7 +432,7 @@ def _benchmark_phi0(grid):
                   + np.sin(5 * grid.x) * np.sin(5 * grid.y))
 
 
-def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
+def adaptive_benchmark(model=SLOPE, alpha=0.7, strategy="adaptive", grid_n=128, T=30.0,
                        tol=AdaptiveParams.tol, rho=AdaptiveParams.rho,
                        tau_min=AdaptiveParams.tau_min, tau_max=AdaptiveParams.tau_max,
                        soe_mode="fast", out_dir=None, save_field=False):
@@ -395,6 +446,7 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
     energy is verified against its initial value.  ``T`` must be finite and
     positive.
     """
+    meta = _record("adaptive_benchmark", locals())
     _require_horizon(T)
     controller = AdaptiveParams(rho=rho, tol=tol, tau_min=tau_min, tau_max=tau_max)
     grid = Grid2D(grid_n)
@@ -426,17 +478,11 @@ def adaptive_benchmark(model, alpha, strategy="adaptive", grid_n=128, T=30.0,
         raise ValueError(f"unknown strategy {strategy!r}")
 
     history = make_history(alpha, mode=soe_mode, dt_min=dt_min, T=T)
-    meta = {"driver": "adaptive_benchmark", "model": model, "alpha": alpha,
-            "strategy": strategy, "grid_n": grid_n, "T": T, **_GROWTH_MODEL,
-            "tol": tol, "rho": rho, "tau_min": tau_min, "tau_max": tau_max,
-            "prefix_t0": _PREFIX_T0, "prefix_n0": _PREFIX_N0,
-            "prefix_gamma": _PREFIX_GAMMA, "uniform_tau": _UNIFORM_TAU,
-            "soe_eps": _SOE_EPS, "soe_mode": soe_mode}
     return _run_trajectory(meta, grid, params, _benchmark_phi0(grid), history, mesh,
                            aparams, T, out_dir=out_dir, save_field=save_field)
 
 
-def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
+def coarsening(model=SLOPE, alpha=0.7, grid_n=128, T=500.0, seed=2023, tau_min=None,
                tau_max=AdaptiveParams.tau_max, fit_window=None, out_dir=None,
                save_field=False):
     """Coarsening dynamics from a seeded random initial state, with power-law fits.
@@ -451,11 +497,13 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
     empty); a ``fit_window`` with lo >= hi raises ``ValueError``, and so
     does a ``T`` that is not finite and positive.
     """
+    meta = _record("coarsening", locals())
     _require_horizon(T)
     if fit_window is not None and not fit_window[0] < fit_window[1]:
         raise ValueError(f"fit_window {tuple(fit_window)} is empty: need lo < hi")
     if tau_min is None:
         tau_min = 1.25e-4 if model == SLOPE else 3.32e-5
+    meta["tau_min"] = tau_min  # the top level gives the floor the run used
     aparams = AdaptiveParams(tau_min=tau_min, tau_max=tau_max)
     grid = Grid2D(grid_n)
     params = ModelParams(model=model, **_COARSEN_MODEL)
@@ -486,13 +534,5 @@ def coarsening(model, alpha, grid_n=128, T=500.0, seed=2023, tau_min=None,
                "energy_semilog_slope": lambda records:
                    loglinear_fit(*series(records, "energy_orig"), window)[0]}
 
-    meta = {"driver": "coarsening", "model": model, "alpha": alpha,
-            "grid_n": grid_n, "T": T, "seed": seed, "M": params.M,
-            "beta": params.beta, "epsilon": _COARSEN_EPSILON, "C0": params.C0,
-            "tol": aparams.tol, "rho": aparams.rho, "tau_min": tau_min,
-            "tau_max": tau_max,
-            "prefix_n0": _PREFIX_N0, "prefix_gamma": _PREFIX_GAMMA,
-            "ic_amplitude": _COARSEN_AMPLITUDE, "soe_eps": _SOE_EPS,
-            "soe_mode": "fast"}
     return _run_trajectory(meta, grid, params, phi0, history, prefix, aparams, T,
                            fitters=fitters, out_dir=out_dir, save_field=save_field)

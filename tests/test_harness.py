@@ -23,6 +23,14 @@ def test_ode_convergence_rejects_bad_sigma():
         ode_convergence(0.5, -1.0, [16, 32])
 
 
+def test_order_tables_reject_an_empty_n_list():
+    # an empty list used to give an empty table
+    with pytest.raises(ValueError, match="n_list is empty"):
+        ode_convergence(0.5, 2.5, [])
+    with pytest.raises(ValueError, match="n_list is empty"):
+        pde_convergence("slope", 0.8, 0.4, 5.0, (), grid_n=8)
+
+
 def test_ode_convergence_uniform_second_order():
     rep = ode_convergence(0.5, 2.5, [64, 128], gamma=1.0)
     assert rep.errors[0] == pytest.approx(3.39e-5, rel=0.05)
@@ -619,6 +627,113 @@ def test_cli_removed_flags_exit_2(capsys, cmd, flag):
         cli_main([cmd, *flag])
     assert stop.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def _write_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    return str(path)
+
+
+# config, subcommand and the part of argparse's message naming the option;
+# each used to end in a traceback or, for the empty list, an empty table
+BAD_CONFIGS = {
+    "window-one-value": ({"fit_window": [1]}, "coarsen",
+                         "argument --window: expected 2 arguments"),
+    "model-typo": ({"model": "slop"}, "benchmark", "argument --model: invalid choice"),
+    "grid-not-int": ({"grid_n": "16.5"}, "benchmark", "argument --grid: invalid int"),
+    "n-list-not-ints": ({"n_list": "32;64"}, "ode-conv", "argument --N: invalid"),
+    "n-list-empty": ({"n_list": []}, "ode-conv", "argument --N: need positive integers"),
+    "n-list-zero": ({"n_list": [0, 8]}, "ode-conv", "argument --N: need positive integers"),
+    "switch-not-bool": ({"save_field": 1}, "benchmark", "argument --save-field"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_CONFIGS)
+def test_cli_config_values_are_checked_as_flags(tmp_path, capsys, name):
+    section, cmd, message = BAD_CONFIGS[name]
+    path = _write_config(tmp_path, {cmd: dict(section, out_dir=str(tmp_path / "o"))})
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["--config", path, cmd])
+    assert stop.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "No such file"), ("[1, 2]", "need an object"),
+    ('{"ode-conv": [1]}', "need an object"), ('{"ode-conv": {', "Expecting")],
+    ids=["missing", "top-level-list", "section-list", "invalid-json"])
+def test_cli_config_file_errors_name_the_file(tmp_path, capsys, text, message):
+    path = str(tmp_path / "missing.json") if text is None else _write_config(tmp_path, text)
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["--config", path, "ode-conv", "--N", "8"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--config {path}: " in err and message in err
+
+
+def test_cli_empty_n_list_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["ode-conv", "--N", ""])
+    assert stop.value.code == 2
+    assert "argument --N: need positive integers, got ''" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,section,flags", [
+    ("benchmark", {"grid_n": "16", "T": "0.02"}, ["--grid", "16", "--T", "0.02"]),
+    ("ode-conv", {"n_list": "16,32"}, ["--N", "16,32"]),
+    ("ode-conv", {"n_list": [16, 32], "seed": None}, ["--N", "16,32"])],
+    ids=["benchmark-strings", "ode-conv-text", "ode-conv-list"])
+def test_cli_config_strings_parse_as_flag_text(tmp_path, cmd, section, flags):
+    path = _write_config(tmp_path, {cmd: section})
+    assert cli_main(["--config", path, cmd, "--out", str(tmp_path / "cfg")]) == 0
+    assert cli_main([cmd, *flags, "--out", str(tmp_path / "flags")]) == 0
+    assert _tree_bytes(tmp_path / "cfg") == _tree_bytes(tmp_path / "flags")
+
+
+@pytest.mark.parametrize("cmd,flags,driver,args,kwargs", CLI_DRIVERS,
+                         ids=[c[0] for c in CLI_DRIVERS])
+def test_cli_replays_run_json(tmp_path, cmd, flags, driver, args, kwargs):
+    if cmd in ("benchmark", "coarsen"):
+        flags = [*flags, "--save-field"]
+    assert cli_main([cmd, *flags, "--out", str(tmp_path / "a")]) == 0
+    inputs = _meta(tmp_path / "a")["inputs"]
+    assert set(inputs) == set(inspect.signature(driver).parameters) - {"out_dir"}
+    record = str(tmp_path / "a" / "run.json")
+    assert cli_main(["--config", record, cmd, "--out", str(tmp_path / "b")]) == 0
+    tree = _tree_bytes(tmp_path / "a")
+    assert tree == _tree_bytes(tmp_path / "b")
+    assert ("field_final.bin" in tree) == ("--save-field" in flags)
+
+
+def _benchmark_record(tmp_path, **changes):
+    assert cli_main(["benchmark", "--grid", "8", "--T", "0.02",
+                     "--out", str(tmp_path / "a")]) == 0
+    meta = dict(_meta(tmp_path / "a"), **changes)
+    return _write_config(tmp_path, meta)
+
+
+def test_cli_replay_rejects_changed_constants(tmp_path, capsys):
+    path = _benchmark_record(tmp_path, soe_eps=1e-8, M=2.0, prefix_n0=20)
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["--config", path, "benchmark", "--grid", "8", "--T", "0.02",
+                  "--out", str(tmp_path / "b")])
+    assert stop.value.code == 2
+    assert ("recorded constants that differ from this version's: M, prefix_n0, soe_eps"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "b").exists()
+
+
+def test_cli_replay_rejects_another_drivers_record(tmp_path, capsys):
+    path = _benchmark_record(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["--config", path, "coarsen", "--grid", "8", "--T", "0.02",
+                  "--out", str(tmp_path / "b")])
+    assert stop.value.code == 2
+    assert ("a run record of 'adaptive_benchmark', not of 'coarsening'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("bad_trial", [10, 40], ids=["graded-prefix", "controller"])
