@@ -80,6 +80,8 @@ class StepRecord:
     modified energy (E(n) - E(0) = -sum/M), and every partial sum is
     nonnegative by the kernel positivity.  sav_drift is the relative
     distance of aux from sqrt(radicand(phi)) (``trajectory_observables``).
+    The fields are Python ints and floats: ``steps.csv`` writes them as the
+    csv module does, a float by its repr.
     """
 
     n: int
@@ -116,7 +118,7 @@ def _record(state, cand, accepted, e_est):
         n=n, t=t, tau=cand.tau,
         energy_mod=e_mod, energy_orig=e_orig, roughness=rough,
         aux=cand.aux, accepted=int(accepted), e_est=e_est,
-        dphi_dt_max=dphi_dt, caputo_dot=cand.caputo_dot, sav_drift=drift)
+        dphi_dt_max=dphi_dt, caputo_dot=float(cand.caputo_dot), sav_drift=drift)
 
 
 def _require_horizon(T):

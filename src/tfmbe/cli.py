@@ -22,16 +22,14 @@ def _int_list(text):
 
 
 # argparse keywords (and spelling, under "flag") of the driver inputs that
-# are not float flags spelled like their name
+# are not number flags spelled like their name; a number flag parses an int
+# for the inputs in ``harness.INT_INPUTS`` and a float for the others
 _FLAGS = {
     "n_list": {"flag": "--N", "type": _int_list},
-    "grid_n": {"flag": "--grid", "type": int},
+    "grid_n": {"flag": "--grid"},
     "fit_window": {"flag": "--window", "type": float, "nargs": 2},
-    "out_dir": {"flag": "--out"},
+    "out_dir": {"flag": "--out", "type": None},  # the text as given
     "save_field": {"action": "store_true", "default": None},
-    "seed": {"type": int},
-    "N0": {"type": int},
-    "samples": {"type": int},
     "model": {"choices": ("slope", "noslope")},
     "strategy": {"choices": ("uniform", "graded", "adaptive")},
     "soe_mode": {"choices": ("fast", "direct")},
@@ -111,8 +109,10 @@ def main(argv=None):
     for cmd, (driver, help_text, _) in _COMMANDS.items():
         p, actions[cmd] = sub.add_parser(cmd, help=help_text), {}
         for name in inspect.signature(getattr(harness, driver)).parameters:
-            kwargs = dict(_FLAGS.get(name, {"type": float}))
+            kwargs = dict(_FLAGS.get(name, {}))
             flag = kwargs.pop("flag", "--" + name.replace("_", "-"))
+            if not kwargs:  # a number
+                kwargs["type"] = int if name in harness.INT_INPUTS else float
             actions[cmd][name] = p.add_argument(flag, dest=name, **kwargs)
 
     args = vars(parser.parse_args(argv))

@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -53,6 +54,7 @@ __all__ = [
     "write_run_meta",
     "record_inputs",
     "CONSTANTS",
+    "INT_INPUTS",
     "energy_bound_violation",
 ]
 
@@ -68,6 +70,11 @@ _PREFIX_T0, _PREFIX_N0, _PREFIX_GAMMA = 0.01, 30, 3.0
 _UNIFORM_TAU = 1e-3
 # the scalar table's horizon: the paper's interval [0, 1]
 _ODE_T = 1.0
+
+# The driver inputs whose numbers are integers (``n_list`` a list of
+# them); every other number input is a float, on the command line and in
+# run.json
+INT_INPUTS = frozenset({"n_list", "grid_n", "seed", "N0", "samples"})
 
 # Each driver's constants, as run.json records them; a replayed record
 # must still match them
@@ -138,13 +145,16 @@ def _fmt(v):
 
 
 def write_steps_csv(path, records):
-    """Per-step log, one column per ``StepRecord`` field in field order."""
+    """Per-step log, one column per ``StepRecord`` field in field order.
+
+    A record's fields are Python ints and floats, which the csv module
+    writes as ``_fmt`` does: an int as such, a float by its repr ("nan").
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         names = [f.name for f in fields(StepRecord)]
         w.writerow(names)
-        for r in records:
-            w.writerow([_fmt(getattr(r, name)) for name in names])
+        w.writerows(map(attrgetter(*names), records))
 
 
 def write_orders_csv(path, rows):
@@ -155,12 +165,33 @@ def write_orders_csv(path, rows):
             w.writerow([r.n_steps, _fmt(r.tau_max), _fmt(r.error), _fmt(r.order)])
 
 
+def _finite(value):
+    """``value`` with every non-finite float as None: JSON has no NaN or infinity."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_run_meta(path, meta):
+    """run.json: strict JSON, a NaN or infinite value (a fit that failed) written as null."""
     meta = dict(meta)
     meta.setdefault("package_version", __version__)
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=float)
+        json.dump(_finite(meta), fh, indent=2, sort_keys=True, default=float,
+                  allow_nan=False)
         fh.write("\n")
+
+
+def _parsed(name, value):
+    """A driver input as its flag parses it: numbers as int or float, lists as lists."""
+    if value is None or isinstance(value, (str, bool, np.bool_)):
+        return value
+    number = int if name in INT_INPUTS else float
+    return [number(v) for v in value] if np.ndim(value) else number(value)
 
 
 def _record(driver, inputs):
@@ -169,9 +200,11 @@ def _record(driver, inputs):
     ``inputs`` is the driver's ``locals()`` on entry.  All of them but
     ``out_dir`` go under "inputs", a config that replays the run; the top
     level repeats them, except the field switch and the fit window (which
-    ``fits["window"]`` resolves).
+    ``fits["window"]`` resolves).  Each is recorded as its flag parses it
+    (``alpha=1`` as 1.0, an array ``n_list`` as a list of ints), so a run
+    called from Python replays byte for byte.
     """
-    inputs = {k: v for k, v in inputs.items() if k != "out_dir"}
+    inputs = {k: _parsed(k, v) for k, v in inputs.items() if k != "out_dir"}
     top = {k: v for k, v in inputs.items() if k not in ("save_field", "fit_window")}
     return {"driver": driver, **top, **CONSTANTS[driver], "inputs": inputs}
 

@@ -41,6 +41,8 @@ __all__ = [
     "rl_weight",
     "l1_row",
     "l1plus_row",
+    "l1plus_diagonal",
+    "l1plus_block",
     "apply_direct",
     "quadratic_form",
 ]
@@ -112,7 +114,7 @@ def l1plus_row(mesh, alpha, n):
     tn, tn1 = t[n], t[n - 1]
     tau_n = tn - tn1
     weights = np.empty(n)
-    weights[0] = tau_n ** (-alpha) / math.gamma(3.0 - alpha)
+    weights[0] = l1plus_diagonal(tau_n, alpha)
     if n > 1:
         tk1 = t[:n - 1]
         tk = t[1:n]
@@ -121,6 +123,43 @@ def l1plus_row(mesh, alpha, n):
                - rl_weight(3.0 - alpha, tn1 - tk1) + rl_weight(3.0 - alpha, tn1 - tk))
         weights[1:] = (num / (tau_n * taus))[::-1]
     return KernelRow(n, alpha, L1PLUS, weights)
+
+
+def l1plus_diagonal(tau_n, alpha):
+    """The local weight of a cell-averaged row, 1 / (Gamma(3-a) tau_n^a)."""
+    return tau_n ** (-alpha) / math.gamma(3.0 - alpha)
+
+
+def l1plus_block(mesh, alpha, rows, cols):
+    """Cell-averaged weights of the increments ``cols`` in the rows ``rows``.
+
+    ``rows`` and ``cols`` are ranges of levels.  Entry [i, j] is the weight
+    of increment ``cols[j]`` in row ``rows[i]`` of the (causal) kernel
+    matrix: for an increment older than the row, ``l1plus_row``'s weight
+    bit for bit (the same double difference in the same order, from one
+    power of w_{3-a} per (row, increment) pair where a row takes four per
+    entry); zero for an increment newer than the row; and the local weight,
+    to rounding, on the diagonal (w_{3-a} vanishes at negative times).
+    """
+    _require_order(alpha)
+    t = _levels_of(mesh)
+    if not (1 <= rows.start <= rows.stop <= t.size and 1 <= cols.start <= cols.stop <= t.size):
+        raise ValueError(f"rows {rows} or increments {cols} outside a mesh with "
+                         f"{t.size - 1} steps")
+    beta = 3.0 - alpha
+    t_rows, t_cols = t[rows.start - 1:rows.stop], t[cols.start - 1:cols.stop]
+    # w[i, j] = w_b(t_{r-1+i} - t_{c-1+j}) (0 at negative times), as
+    # rl_weight forms it, in place
+    w = np.subtract.outer(t_rows, t_cols)
+    np.maximum(w, 0.0, out=w)
+    w **= beta - 1.0
+    w /= math.gamma(beta)
+    num = w[1:, :-1] - w[1:, 1:]
+    num -= w[:-1, :-1]
+    num += w[:-1, 1:]
+    # the products tau_r tau_c, formed in w's storage
+    num /= np.multiply.outer(np.diff(t_rows), np.diff(t_cols), out=w[:-1, :-1])
+    return num
 
 
 _ROW_FN = {L1: l1_row, L1PLUS: l1plus_row}

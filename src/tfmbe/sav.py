@@ -33,9 +33,9 @@ passes that form several sums at once.  On the bank and on the exact
 prefix, the estimator trial reads the sum that the second-order trial's
 pass already formed, so an adaptive trial reads its history once.  A
 fixed mesh is announced to the history (``CaputoHistory.plan``, which
-``run_fixed`` calls): on a history that keeps every level exact one pass
-then serves the next ``_AHEAD`` levels, and on the exact prefix of one
-with an exponential sum a planned read makes no estimator row.
+``run_fixed`` calls): the exact prefix is then summed a chunk of levels
+at a time, each (level, increment) pair once, in a few large matrix
+products (dyadic blocks), and a planned read makes no estimator row.
 
 Each solve is decoupled by a rank-one correction: with
 L = a0 I + theta M (eps2 Lap^2 - beta Lap) (diagonal in transform space)
@@ -74,6 +74,8 @@ next step reuse; a fixed-mesh step makes 2.
 from __future__ import annotations
 
 import math
+import mmap
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -81,7 +83,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SolverError, StateError
-from .kernels import l1_row, l1plus_row
+from .kernels import l1_row, l1plus_block, l1plus_diagonal, l1plus_row
 from .soe import _SOE_EPS, HistoryBank, build_soe
 from .spectral import (SLOPE, _noslope_radicand, _slope_radicand, _squared_slope,
                        sav_radicand, sav_u_functional, sav_v_functional)
@@ -103,26 +105,38 @@ __all__ = [
 # Convolution history
 # ---------------------------------------------------------------------------
 
-# bytes of one block of the exact prefix; a block's pages are only touched
-# as levels fill it, and a pass makes one np.matmul call per block
+# bytes of a block of the exact prefix that no plan sizes; a block's pages
+# are only touched as levels fill it, and a product makes one np.matmul
+# call per block it reads
 _LEVEL_BLOCK_BYTES = 1 << 22
-# levels one pass over the exact prefix serves when the steps are planned.
-# A pass reads the whole prefix from memory however many rows it writes,
-# so its cost per level falls with the rows until the product stops being
-# bound by memory bandwidth; each read adds the increments committed since
-# the pass (fewer than this), and the pass keeps this many fields of sums.
-# Measured on graded-direct-64's mesh (1200 levels of 64^2 half-spectra,
-# one thread, medians of two sets of three runs): about 1.8, 0.55, 0.34,
-# 0.27 and 0.23 ms per read for 1 (an unplanned pass), 4, 8, 16 and 32
-# levels per pass; each row adds two fields of memory.
-_AHEAD = 16
+# A planned history sums its exact prefix a chunk of levels at a time: the
+# chunk's first read fills its rows with one product over every increment
+# committed before it, and the commit at chunk position p (from 1) adds the
+# d = p & -p increments just committed into the next d rows, so each
+# (level, increment) pair is summed once, in a few large products (the
+# dyadic splitting of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+# Comput. 6, 1985, with dense products in place of FFTs).  A chunk's rows
+# take at most _CHUNK_BYTES (62 levels at 64^2) and at most _CHUNK_LEVELS
+# levels.  A product over the prefix costs less per row the more rows it
+# writes, up to about 64: at 64^2 over 600 stored levels (OpenBLAS on one
+# thread of a shared 2-vCPU x86-64 host), 0.18, 0.13, 0.11-0.12 and 0.11 ms
+# per row for 16, 32, 64 and 128 rows.
+_CHUNK_BYTES = 1 << 21
+_CHUNK_LEVELS = 64
+# bytes of the scratch through which a product adds into rows
+_SCRATCH_BYTES = 1 << 18
 
 
-def _rows_of(buffer, rows, shape):
-    """``buffer`` if it has at least ``rows`` rows of ``shape``, else a new one."""
-    if buffer is None or buffer.shape[0] < rows:
-        buffer = np.empty((rows, math.prod(shape)))
-    return buffer
+def _store_block(shape):
+    """A float array of zeros whose pages become resident as they are written.
+
+    A private anonymous map, not ``np.empty``: numpy asks for 2 MiB pages
+    for arrays of 4 MiB or more, and such a page is resident from the first
+    level written into it, which adds up to 2 MiB to the peak memory.
+    """
+    # copy access: a private map on POSIX, and accepted on Windows too
+    buffer = mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY)
+    return np.frombuffer(buffer).reshape(shape)
 
 
 class CaputoHistory:
@@ -138,22 +152,20 @@ class CaputoHistory:
     The first committed increment fixes the shape of every later one, and
     a read before any commit has no sum to add.
 
-    The exact prefix is summed in passes: one matrix product, block by
-    block, reads every stored increment once and writes the history sums
-    of several rows, each a (scheme, level, level time).  A read at the
-    level of a kept row adds only the increments committed since its pass.
-    A read with no kept row makes a pass whose rows are both schemes at the
-    trial level, so an adaptive step's estimator trial reuses the
-    second-order trial's pass.  ``plan(taus)`` announces the next steps;
-    a second-order read at a planned level then makes a pass with no
-    estimator row, for the next ``_AHEAD`` planned levels, or for that
-    level alone on a history with an ``soe``.  Every read and every commit
-    compares its level time bit for bit with the plan, and the first
-    mismatch drops the plan and the rows kept from it, so a plan changes
-    the order of the summation but never which levels or weights are
-    summed.  The returned
-    history value is a view of a buffer the history owns: it holds until
-    the next pass, and the caller must not modify it.
+    The exact prefix is summed by matrix products over the stored
+    increments.  An unplanned read makes a pass whose rows are both
+    schemes at the trial level, so an adaptive step's estimator trial
+    reuses the second-order trial's pass.  ``plan(taus)`` announces the
+    next steps; the second-order sums of the planned levels are then formed
+    a chunk of levels at a time, with no estimator row: one product at the
+    chunk's first read, one after each commit (``_CHUNK_LEVELS``), and a
+    planned read returns a row that is already complete.  Every read and
+    every commit compares its level time bit for bit with the plan, and the
+    first mismatch drops the plan and the chunk, so a plan changes the
+    order of the summation but never which levels or weights are summed.
+    The returned history value is a view of a buffer the history owns: it
+    holds until the history's next read or commit, and the caller must not
+    modify it.
     """
 
     def __init__(self, alpha, soe=None):
@@ -167,52 +179,60 @@ class CaputoHistory:
         self._floor = math.inf if soe is None else soe.dt_min * (1.0 - 1e-12)
         self.n_committed = 0
         self.bank = None
-        # exact prefix: the committed increments in fixed-size blocks, so the
-        # store grows without copying what it holds, and the level times
-        # t_0..t_n with one slot more for the trial level (grown by doubling)
-        self._block_rows = None
-        self._blocks = []
+        # exact prefix: the committed increments in blocks, each starting at
+        # the level after ``_starts[b]``, so the store grows without copying
+        # what it holds, and the level times t_0..t_n with one slot more for
+        # the trial level (grown by doubling)
+        self._block_rows = self._chunk_levels = None
+        self._starts, self._blocks = [], []
         self._levels = np.zeros(18)
-        # the planned level times t_0..t_m, or None
-        self._plan = None
-        # the rows of the last pass, {(scheme, level, level time): [a0, its
-        # weights, its sum, the increments summed]}, the weights and sums
-        # one-row views of a matrix, and a scratch buffer for the products
+        # the planned level times t_0..t_m, or None; the first level of the
+        # planned chunk, its rows of sums and its weights, or None
+        self._plan = self._chunk = self._chunk_sums = self._chunk_weights = None
+        # the rows of the last unplanned pass, {(scheme, level, level time):
+        # (a0, its sum)}, and the buffers of the sums and of the scratch
         self._kept = {}
-        self._sums = self._part = None
+        self._rows = self._pair = self._scratch = None
 
     def plan(self, taus):
         """Announce the step sizes of the levels after the committed ones.
 
         Later reads and commits are checked against the level times these
         steps give; a plan only ever changes how the exact prefix is summed.
-        A history with an exponential sum plans one level ahead: its exact
-        prefix holds only the steps below dt_min (the drivers' 30-step
-        graded start), where a longer lookahead would save little time and
-        its sums would add 2 MB (4%) to growth-slope-128's peak memory, but
-        a planned read still makes no estimator row.  Once the bank holds
-        the history, plans are ignored.
+        A store block allocated under a plan holds every planned level, so a
+        chunk's first product is one matrix product.  A history with an
+        exponential sum plans one level at a time (chunks of one level: a
+        pass per read, with no estimator row): its exact prefix holds only
+        the steps below dt_min (the drivers' 30-step graded start), where
+        longer chunks would save little time and their rows would add 2 MB
+        (4%) to growth-slope-128's peak memory.  Once the bank holds the
+        history, plans are ignored.
         """
         if self.bank is not None or self.alpha == 1.0:
             return
         n = self.n_committed
+        self._drop_plan()
         # np.cumsum adds in order, as commit accumulates the level times
         self._plan = np.concatenate((self._levels[:n],
                                      np.cumsum(np.append(self._levels[n], taus))))
-        self._kept = {}
+
+    def _drop_plan(self):
+        """Forget the plan and the chunk summed from it."""
+        self._plan = self._chunk = self._chunk_sums = self._chunk_weights = None
 
     def _bank_if_due(self, tau):
         """At the first step of at least dt_min, replay the prefix into a bank."""
         if self.bank is not None or tau < self._floor:
             return
-        self._kept, self._sums, self._part, self._plan = {}, None, None, None
+        self._drop_plan()
+        self._kept, self._rows, self._pair, self._scratch = {}, None, None, None
         self.bank = HistoryBank(self.soe, self.shape)
         # the newest step as given, not via the level times: reads check it
         taus = np.append(np.diff(self._levels[:self.n_committed]), tau)
         increments = (row for block in self._blocks for row in block)
         for tau_k, increment in zip(taus, increments):
             self.bank.commit(tau_k, increment)
-        self._levels = self._blocks = None
+        self._levels = self._starts = self._blocks = None
 
     def caputo_terms(self, scheme, tau_n):
         """Local coefficient and known history sum at the trial level.
@@ -237,53 +257,84 @@ class CaputoHistory:
         levels[n] = levels[n - 1] + tau_n  # the trial level; a commit overwrites it
         plan = self._plan
         if plan is not None and not (n < plan.size and plan[n] == levels[n]):
-            self._plan = plan = None
-            self._kept = {}
+            self._drop_plan()
+            plan = None
         if n == 1:
             return (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha,
                                                               1).weights[0], None
+        if scheme == "cn" and plan is not None:
+            chunk = self._chunk
+            if chunk is None or n >= chunk + len(self._chunk_sums):
+                self._start_chunk(n)
+            a0 = l1plus_diagonal(levels[n] - levels[n - 1], self.alpha)
+            return a0, self._chunk_sums[n - self._chunk].reshape(self.shape)
         key = (scheme, n, levels[n])
         if key not in self._kept:
-            if scheme == "cn" and plan is not None:
-                ahead = _AHEAD if self.soe is None else 1
-                self._make_pass(plan, range(n, min(n + ahead, plan.size)), ("cn",))
-            else:
-                self._make_pass(levels, (n,), ("cn", "be"))
-        kept = self._kept[key]
-        a0, weights, sums, summed = kept
-        if summed < n - 1:  # increments committed since the pass
-            self._sum_prefix(weights, summed, n - 1, sums)
-            kept[3] = n - 1
+            self._make_pass(levels, n)
+        a0, sums = self._kept[key]
         return a0, sums.reshape(self.shape)
 
-    def _make_pass(self, levels, rows, schemes):
-        """One pass over the stored increments for every (scheme, level) row."""
-        n = self.n_committed
-        keys = [(scheme, level) for level in rows for scheme in schemes]
-        weights = np.zeros((len(keys), keys[-1][1] - 1))
-        self._sums = _rows_of(self._sums, len(keys), self.shape)
-        sums = self._sums[:len(keys)]
-        self._kept = {}
-        for i, (scheme, level) in enumerate(keys):
-            row = (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, level)
-            weights[i, :level - 1] = row.weights[:0:-1]  # increments in level order
-            self._kept[(scheme, level, levels[level])] = [
-                row.weights[0], weights[i:i + 1], sums[i:i + 1], n]
-        self._sum_prefix(weights, 0, n, sums, add=False)
+    def _start_chunk(self, n):
+        """Sum the increments committed so far into the rows of the chunk from level n."""
+        k = min(self._chunk_levels, self._plan.size - n)
+        if self._rows is None:
+            self._rows = np.empty((self._chunk_levels, math.prod(self.shape)))
+        # the chunk's rows on every increment they sum, its own included
+        weights = l1plus_block(self._plan, self.alpha, range(n, n + k), range(1, n + k - 1))
+        self._chunk, self._chunk_sums = n, self._rows[:k]
+        self._product(weights[:, :n - 1], 0, self._chunk_sums, add=False)
+        # the weights of the chunk's own increments, [row, increment - n]
+        self._chunk_weights = weights[:, n - 1:].copy()
 
-    def _sum_prefix(self, weights, lo, hi, out, add=True):
-        """out (+)= weights[:, lo:hi] @ (stored increments lo+1..hi), a block at a time."""
-        rows, k = self._block_rows, out.shape[0]
-        for b in range(lo // rows, (hi - 1) // rows + 1):
-            start = b * rows
-            i, j = max(lo, start), min(hi, start + rows)
-            block = self._blocks[b][i - start:j - start].reshape(j - i, -1)
-            if add:
-                self._part = _rows_of(self._part, k, self.shape)
-                out += np.matmul(weights[:, i:j], block, out=self._part[:k])
-            else:  # the first block's product is the sum so far
-                np.matmul(weights[:, i:j], block, out=out)
+    def _add_committed(self, level):
+        """Add the increments just committed into the chunk's next rows (dyadic blocks)."""
+        p = level - self._chunk + 1
+        d = p & -p
+        rows = self._chunk_sums[p:p + d]
+        if len(rows):
+            self._product(self._chunk_weights[p:p + d, p - d:p], level - d, rows, add=True)
+
+    def _make_pass(self, levels, n):
+        """One pass over the stored increments for both schemes' rows at level n."""
+        weights = np.empty((2, n - 1))
+        if self._pair is None:
+            self._pair = np.empty((2, math.prod(self.shape)))
+        self._kept = {}
+        for i, scheme in enumerate(("cn", "be")):
+            row = (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, n)
+            weights[i] = row.weights[:0:-1]  # increments in level order
+            self._kept[(scheme, n, levels[n])] = (row.weights[0], self._pair[i])
+        self._product(weights, 0, self._pair, add=False, piece=self._block_rows)
+
+    def _product(self, weights, lo, out, add, piece=None):
+        """out (+)= weights @ (stored increments lo+1..), a block at a time.
+
+        A product also ends at every multiple of ``piece`` increments, so an
+        unplanned pass sums in the same order on every store layout.
+        """
+        first, hi = lo, lo + weights.shape[1]
+        b = bisect_right(self._starts, lo) - 1
+        while lo < hi:
+            start, block = self._starts[b], self._blocks[b]
+            stop = min(hi, start + len(block))
+            if piece is not None:
+                stop = min(stop, (lo // piece + 1) * piece)
+            incs = block[lo - start:stop - start].reshape(stop - lo, -1)
+            w = weights[:, lo - first:stop - first]
+            if not add:  # the first block's product is the sum so far
+                np.matmul(w, incs, out=out)
                 add = True
+            else:  # added a few rows at a time through the scratch buffer
+                if self._scratch is None:
+                    rows = _SCRATCH_BYTES // (8 * incs.shape[1])
+                    self._scratch = np.empty((max(2, min(self._chunk_levels, rows)),
+                                              incs.shape[1]))
+                step = len(self._scratch)
+                for i in range(0, len(out), step):
+                    rows = out[i:i + step]
+                    rows += np.matmul(w[i:i + step], incs, out=self._scratch[:len(rows)])
+            lo = stop
+            b += stop == start + len(block)
 
     def commit(self, tau, increment, level=None):
         """Append the increment of an accepted step; levels arrive in order."""
@@ -295,27 +346,42 @@ class CaputoHistory:
                              f"positive, got {tau}")
         if n == 0:
             self.shape = np.shape(increment)
-            self._block_rows = max(1, _LEVEL_BLOCK_BYTES // (8 * math.prod(self.shape)))
+            row_bytes = 8 * math.prod(self.shape)
+            self._block_rows = max(1, _LEVEL_BLOCK_BYTES // row_bytes)
+            self._chunk_levels = 1 if self.soe is not None else \
+                max(1, min(_CHUNK_LEVELS, _CHUNK_BYTES // row_bytes))
         elif np.shape(increment) != self.shape:
             raise ValueError(f"increment shape {np.shape(increment)} for level {n + 1} "
                              f"!= history shape {self.shape}")
         if self.bank is not None:
             self.bank.commit(tau, increment)
         elif self.alpha < 1.0:
-            block, row = divmod(n, self._block_rows)
-            if row == 0:
-                self._blocks.append(np.empty((self._block_rows,) + self.shape))
-            self._blocks[block][row] = increment
+            self._store(n, increment)
             if self._levels.size < n + 3:
                 self._levels = np.concatenate((self._levels, np.zeros(self._levels.size)))
             self._levels[n + 1] = self._levels[n] + float(tau)
             plan = self._plan
             if plan is not None and not (n + 1 < plan.size
                                          and plan[n + 1] == self._levels[n + 1]):
-                # rows kept from the plan assumed this level's time
-                self._plan, self._kept = None, {}
+                self._drop_plan()  # the chunk's rows assumed this level's time
+            elif self._chunk is not None:
+                self._add_committed(n + 1)
         self.n_committed = n + 1
         self._bank_if_due(tau)
+
+    def _store(self, n, increment):
+        """Store the increment of level n + 1; a new block holds every planned level.
+
+        Every block holds a multiple of ``_block_rows`` levels, the pieces of
+        an unplanned pass.
+        """
+        if not self._blocks or n == self._starts[-1] + len(self._blocks[-1]):
+            rows = self._block_rows
+            if self._plan is not None:
+                rows *= max(1, -(-(self._plan.size - 1 - n) // rows))
+            self._starts.append(n)
+            self._blocks.append(_store_block((rows,) + self.shape))
+        self._blocks[-1][n - self._starts[-1]] = increment
 
 
 def make_history(alpha, mode="direct", dt_min=None, T=None):
@@ -485,9 +551,9 @@ def trajectory_observables(state, head=None):
         radicand = _slope_radicand(grid, x2, params)
     else:
         e_mod = quad - aux * aux + params.C0
-        log1p_x2 = np.log1p(x2)
-        e_orig = bend - 0.5 * grid.integrate(log1p_x2)
-        radicand = _noslope_radicand(grid, x2, log1p_x2, params)
+        log_integral = grid.integrate(np.log1p(x2))
+        e_orig = bend - 0.5 * log_integral
+        radicand = _noslope_radicand(grid, x2, log_integral, params)
     root = math.sqrt(radicand)
     weighted = grid.weigh(fh)
     weighted[:2] = 0.0  # the mean mode

@@ -163,7 +163,8 @@ class Grid2D:
     # -- quadrature ----------------------------------------------------
 
     def integrate(self, f):
-        return float(np.sum(f)) * self.hx * self.hy
+        # np.sum's pairwise sum, called without np.sum's dispatch
+        return float(np.add.reduce(f, axis=None)) * self.hx * self.hy
 
     def weigh(self, fh):
         """The flattened float view of half-spectrum fh times the Parseval weights.
@@ -189,7 +190,9 @@ class Grid2D:
 
 def _flat(fh):
     """The float view of a half-spectrum, flattened (a copy if it is not contiguous)."""
-    return np.ascontiguousarray(fh, dtype=complex).view(float).reshape(-1)
+    if not (type(fh) is np.ndarray and fh.dtype == complex and fh.flags.c_contiguous):
+        fh = np.ascontiguousarray(fh, dtype=complex)
+    return fh.view(float).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,7 @@ def sav_radicand(grid, x2, params):
     """
     if params.model == SLOPE:
         return _slope_radicand(grid, x2 - 1.0 - params.beta, params)
-    return _noslope_radicand(grid, x2, np.log1p(x2), params)
+    return _noslope_radicand(grid, x2, grid.integrate(np.log1p(x2)), params)
 
 
 def _slope_radicand(grid, m, params):
@@ -252,9 +255,9 @@ def _slope_radicand(grid, m, params):
     return _positive(0.25 * grid.integrate(m * m) + params.C0, params)
 
 
-def _noslope_radicand(grid, x2, log1p_x2, params):
-    """The no-slope model's radicand from x2 and log(1 + x2)."""
-    return _positive(0.5 * (grid.integrate(log1p_x2) + params.beta * grid.integrate(x2))
+def _noslope_radicand(grid, x2, log_integral, params):
+    """The no-slope model's radicand from x2 and the integral of log(1 + x2)."""
+    return _positive(0.5 * (log_integral + params.beta * grid.integrate(x2))
                      + params.C0, params)
 
 

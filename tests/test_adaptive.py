@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +91,38 @@ def test_transform_counts(monkeypatch, grid, alpha, soe_mode):
         assert state.history.bank is not None
 
 
+# Python-level calls into the package per fixed-mesh step on a planned
+# exact history at 16^2, a little above the 61.2 (slope) and 64.2 (noslope)
+# measured when the budget was set; the fraction is the calls a mesh and a
+# chunk make once
+CALL_BUDGET = {"slope": 62, "noslope": 65}
+
+
+@pytest.mark.parametrize("model", sorted(CALL_BUDGET))
+def test_fixed_mesh_step_call_budget(grid, model):
+    """A fixed-mesh step makes at most its budget of calls to package functions.
+
+    Below 64^2 a step costs about its calls.  numpy's own Python-level
+    wrappers are not counted: their number depends on the numpy version.
+    """
+    package = os.path.dirname(sav.__file__) + os.sep
+    state = small_state(grid, model=model, alpha=0.6)
+    run_fixed(state, build_uniform(0.004, 2))
+    n, calls = 2 * sav._CHUNK_LEVELS + 3, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls.append(frame.f_code.co_name)
+
+    mesh = build_uniform(0.004 * n, n)
+    sys.setprofile(profile)
+    try:
+        run_fixed(state, mesh)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= CALL_BUDGET[model] * n, len(calls) / n
+
+
 @pytest.mark.parametrize("alpha", [0.4, 0.7])
 def test_one_bank_pass_per_trial(monkeypatch, grid, alpha):
     """The two trials of an adaptive step share one pass over the bank."""
@@ -108,19 +142,22 @@ def test_one_bank_pass_per_trial(monkeypatch, grid, alpha):
 
 @pytest.mark.parametrize("soe_mode", ["direct", "fast"])
 def test_run_fixed_makes_one_prefix_pass_per_lookahead(monkeypatch, grid, soe_mode):
-    """A fixed mesh is planned: one pass over the exact history serves _AHEAD levels.
+    """A fixed mesh is planned: one pass over the exact history serves a chunk of levels.
 
-    A fast history plans one level ahead: its exact prefix holds only steps
+    The chunks start at the second level (the first has no sum to read)
+    and hold _CHUNK_LEVELS levels here; the products a commit adds to a
+    chunk's rows read only increments committed since its pass.  A fast
+    history plans chunks of one level: its exact prefix holds only steps
     below dt_min (1e-3 here), and each read makes its own pass.
     """
     state = small_state(grid, alpha=0.6, soe_mode=soe_mode)
     counter = count_prefix_passes(monkeypatch, state.history)
-    n = 2 * sav._AHEAD + 5
+    k = sav._CHUNK_LEVELS
+    n = 2 * k + 5
     records = run_fixed(state, build_uniform(5e-4 * n, n))
     assert len(records) == n and state.history.bank is None
-    # the first level has no sum to read; the passes start at the second
-    assert counter.passes == (math.ceil((n - 1) / sav._AHEAD) if soe_mode == "direct"
-                              else n - 1)
+    assert state.history._chunk_levels == (k if soe_mode == "direct" else 1)
+    assert counter.passes == (math.ceil((n - 1) / k) if soe_mode == "direct" else n - 1)
 
 
 def test_fast_history_graded_start_reads_no_estimator_rows(monkeypatch, grid):
@@ -138,10 +175,11 @@ def test_fast_history_graded_start_reads_no_estimator_rows(monkeypatch, grid):
         commit_candidate(unplanned, expected[-1])
         assert unplanned.history.bank is None
     rows = []
-    for name in ("l1_row", "l1plus_row"):
+    for name in ("l1_row", "l1plus_row", "l1plus_block"):
         def counted(*args, _row=getattr(sav, name), _name=name):
-            rows.append(_name)
-            return _row(*args)
+            weights = _row(*args)
+            rows.append((_name, len(weights) if _name == "l1plus_block" else 1))
+            return weights
         monkeypatch.setattr(sav, name, counted)
     fields = []
 
@@ -153,7 +191,8 @@ def test_fast_history_graded_start_reads_no_estimator_rows(monkeypatch, grid):
     planned = small_state(grid, alpha=0.7, soe_mode="fast")
     counter = count_prefix_passes(monkeypatch, planned.history)
     run_fixed(planned, mesh)
-    assert rows == ["l1plus_row"] * mesh.n_steps
+    # the first level's local weight, then a one-row chunk per level
+    assert rows == [("l1plus_row", 1)] + [("l1plus_block", 1)] * (mesh.n_steps - 1)
     assert counter.passes == mesh.n_steps - 1  # the first level has no sum
     assert len(fields) == mesh.n_steps
     for got, cand in zip(fields, expected):

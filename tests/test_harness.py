@@ -201,7 +201,7 @@ def test_singularity_run_too_short_to_fit_keeps_its_files(tmp_path, capsys):
     singularity_run(0.4, grid_n=8, N0=2, out_dir=tmp_path / "s")
     assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["run.json", "steps.csv"]
     fits = _meta(tmp_path / "s")["fits"]
-    assert math.isnan(fits["singularity_slope"]) and fits["target"] == -0.6
+    assert fits["singularity_slope"] is None and fits["target"] == -0.6  # NaN is not JSON
     assert fits["reason"] == "not enough early steps to fit"
     assert cli_main(["singularity", "--grid", "8", "--N0", "2"]) == 0
     assert capsys.readouterr().out == "singularity slope: nan (alpha - 1 = -0.6000)\n"
@@ -705,6 +705,43 @@ def test_cli_replays_run_json(tmp_path, cmd, flags, driver, args, kwargs):
     tree = _tree_bytes(tmp_path / "a")
     assert tree == _tree_bytes(tmp_path / "b")
     assert ("field_final.bin" in tree) == ("--save-field" in flags)
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and infinity, as RFC 8259 parsers do."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_run_json_is_strict_json(tmp_path):
+    """A fit that cannot be made is null in run.json, its reason kept; the run replays."""
+    assert cli_main(["coarsen", "--grid", "16", "--T", "0.01",
+                     "--out", str(tmp_path / "a")]) == 0
+    meta = _strict_json((tmp_path / "a" / "run.json").read_text())
+    fits = meta["fits"]
+    assert fits["beta"] is None and fits["R"] is None and "empty" in fits["reason"]
+    record = str(tmp_path / "a" / "run.json")
+    assert cli_main(["--config", record, "coarsen", "--out", str(tmp_path / "b")]) == 0
+    assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
+
+
+@pytest.mark.parametrize("cmd,driver,kwargs,recorded", [
+    ("benchmark", adaptive_benchmark, dict(model="slope", alpha=1, grid_n=8, T=0.02),
+     {"alpha": 1.0, "grid_n": 8}),
+    ("ode-conv", ode_convergence,
+     dict(alpha=np.float64(0.5), n_list=np.array([8.0, 16.0]), seed=np.int64(3)),
+     {"alpha": 0.5, "n_list": [8, 16], "seed": 3})],
+    ids=["int-alpha", "array-n-list"])
+def test_python_run_replays_byte_for_byte(tmp_path, cmd, driver, kwargs, recorded):
+    """A run called from Python records its inputs as their flags parse them."""
+    driver(**kwargs, out_dir=tmp_path / "a")
+    record = str(tmp_path / "a" / "run.json")
+    inputs = _strict_json((tmp_path / "a" / "run.json").read_text())["inputs"]
+    for name, value in recorded.items():
+        assert inputs[name] == value and type(inputs[name]) is type(value), name
+    assert cli_main(["--config", record, cmd, "--out", str(tmp_path / "b")]) == 0
+    assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
 
 
 def _benchmark_record(tmp_path, **changes):

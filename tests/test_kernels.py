@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from tfmbe import (apply_direct, build_uniform, convergence_order, l1_row,
                    l1plus_row, quadratic_form, rl_weight)
+from tfmbe.kernels import l1plus_block, l1plus_diagonal
 
 from conftest import random_mesh
 
@@ -112,6 +113,33 @@ def test_rows_match_quadrature_oracle(alpha, rng):
             ref_1 = l1_weight_quad(mesh.levels, alpha, n, k)
             assert row_p.weights[n - k] == pytest.approx(ref_p, rel=1e-10)
             assert row_1.weights[n - k] == pytest.approx(ref_1, rel=1e-10)
+
+
+def test_blocks_are_the_kernel_rows():
+    """Block weights equal l1plus_row's bit for bit below the diagonal.
+
+    On the diagonal they are the local weight to rounding, and above it zero:
+    the causal kernel matrix.  The blocks are a chunk's rows on every
+    increment, a chunk of one row, and blocks of the dyadic products.
+    """
+    rng = np.random.default_rng(5)
+    mesh = random_mesh(rng, 90)
+    levels = mesh.levels
+    for alpha in (0.2, 0.6, 0.95):
+        for rows, cols in ((range(40, 90), range(1, 88)), (range(30, 31), range(1, 30)),
+                           (range(65, 73), range(57, 65)), (range(2, 3), range(1, 2))):
+            block = l1plus_block(mesh, alpha, rows, cols)
+            assert block.shape == (len(rows), len(cols))
+            for i, level in enumerate(rows):
+                weights = l1plus_row(levels, alpha, level).weights
+                old = [j for j, c in enumerate(cols) if c < level]
+                assert np.array_equal(block[i, old], weights[[level - cols[j] for j in old]])
+                assert l1plus_diagonal(levels[level] - levels[level - 1], alpha) == weights[0]
+                if level in cols:
+                    assert block[i, cols.index(level)] == pytest.approx(weights[0], rel=1e-12)
+                assert not np.any(block[i, [j for j, c in enumerate(cols) if c > level]])
+    with pytest.raises(ValueError, match="outside a mesh with 90 steps"):
+        l1plus_block(mesh, 0.5, range(10, 92), range(1, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -486,17 +486,17 @@ def kernel_row_sum(taus, incs, alpha, scheme, level):
 
 
 @pytest.mark.parametrize("shape", [(3, 4), ()], ids=["field", "scalar"])
-@pytest.mark.parametrize("extra", [3, 11])
+@pytest.mark.parametrize("extra", [3, 5, 11, sav._CHUNK_LEVELS])
 def test_planned_and_unplanned_reads_match_kernel_rows(monkeypatch, shape, extra):
-    """A planned pass, an unplanned pass and the kernel rows give the same sums.
+    """Planned chunks, an unplanned pass and the kernel rows give the same sums.
 
-    Five levels per block, so the passes and the increments added after a
-    pass cross block boundaries; the mesh is longer than two lookaheads and
-    not a multiple of one.
+    The unplanned history reads in five-level blocks and pieces, the
+    planned one from the single block its plan sized; the mesh is longer
+    than two chunks and, but for three chunks, not a multiple of one.
     """
     monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 5 * 8 * math.prod(shape))
     rng = np.random.default_rng(extra)
-    n, alpha = 2 * sav._AHEAD + extra, 0.6
+    n, alpha = 2 * sav._CHUNK_LEVELS + extra, 0.6
     taus = random_mesh(rng, n).taus
     incs = rng.standard_normal((n,) + shape)
     planned, unplanned = CaputoHistory(alpha), CaputoHistory(alpha)
@@ -514,36 +514,72 @@ def test_planned_and_unplanned_reads_match_kernel_rows(monkeypatch, shape, extra
         for history in (planned, unplanned):
             history.commit(tau, inc, level=level)
     assert planned._plan is not None  # every read was served by the plan
+    assert len(planned._blocks) == 1 and len(unplanned._blocks) == -(-n // 5)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), ()], ids=["field", "scalar"])
+def test_plan_after_committed_levels_matches_kernel_rows(monkeypatch, shape):
+    """A plan announced after unplanned levels: chunks read across store blocks.
+
+    Seven levels per block: the blocks stored before the plan keep their
+    size, and the plan sizes the next one, so a chunk's first product and
+    its dyadic products read pieces of several blocks.
+    """
+    monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 7 * 8 * math.prod(shape))
+    k, before = sav._CHUNK_LEVELS, 10
+    rng = np.random.default_rng(7)
+    n, alpha = before + 2 * k + 9, 0.45
+    taus = random_mesh(rng, n).taus
+    incs = rng.standard_normal((n,) + shape)
+    history = CaputoHistory(alpha)
+    for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
+        if level == before + 1:
+            history.plan(taus[before:])
+        _, hist = history.caputo_terms("cn", tau)
+        if level > 1:
+            ref, scale = kernel_row_sum(taus, incs, alpha, "cn", level)
+            assert np.max(np.abs(hist - ref)) <= 1e-13 * scale, level
+            assert hist.shape == shape
+        history.commit(tau, inc, level=level)
+    assert history._plan is not None
+    assert history._starts == [0, 7, 14]  # the plan sized the third block
+    assert len(history._blocks[2]) == 7 * math.ceil((n - 14) / 7)
 
 
 @pytest.mark.parametrize("deviation", ["read-other-tau", "commit-other-tau",
                                        "short-plan"])
 def test_deviating_from_plan_matches_unplanned(monkeypatch, deviation):
-    """From the first deviation from its plan on, a history reads as an unplanned one."""
+    """From the first deviation from its plan on, a history reads as an unplanned one.
+
+    The deviation falls on a chunk's first level and in the middle of a chunk.
+    """
     monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 7 * 8 * 6)
+    k = sav._CHUNK_LEVELS
     rng = np.random.default_rng(3)
-    n, at, alpha = 2 * sav._AHEAD + 5, sav._AHEAD + 3, 0.35
+    n, alpha = 2 * k + 5, 0.35
     taus = random_mesh(rng, n).taus
     incs = rng.standard_normal((n, 2, 3))
-    planned, unplanned = CaputoHistory(alpha), CaputoHistory(alpha)
-    planned.plan(taus[:at - 1] if deviation == "short-plan" else taus)
-    for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
-        deviates = level == at
-        if deviates and deviation == "read-other-tau":
-            probe = [h.caputo_terms("cn", 1.3 * tau) for h in (planned, unplanned)]
-            assert np.array_equal(probe[0][1], probe[1][1])
-        (a_p, h_p), (a_u, h_u) = (h.caputo_terms("cn", tau) for h in (planned, unplanned))
-        assert a_p == a_u
-        identical = level > at if deviation == "commit-other-tau" else level >= at
-        if identical:
-            assert np.array_equal(h_p, h_u), level
-        elif level > 1:
-            _, scale = kernel_row_sum(taus, incs, alpha, "cn", level)
-            assert np.max(np.abs(h_p - h_u)) <= 1e-13 * scale, level
-        step = 1.3 * tau if deviates and deviation == "commit-other-tau" else tau
-        for history in (planned, unplanned):
-            history.commit(step, inc, level=level)
-    assert planned._plan is None
+    for at in (k + 2, k + 2 + k // 2):  # the chunks start at levels 2, k + 2, ...
+        planned, unplanned = CaputoHistory(alpha), CaputoHistory(alpha)
+        planned.plan(taus[:at - 1] if deviation == "short-plan" else taus)
+        for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
+            deviates = level == at
+            if deviates and deviation == "read-other-tau":
+                probe = [h.caputo_terms("cn", 1.3 * tau) for h in (planned, unplanned)]
+                assert np.array_equal(probe[0][1], probe[1][1])
+            (a_p, h_p), (a_u, h_u) = (h.caputo_terms("cn", tau)
+                                      for h in (planned, unplanned))
+            assert a_p == a_u
+            identical = level > at if deviation == "commit-other-tau" else level >= at
+            if identical:
+                assert np.array_equal(h_p, h_u), (at, level)
+            elif level > 1:
+                _, scale = kernel_row_sum(taus, incs, alpha, "cn", level)
+                assert np.max(np.abs(h_p - h_u)) <= 1e-13 * scale, (at, level)
+            step = 1.3 * tau if deviates and deviation == "commit-other-tau" else tau
+            for history in (planned, unplanned):
+                history.commit(step, inc, level=level)
+        assert planned._plan is None and planned._chunk is None
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.8])
