@@ -14,10 +14,8 @@ __version__ = "0.1.0"
 
 from .timemesh import (TimeMesh, build_uniform, build_graded, extend_random,
                        extend_uniform)
-from .kernels import (L1, L1PLUS, rl_weight, l1_row, l1plus_row,
-                      apply_direct, quadratic_form)
-from .soe import (SOEApprox, build_soe, verify_soe, HistoryBank,
-                  fast_l1plus_apply, fast_l1_apply)
+from .kernels import rl_weight, l1_row, l1plus_row
+from .soe import SOEApprox, build_soe, verify_soe, HistoryBank
 from .spectral import (Grid2D, ModelParams, slope_nonlinearity,
                        noslope_nonlinearity, sav_u_functional,
                        sav_v_functional, write_field, read_field)

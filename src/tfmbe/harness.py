@@ -55,7 +55,6 @@ __all__ = [
     "record_inputs",
     "CONSTANTS",
     "INT_INPUTS",
-    "energy_bound_violation",
 ]
 
 # The paper's model parameters, one set per experiment (tables, growth, coarsening)
@@ -253,6 +252,9 @@ def table_mesh(T, N, gamma, seed):
     T0 = min(1.0 / gamma, T)
     if T0 >= T:
         return build_graded(T, N, gamma)
+    if N < 2:
+        raise ValueError(f"N = {N}: a graded prefix on [0, {T0:.6g}] plus a random "
+                         f"tail to T = {T} needs N >= 2")
     n0 = N // 2
     return extend_random(build_graded(T0, n0, gamma), T, N - n0, seed)
 
@@ -373,15 +375,6 @@ def pde_convergence(model=SLOPE, alpha=0.8, sigma=0.4, gamma=5.0,
 # ---------------------------------------------------------------------------
 # Benchmark and coarsening dynamics
 # ---------------------------------------------------------------------------
-
-def energy_bound_violation(records, e0):
-    """Worst exceedance of the dissipation bound E(n) <= E(0) over a trajectory."""
-    worst = 0.0
-    for r in records:
-        if r.accepted:
-            worst = max(worst, r.energy_mod - e0)
-    return worst
-
 
 def _check_prefix_end(what, prefix, T):
     """A run must not end inside its graded prefix, which is marched whole."""

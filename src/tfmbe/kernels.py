@@ -22,9 +22,13 @@ their relative error grows with the square of the lag (1e-10 to 5e-10 at
 1e3 steps).  Against 50-digit mpmath, the worst of nine entries of the
 last row of a uniform mesh at alpha = 0.7 (the oldest one) is 1.2e-7 at
 T = 30, tau = 1e-3; 7.8e-4 at T = 200, tau = 1.25e-4; and 1.2e-2 at
-T = 500, tau = 1e-4.  ``CaputoHistory`` reads these rows at every level in
-direct mode (``--soe-mode direct``, the tables, the initial-layer run),
-and in fast mode only before its first step of at least dt_min.
+T = 500, tau = 1e-4.
+
+A row holds the n weights of level n in level order (entry k - 1 weighs the
+increment of level k, the local weight last).  ``l1plus_row`` is
+``l1plus_block``'s one-row case with the closed-form ``l1plus_diagonal``.
+``CaputoHistory`` reads rows at level 1 and in unplanned passes (adaptive
+trials before the bank takes over); planned reads take ``l1plus_block``'s.
 """
 
 from __future__ import annotations
@@ -36,19 +40,12 @@ import numpy as np
 from .timemesh import TimeMesh
 
 __all__ = [
-    "L1",
-    "L1PLUS",
     "rl_weight",
     "l1_row",
     "l1plus_row",
     "l1plus_diagonal",
     "l1plus_block",
-    "apply_direct",
-    "quadratic_form",
 ]
-
-L1 = "l1"
-L1PLUS = "l1plus"
 
 
 def rl_weight(beta, t):
@@ -67,27 +64,8 @@ def _levels_of(mesh):
     return np.asarray(mesh, dtype=float)
 
 
-class KernelRow:
-    """Convolution weights of one time level.
-
-    ``weights[j]`` multiplies the increment at level n - j; in particular
-    ``weights[0]`` is the diagonal (local) coefficient.
-    """
-
-    __slots__ = ("level", "alpha", "kind", "weights")
-
-    def __init__(self, level, alpha, kind, weights):
-        self.level = level
-        self.alpha = alpha
-        self.kind = kind
-        self.weights = weights
-
-    def __repr__(self):
-        return f"KernelRow(n={self.level}, alpha={self.alpha}, kind={self.kind!r})"
-
-
 def l1_row(mesh, alpha, n):
-    """Collocation kernel row at t_n: a_{n-k} = avg of w_{1-a}(t_n - s) over cell k."""
+    """Collocation kernel row at t_n: entry k - 1 averages w_{1-a}(t_n - s) over cell k."""
     _require_order(alpha)
     t = _levels_of(mesh)
     if not 1 <= n <= t.size - 1:
@@ -96,33 +74,18 @@ def l1_row(mesh, alpha, n):
     taus = t[1:n + 1] - t[:n]
     hi = rl_weight(2.0 - alpha, tn - t[:n])
     lo = rl_weight(2.0 - alpha, tn - t[1:n + 1])
-    a = (hi - lo) / taus            # indexed by k = 1..n
-    return KernelRow(n, alpha, L1, a[::-1].copy())
+    return (hi - lo) / taus
 
 
 def l1plus_row(mesh, alpha, n):
-    """Cell-averaged kernel row over (t_{n-1}, t_n).
+    """Cell-averaged kernel row over (t_{n-1}, t_n): row n of ``l1plus_block``.
 
-    For k < n the weight is a double difference of w_{3-a} scaled by
-    1/(tau_n tau_k); the diagonal weight collapses to
-    1 / (Gamma(3-a) tau_n^a).
+    The local weight, last, is ``l1plus_diagonal``'s closed form.
     """
-    _require_order(alpha)
     t = _levels_of(mesh)
-    if not 1 <= n <= t.size - 1:
-        raise ValueError(f"level {n} outside mesh with {t.size - 1} steps")
-    tn, tn1 = t[n], t[n - 1]
-    tau_n = tn - tn1
-    weights = np.empty(n)
-    weights[0] = l1plus_diagonal(tau_n, alpha)
-    if n > 1:
-        tk1 = t[:n - 1]
-        tk = t[1:n]
-        taus = tk - tk1
-        num = (rl_weight(3.0 - alpha, tn - tk1) - rl_weight(3.0 - alpha, tn - tk)
-               - rl_weight(3.0 - alpha, tn1 - tk1) + rl_weight(3.0 - alpha, tn1 - tk))
-        weights[1:] = (num / (tau_n * taus))[::-1]
-    return KernelRow(n, alpha, L1PLUS, weights)
+    row = l1plus_block(t, alpha, range(n, n + 1), range(1, n + 1))[0]
+    row[-1] = l1plus_diagonal(t[n] - t[n - 1], alpha)
+    return row
 
 
 def l1plus_diagonal(tau_n, alpha):
@@ -134,12 +97,12 @@ def l1plus_block(mesh, alpha, rows, cols):
     """Cell-averaged weights of the increments ``cols`` in the rows ``rows``.
 
     ``rows`` and ``cols`` are ranges of levels.  Entry [i, j] is the weight
-    of increment ``cols[j]`` in row ``rows[i]`` of the (causal) kernel
-    matrix: for an increment older than the row, ``l1plus_row``'s weight
-    bit for bit (the same double difference in the same order, from one
-    power of w_{3-a} per (row, increment) pair where a row takes four per
-    entry); zero for an increment newer than the row; and the local weight,
-    to rounding, on the diagonal (w_{3-a} vanishes at negative times).
+    of increment k = ``cols[j]`` in row n = ``rows[i]`` of the (causal)
+    kernel matrix: for k < n the double difference
+    [W(t_n - t_{k-1}) - W(t_n - t_k) - W(t_{n-1} - t_{k-1}) + W(t_{n-1} - t_k)]
+    / (tau_n tau_k) of W = w_{3-a}, added in that order, from one power of W
+    per (row, increment) pair; zero for k > n; and the local weight, to
+    rounding, on the diagonal (W vanishes at negative times).
     """
     _require_order(alpha)
     t = _levels_of(mesh)
@@ -160,36 +123,3 @@ def l1plus_block(mesh, alpha, rows, cols):
     # the products tau_r tau_c, formed in w's storage
     num /= np.multiply.outer(np.diff(t_rows), np.diff(t_cols), out=w[:-1, :-1])
     return num
-
-
-_ROW_FN = {L1: l1_row, L1PLUS: l1plus_row}
-
-
-def apply_direct(mesh, alpha, increments, n, kind=L1PLUS):
-    """Direct summation sum_{k=1..n} a_{n-k} * increment_k.
-
-    ``increments`` holds the level increments v^k - v^{k-1} (scalars or
-    fields, stacked along the first axis) for k = 1..n at least.
-    """
-    incs = np.asarray(increments, dtype=float)
-    if incs.shape[0] < n:
-        raise ValueError(f"need {n} increments, got {incs.shape[0]}")
-    row = _ROW_FN[kind](mesh, alpha, n)
-    # weights[j] pairs with increment n-j; flip to run over k = 1..n
-    return np.tensordot(row.weights[::-1], incs[:n], axes=1)
-
-
-def quadratic_form(mesh, alpha, w, kind=L1PLUS):
-    """Bilinear energy sum_{k<=n} w_k sum_{j<=k} a_{k-j}^{(k)} w_j.
-
-    Nonnegative for the l1plus family on any mesh.  For the l1 family on
-    nonuniform meshes no sign is guaranteed; the value is returned for
-    experimentation and never asserted.
-    """
-    w = np.asarray(w, dtype=float)
-    row_fn = _ROW_FN[kind]
-    total = 0.0
-    for k in range(1, w.size + 1):
-        row = row_fn(mesh, alpha, k)
-        total += w[k - 1] * float(np.dot(row.weights[::-1], w[:k]))
-    return total

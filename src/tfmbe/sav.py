@@ -260,8 +260,7 @@ class CaputoHistory:
             self._drop_plan()
             plan = None
         if n == 1:
-            return (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha,
-                                                              1).weights[0], None
+            return (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, 1)[-1], None
         if scheme == "cn" and plan is not None:
             chunk = self._chunk
             if chunk is None or n >= chunk + len(self._chunk_sums):
@@ -302,8 +301,8 @@ class CaputoHistory:
         self._kept = {}
         for i, scheme in enumerate(("cn", "be")):
             row = (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, n)
-            weights[i] = row.weights[:0:-1]  # increments in level order
-            self._kept[(scheme, n, levels[n])] = (row.weights[0], self._pair[i])
+            weights[i] = row[:-1]
+            self._kept[(scheme, n, levels[n])] = (row[-1], self._pair[i])
         self._product(weights, 0, self._pair, add=False, piece=self._block_rows)
 
     def _product(self, weights, lo, out, add, piece=None):
@@ -390,8 +389,9 @@ def make_history(alpha, mode="direct", dt_min=None, T=None):
     mode "direct" keeps every level exact; mode "fast" builds an
     exponential-sum approximation certified on [dt_min, T] to the drivers'
     tolerance ``_SOE_EPS``, which the history reads from its first committed
-    step of at least dt_min on (graded prefixes step far below it).
-    alpha = 1 always yields the memoryless classical history.
+    step of at least dt_min on (graded prefixes step far below it), so with
+    0 < T <= dt_min it keeps every level exact.  alpha = 1 always yields
+    the memoryless classical history.
     """
     if mode not in ("direct", "fast"):
         raise ValueError(f"unknown history mode {mode!r}")
@@ -399,6 +399,8 @@ def make_history(alpha, mode="direct", dt_min=None, T=None):
         return CaputoHistory(alpha)
     if dt_min is None or T is None:
         raise ValueError("fast mode needs dt_min and T")
+    if 0.0 < T <= dt_min:
+        return CaputoHistory(alpha)
     return CaputoHistory(alpha, soe=build_soe(alpha, _SOE_EPS, dt_min, T))
 
 

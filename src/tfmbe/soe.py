@@ -85,8 +85,6 @@ __all__ = [
     "build_soe",
     "verify_soe",
     "HistoryBank",
-    "fast_l1plus_apply",
-    "fast_l1_apply",
 ]
 
 # extra margin on the internal build target so that summing <=eps pointwise
@@ -414,20 +412,3 @@ class HistoryBank:
                 np.matmul(rows, store[:, cols], out=out[:, cols])
         return {scheme: (a0_s, out[i].reshape(self.shape))
                 for i, (scheme, a0_s) in enumerate(zip(("cn", "be"), a0))}
-
-
-def fast_l1plus_apply(bank, tau_n, local_increment):
-    """Fast cell-averaged Caputo value at the trial level n = committed + 1.
-
-    Equals the exact direct summation up to the certified kernel tolerance:
-    the two newest cells carry exact weights, older cells go through the
-    exponential sum.
-    """
-    a0, hist = bank.caputo_terms("cn", tau_n)
-    return a0 * np.asarray(local_increment, dtype=float) + hist
-
-
-def fast_l1_apply(bank, tau_n, local_increment):
-    """Fast collocation (t_n) Caputo value at the trial level; shares the bank."""
-    a0, hist = bank.caputo_terms("be", tau_n)
-    return a0 * np.asarray(local_increment, dtype=float) + hist

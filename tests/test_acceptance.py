@@ -17,14 +17,12 @@ import time
 import numpy as np
 import pytest
 
-from tfmbe import (HistoryBank, adaptive_benchmark, apply_direct, build_soe,
-                   coarsening, fast_l1_apply, fast_l1plus_apply, l1plus_row,
-                   ode_convergence, pde_convergence, quadratic_form,
-                   singularity_run, verify_soe)
-from tfmbe.harness import energy_bound_violation
+from tfmbe import (HistoryBank, adaptive_benchmark, build_soe, coarsening,
+                   ode_convergence, pde_convergence, singularity_run, verify_soe)
 
 from conftest import random_mesh
-from test_kernels import l1plus_weight_quad
+from oracles import (apply_direct, energy_bound_violation, fast_l1_apply, fast_l1plus_apply,
+                     l1plus_row, l1plus_weight_quad, quadratic_form)
 
 TABLE_SEED = 2024
 

@@ -13,9 +13,10 @@ from tfmbe import (Grid2D, ModelParams, SolverError, adaptive_benchmark,
                    pde_convergence, read_field, singularity_run,
                    trajectory_observables)
 from tfmbe.cli import main as cli_main
-from tfmbe.harness import _benchmark_phi0, energy_bound_violation, table_mesh
+from tfmbe.harness import _benchmark_phi0, table_mesh
 
 from conftest import count_transforms, flip_estimates
+from oracles import energy_bound_violation
 
 
 def test_ode_convergence_rejects_bad_sigma():
@@ -53,6 +54,10 @@ def test_table_mesh_conventions():
     # T0 = min(1/gamma, T): a horizon within 1/gamma is one graded segment
     short = table_mesh(0.1, 16, 2.0, seed=0)
     assert np.array_equal(short.levels, build_graded(0.1, 16, 2.0).levels)
+    # one cell is a graded segment, but cannot hold a prefix and a tail
+    assert table_mesh(1.0, 1, 1.0, seed=0).n_steps == 1
+    with pytest.raises(ValueError, match=r"N = 1: a graded prefix .* needs N >= 2"):
+        ode_convergence(0.5, 2.5, [1], gamma=2.0)
 
 
 def test_pde_convergence_small(tmp_path):
@@ -111,6 +116,16 @@ def test_prefix_mesh_marched_unconditionally():
     assert all(r.accepted and math.isnan(r.e_est) for r in prefix)
     assert prefix[-1].t == pytest.approx(0.01, rel=1e-12)
     assert rest and not any(math.isnan(r.e_est) for r in rest)
+
+
+def test_one_step_fast_run_matches_direct():
+    """With dt_min = T the one step is the last, so fast mode reads no sum."""
+    runs = [adaptive_benchmark("slope", 0.7, strategy="uniform", grid_n=8, T=0.001,
+                               soe_mode=mode) for mode in ("fast", "direct")]
+    assert [r.n_accepted for r in runs] == [1, 1]
+    assert runs[0].accepted[-1].energy_mod == runs[1].accepted[-1].energy_mod
+    with pytest.raises(ValueError, match="need 0 < dt_min < T < inf"):
+        make_history(0.7, mode="fast", dt_min=1e-3, T=math.inf)
 
 
 def test_uniform_strategy_needs_a_step():

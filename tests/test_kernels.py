@@ -4,52 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
-from tfmbe import (apply_direct, build_uniform, convergence_order, l1_row,
-                   l1plus_row, quadratic_form, rl_weight)
+from tfmbe import build_uniform, convergence_order, l1_row, l1plus_row, rl_weight
 from tfmbe.kernels import l1plus_block, l1plus_diagonal
 
 from conftest import random_mesh
-
-
-# ---------------------------------------------------------------------------
-# adaptive-quadrature oracle for the defining integrals
-# ---------------------------------------------------------------------------
-
-def l1_weight_quad(levels, alpha, n, k):
-    """Cell average of w_{1-a}(t_n - s) over cell k, by adaptive quadrature."""
-    ga = math.gamma(1.0 - alpha)
-    tn = levels[n]
-    a, b = levels[k - 1], levels[k]
-    if k == n:
-        # integrand (t_n - s)^(-alpha) is an endpoint weight (b == t_n)
-        val, _ = quad(lambda s: 1.0, a, b, weight="alg", wvar=(0.0, -alpha))
-    else:
-        val, _ = quad(lambda s: (tn - s) ** (-alpha), a, b,
-                      epsabs=1e-14, epsrel=1e-13, limit=200)
-    return val / (ga * (b - a))
-
-
-def l1plus_weight_quad(levels, alpha, n, k):
-    """Double cell average of w_{1-a}(t - s), by nested adaptive quadrature."""
-    ga = math.gamma(1.0 - alpha)
-    tn1, tn = levels[n - 1], levels[n]
-    sk1, sk = levels[k - 1], levels[k]
-
-    def inner(t):
-        hi = min(t, sk)
-        if hi <= sk1:
-            return 0.0
-        if hi == t:
-            v, _ = quad(lambda s: 1.0, sk1, t, weight="alg", wvar=(0.0, -alpha))
-        else:
-            v, _ = quad(lambda s: (t - s) ** (-alpha), sk1, hi,
-                        epsabs=1e-14, epsrel=1e-13, limit=200)
-        return v
-
-    val, _ = quad(inner, tn1, tn, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return val / (ga * (tn - tn1) * (sk - sk1))
+from oracles import (apply_direct, l1_row_reference, l1_weight_quad, l1plus_row_reference,
+                     l1plus_weight_quad, quadratic_form)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +26,7 @@ def test_rl_weight_basics():
 
 def test_l1_diagonal_half_order():
     row = l1_row(build_uniform(4.0, 4), 0.5, 3)
-    assert row.weights[0] == pytest.approx(1.0 / math.gamma(1.5), rel=1e-14)
+    assert row[-1] == pytest.approx(1.0 / math.gamma(1.5), rel=1e-14)
 
 
 def test_l1_uniform_structure():
@@ -74,22 +35,22 @@ def test_l1_uniform_structure():
     for j in range(n):
         expect = (rl_weight(2 - alpha, j + 1.0) - rl_weight(2 - alpha, float(j))) \
             / tau ** alpha
-        assert row.weights[j] == pytest.approx(expect, rel=1e-13)
+        assert row[n - 1 - j] == pytest.approx(expect, rel=1e-13)
 
 
 def test_l1plus_diagonal_closed_form():
     row = l1plus_row(build_uniform(3.0, 3), 0.5, 2)
-    assert row.weights[0] == pytest.approx(1.0 / math.gamma(2.5), rel=1e-14)
-    assert row.weights[0] == pytest.approx(0.7522527780636751, rel=1e-7)
+    assert row[-1] == pytest.approx(1.0 / math.gamma(2.5), rel=1e-14)
+    assert row[-1] == pytest.approx(0.7522527780636751, rel=1e-7)
 
 
 def test_l1plus_single_step_row():
     mesh = random_mesh(np.random.default_rng(0), 5)
     alpha = 0.42
     row = l1plus_row(mesh, alpha, 1)
-    assert row.weights.size == 1
+    assert row.size == 1
     tau1 = mesh.taus[0]
-    assert row.weights[0] == pytest.approx(
+    assert row[-1] == pytest.approx(
         tau1 ** (-alpha) / math.gamma(3 - alpha), rel=1e-14)
 
 
@@ -111,27 +72,34 @@ def test_rows_match_quadrature_oracle(alpha, rng):
         for k in range(1, n + 1):
             ref_p = l1plus_weight_quad(mesh.levels, alpha, n, k)
             ref_1 = l1_weight_quad(mesh.levels, alpha, n, k)
-            assert row_p.weights[n - k] == pytest.approx(ref_p, rel=1e-10)
-            assert row_1.weights[n - k] == pytest.approx(ref_1, rel=1e-10)
+            assert row_p[k - 1] == pytest.approx(ref_p, rel=1e-10)
+            assert row_1[k - 1] == pytest.approx(ref_1, rel=1e-10)
 
 
 def test_blocks_are_the_kernel_rows():
-    """Block weights equal l1plus_row's bit for bit below the diagonal.
+    """Block weights equal the four-power rows' bit for bit below the diagonal.
 
     On the diagonal they are the local weight to rounding, and above it zero:
     the causal kernel matrix.  The blocks are a chunk's rows on every
-    increment, a chunk of one row, and blocks of the dyadic products.
+    increment, a chunk of one row, and blocks of the dyadic products.  Every
+    row, in level order, is the lag-order reference row reversed, bit for
+    bit, the local weight included.
     """
     rng = np.random.default_rng(5)
     mesh = random_mesh(rng, 90)
     levels = mesh.levels
-    for alpha in (0.2, 0.6, 0.95):
+    for alpha in (0.02, 0.2, 0.6, 0.95, 0.98):
+        for n in range(1, 91):
+            assert np.array_equal(l1plus_row(levels, alpha, n),
+                                  l1plus_row_reference(levels, alpha, n)[::-1]), (alpha, n)
+            assert np.array_equal(l1_row(levels, alpha, n),
+                                  l1_row_reference(levels, alpha, n)[::-1]), (alpha, n)
         for rows, cols in ((range(40, 90), range(1, 88)), (range(30, 31), range(1, 30)),
                            (range(65, 73), range(57, 65)), (range(2, 3), range(1, 2))):
             block = l1plus_block(mesh, alpha, rows, cols)
             assert block.shape == (len(rows), len(cols))
             for i, level in enumerate(rows):
-                weights = l1plus_row(levels, alpha, level).weights
+                weights = l1plus_row_reference(levels, alpha, level)
                 old = [j for j, c in enumerate(cols) if c < level]
                 assert np.array_equal(block[i, old], weights[[level - cols[j] for j in old]])
                 assert l1plus_diagonal(levels[level] - levels[level - 1], alpha) == weights[0]
@@ -152,13 +120,13 @@ def test_positivity_and_ordering(alpha, n, seed):
     mesh = random_mesh(np.random.default_rng(seed), n)
     row_p = l1plus_row(mesh, alpha, n)
     row_1 = l1_row(mesh, alpha, n)
-    assert np.all(row_p.weights > 0)
-    assert np.all(row_1.weights > 0)
+    assert np.all(row_p > 0)
+    assert np.all(row_1 > 0)
     # collocation weights decrease with history distance
-    assert np.all(np.diff(row_1.weights) < 0)
+    assert np.all(np.diff(row_1[::-1]) < 0)
     # cell-averaged weights decrease beyond the diagonal entry
     if n >= 3:
-        assert np.all(np.diff(row_p.weights[1:]) < 0)
+        assert np.all(np.diff(row_p[-2::-1]) < 0)
 
 
 @given(st.floats(0.05, 0.95), st.integers(1, 16), st.integers(0, 10_000))
@@ -174,7 +142,7 @@ def test_quadratic_form_nonnegative(alpha, n, seed):
 def test_quadratic_form_single_entry():
     mesh = build_uniform(1.0, 2)
     q = quadratic_form(mesh, 0.6, [1.0], kind="l1plus")
-    assert q == pytest.approx(l1plus_row(mesh, 0.6, 1).weights[0])
+    assert q == pytest.approx(l1plus_row(mesh, 0.6, 1)[-1])
     assert q > 0
 
 
@@ -208,7 +176,7 @@ def test_apply_direct_single_term(rng):
     incs = rng.standard_normal(6)
     row = l1plus_row(mesh, 0.5, 1)
     assert apply_direct(mesh, 0.5, incs, 1) == pytest.approx(
-        row.weights[0] * incs[0], rel=1e-14)
+        row[0] * incs[0], rel=1e-14)
 
 
 def test_apply_direct_length_check(rng):
@@ -225,7 +193,7 @@ def test_apply_direct_fields(rng):
     ref = np.zeros((3, 2))
     row = l1plus_row(mesh, 0.3, 4)
     for k in range(1, 5):
-        ref += row.weights[4 - k] * incs[k - 1]
+        ref += row[k - 1] * incs[k - 1]
     assert np.allclose(out, ref, rtol=1e-13)
 
 
@@ -245,12 +213,12 @@ def test_multiterm_midpoint_solve_second_order():
         u = 0.0
         err = 0.0
         for n in range(1, n_steps + 1):
-            a0 = sum(w * l1plus_row(levels, a, n).weights[0] for w, a in terms)
+            a0 = sum(w * l1plus_row(levels, a, n)[-1] for w, a in terms)
             hist = 0.0
             if n > 1:
                 for w, a in terms:
                     row = l1plus_row(levels, a, n)
-                    hist += w * float(np.dot(row.weights[:0:-1], incs[:n - 1]))
+                    hist += w * float(np.dot(row[:-1], incs[:n - 1]))
             t_mid = 0.5 * (levels[n - 1] + levels[n])
             f = sum(w * rl_weight(1 + sigma - a, t_mid) for w, a in terms)
             du = (f - hist) / a0

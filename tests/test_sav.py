@@ -481,7 +481,7 @@ def kernel_row_sum(taus, incs, alpha, scheme, level):
     """
     levels = np.concatenate(([0.0], np.cumsum(taus)))
     row = (l1plus_row if scheme == "cn" else l1_row)(levels, alpha, level)
-    terms = [w * inc for w, inc in zip(row.weights[:0:-1], incs[:level - 1])]
+    terms = [w * inc for w, inc in zip(row[:-1], incs[:level - 1])]
     return sum(terms), np.max(sum(np.abs(term) for term in terms))
 
 

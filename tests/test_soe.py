@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tfmbe import (HistoryBank, SOEApprox, StateError, apply_direct, build_soe,
-                   fast_l1_apply, fast_l1plus_apply, rl_weight, verify_soe)
+from tfmbe import HistoryBank, SOEApprox, StateError, build_soe, rl_weight, verify_soe
 import tfmbe.soe as soe_module
 from tfmbe.soe import (_COMMIT_BLOCK_BYTES, _FOLD_STEPS, _gauss_jacobi, _panel_rule,
                        _relexp)
 
 from conftest import count_bank_passes, random_mesh
+from oracles import apply_direct, fast_l1_apply, fast_l1plus_apply
 
 
 def test_kernel_value_at_one():
