@@ -123,7 +123,11 @@ def main(argv=None):
         args = {k: config[k] if v is None else v for k, v in args.items()}
     driver, _, printer = _COMMANDS[cmd]
     opts = {k: v for k, v in args.items() if v is not None}
-    return printer(getattr(harness, driver)(**opts)) or 0
+    try:
+        result = getattr(harness, driver)(**opts)
+    except ValueError as err:  # an input the driver rejects: a usage error
+        sub.choices[cmd].error(str(err))
+    return printer(result) or 0
 
 
 if __name__ == "__main__":

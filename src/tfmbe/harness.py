@@ -136,32 +136,27 @@ class RunReport:
         return len(self.accepted)
 
 
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    v = float(v)
-    return "nan" if math.isnan(v) else repr(v)
+def _write_csv(path, cls, rows):
+    """One header line of the dataclass ``cls``'s field names, then a line per row.
 
-
-def write_steps_csv(path, records):
-    """Per-step log, one column per ``StepRecord`` field in field order.
-
-    A record's fields are Python ints and floats, which the csv module
-    writes as ``_fmt`` does: an int as such, a float by its repr ("nan").
+    The fields are ints and floats, which the csv module writes as such: an
+    int in decimal, a float by its repr ("nan").
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        names = [f.name for f in fields(StepRecord)]
+        names = [f.name for f in fields(cls)]
         w.writerow(names)
-        w.writerows(map(attrgetter(*names), records))
+        w.writerows(map(attrgetter(*names), rows))
+
+
+def write_steps_csv(path, records):
+    """Per-step log, one column per ``StepRecord`` field in field order."""
+    _write_csv(path, StepRecord, records)
 
 
 def write_orders_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n_steps", "tau_max", "error", "order"])
-        for r in rows:
-            w.writerow([r.n_steps, _fmt(r.tau_max), _fmt(r.error), _fmt(r.order)])
+    """Error/order table, one column per ``OrderRow`` field in field order."""
+    _write_csv(path, OrderRow, rows)
 
 
 def _finite(value):

@@ -27,8 +27,8 @@ T = 500, tau = 1e-4.
 A row holds the n weights of level n in level order (entry k - 1 weighs the
 increment of level k, the local weight last).  ``l1plus_row`` is
 ``l1plus_block``'s one-row case with the closed-form ``l1plus_diagonal``.
-``CaputoHistory`` reads rows at level 1 and in unplanned passes (adaptive
-trials before the bank takes over); planned reads take ``l1plus_block``'s.
+``CaputoHistory`` reads rows at level 1 and the estimator's ``l1_row``;
+every other second-order row it reads comes from ``l1plus_block``.
 """
 
 from __future__ import annotations

@@ -28,14 +28,14 @@ The convolution history is one object, ``CaputoHistory``: an exact prefix
 (steps below the exponential sum's dt_min, summed through the kernel rows)
 followed by the bank of ``tfmbe.soe``.  ``make_history(mode="direct")``
 (``--soe-mode direct``) keeps every level exact.  The history takes its
-shape from the first committed increment.  Both stores are read in
-passes that form several sums at once.  On the bank and on the exact
-prefix, the estimator trial reads the sum that the second-order trial's
-pass already formed, so an adaptive trial reads its history once.  A
-fixed mesh is announced to the history (``CaputoHistory.plan``, which
-``run_fixed`` calls): the exact prefix is then summed a chunk of levels
-at a time, each (level, increment) pair once, in a few large matrix
-products (dyadic blocks), and a planned read makes no estimator row.
+shape from the first committed increment.  A read is answered from one
+table of kept sums, which the bank's read or a chunk of the exact prefix
+fills with several sums at once: both schemes' at the trial level, so an
+adaptive trial reads its history once.  A fixed mesh is announced to the
+history (``CaputoHistory.plan``, which ``run_fixed`` calls): the exact
+prefix is then summed a chunk of planned levels at a time, each (level,
+increment) pair once, in a few large matrix products (dyadic blocks), and
+a planned read makes no estimator row.
 
 Each solve is decoupled by a rank-one correction: with
 L = a0 I + theta M (eps2 Lap^2 - beta Lap) (diagonal in transform space)
@@ -152,20 +152,23 @@ class CaputoHistory:
     The first committed increment fixes the shape of every later one, and
     a read before any commit has no sum to add.
 
-    The exact prefix is summed by matrix products over the stored
-    increments.  An unplanned read makes a pass whose rows are both
-    schemes at the trial level, so an adaptive step's estimator trial
-    reuses the second-order trial's pass.  ``plan(taus)`` announces the
-    next steps; the second-order sums of the planned levels are then formed
-    a chunk of levels at a time, with no estimator row: one product at the
-    chunk's first read, one after each commit (``_CHUNK_LEVELS``), and a
-    planned read returns a row that is already complete.  Every read and
-    every commit compares its level time bit for bit with the plan, and the
-    first mismatch drops the plan and the chunk, so a plan changes the
-    order of the summation but never which levels or weights are summed.
-    The returned history value is a view of a buffer the history owns: it
-    holds until the history's next read or commit, and the caller must not
-    modify it.
+    Every read with a sum is answered from one table of kept sums, keyed by
+    (scheme, level, level time), or the trial step on the bank.  On a miss
+    one producer fills the table: the bank's ``read`` (both schemes in one
+    pass), or a chunk of the exact prefix, whose rows are summed by matrix
+    products over the stored increments.  An unplanned read makes a chunk
+    of one level with both schemes' rows, so an adaptive step's estimator
+    trial reads the sum the second-order trial's pass formed.  ``plan(taus)``
+    announces the next steps; a second-order read at a planned level then
+    makes a chunk of up to ``_CHUNK_LEVELS`` planned levels, second order
+    only: one product at its first read and one after each commit, so a
+    later planned read finds its row complete.  Every read and every commit
+    compares its level time bit for bit with the plan, and the first
+    mismatch drops the plan and the chunk, so a plan changes the order of
+    the summation but never which levels or weights are summed.  The
+    returned history value is a view of a buffer the history owns: it holds
+    until the history's next read or commit, and the caller must not modify
+    it.
     """
 
     def __init__(self, alpha, soe=None):
@@ -181,51 +184,50 @@ class CaputoHistory:
         self.bank = None
         # exact prefix: the committed increments in blocks, each starting at
         # the level after ``_starts[b]``, so the store grows without copying
-        # what it holds, and the level times t_0..t_n with one slot more for
-        # the trial level (grown by doubling)
+        # what it holds, and the level times t_0..t_n, then the planned ones
+        # up to level ``_plan_end`` (0: no plan), with a slot more for the
+        # trial level (grown by doubling)
         self._block_rows = self._chunk_levels = None
         self._starts, self._blocks = [], []
         self._levels = np.zeros(18)
-        # the planned level times t_0..t_m, or None; the first level of the
-        # planned chunk, its rows of sums and its weights, or None
-        self._plan = self._chunk = self._chunk_sums = self._chunk_weights = None
-        # the rows of the last unplanned pass, {(scheme, level, level time):
-        # (a0, its sum)}, and the buffers of the sums and of the scratch
+        self._plan_end = 0
+        # the first level of the planned chunk and the weights of its own
+        # increments, or None
+        self._chunk = self._chunk_weights = None
+        # the kept sums, {(scheme, level, level time or trial step): (a0,
+        # sum)}, and the buffers of the prefix's rows of sums and of the
+        # scratch
         self._kept = {}
-        self._rows = self._pair = self._scratch = None
+        self._rows = self._scratch = None
 
     def plan(self, taus):
         """Announce the step sizes of the levels after the committed ones.
 
-        Later reads and commits are checked against the level times these
-        steps give; a plan only ever changes how the exact prefix is summed.
-        A store block allocated under a plan holds every planned level, so a
-        chunk's first product is one matrix product.  A history with an
-        exponential sum plans one level at a time (chunks of one level: a
-        pass per read, with no estimator row): its exact prefix holds only
-        the steps below dt_min (the drivers' 30-step graded start), where
-        longer chunks would save little time and their rows would add 2 MB
-        (4%) to growth-slope-128's peak memory.  Once the bank holds the
-        history, plans are ignored.
+        The planned level times follow the committed ones, and later reads
+        and commits are checked against them; a plan only ever changes how
+        the exact prefix is summed.  A store block allocated
+        under a plan holds every planned level, so a chunk's first product
+        is one matrix product.  A history with an exponential sum plans
+        chunks of one level (a pass per read, with no estimator row): its
+        exact prefix holds only the steps below dt_min (the drivers' 30-step
+        graded start), where longer chunks would save little time and their
+        rows would add 2 MB (4%) to growth-slope-128's peak memory.  Once
+        the bank holds the history, plans are ignored.
         """
         if self.bank is not None or self.alpha == 1.0:
             return
         n = self.n_committed
-        self._drop_plan()
         # np.cumsum adds in order, as commit accumulates the level times
-        self._plan = np.concatenate((self._levels[:n],
-                                     np.cumsum(np.append(self._levels[n], taus))))
-
-    def _drop_plan(self):
-        """Forget the plan and the chunk summed from it."""
-        self._plan = self._chunk = self._chunk_sums = self._chunk_weights = None
+        levels = np.cumsum(np.append(self._levels[n], taus))
+        self._levels = np.concatenate((self._levels[:n], levels, [0.0]))  # and a trial slot
+        # a dropped chunk's kept rows would miss their later products
+        self._plan_end, self._chunk, self._kept = n + len(taus), None, {}
 
     def _bank_if_due(self, tau):
         """At the first step of at least dt_min, replay the prefix into a bank."""
         if self.bank is not None or tau < self._floor:
             return
-        self._drop_plan()
-        self._kept, self._rows, self._pair, self._scratch = {}, None, None, None
+        self._kept, self._rows, self._scratch = {}, None, None
         self.bank = HistoryBank(self.soe, self.shape)
         # the newest step as given, not via the level times: reads check it
         taus = np.append(np.diff(self._levels[:self.n_committed]), tau)
@@ -252,64 +254,62 @@ class CaputoHistory:
                 raise SolverError(f"history read at level {n} after a step of "
                                   f"{tau_p:.6g} at level {n - 1}, below the exponential "
                                   f"sum's dt_min = {self.soe.dt_min:.6g}")
-            return self.bank.caputo_terms(scheme, tau_n)
-        levels = self._levels[:n + 1]
-        levels[n] = levels[n - 1] + tau_n  # the trial level; a commit overwrites it
-        plan = self._plan
-        if plan is not None and not (n < plan.size and plan[n] == levels[n]):
-            self._drop_plan()
-            plan = None
+            key = (scheme, n, tau_n)
+            if key not in self._kept:
+                self._kept = {(s, n, tau_n): pair for s, pair in self.bank.read(tau_n).items()}
+            return self._kept[key]
+        levels = self._levels
+        t_n = levels[n - 1] + tau_n
+        if n > self._plan_end or levels[n] != t_n:
+            levels[n] = t_n  # the trial level; a commit overwrites it
+            self._plan_end, self._chunk = 0, None
         if n == 1:
             return (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, 1)[-1], None
-        if scheme == "cn" and plan is not None:
-            chunk = self._chunk
-            if chunk is None or n >= chunk + len(self._chunk_sums):
-                self._start_chunk(n)
-            a0 = l1plus_diagonal(levels[n] - levels[n - 1], self.alpha)
-            return a0, self._chunk_sums[n - self._chunk].reshape(self.shape)
-        key = (scheme, n, levels[n])
+        key = (scheme, n, t_n)
         if key not in self._kept:
-            self._make_pass(levels, n)
-        a0, sums = self._kept[key]
-        return a0, sums.reshape(self.shape)
+            self._start_chunk(n, scheme == "cn" and n <= self._plan_end)
+        return self._kept[key]
 
-    def _start_chunk(self, n):
-        """Sum the increments committed so far into the rows of the chunk from level n."""
-        k = min(self._chunk_levels, self._plan.size - n)
+    def _start_chunk(self, n, planned):
+        """Fill the kept sums from the increments committed so far, from level n on.
+
+        A planned chunk holds the second-order rows of up to
+        ``_chunk_levels`` planned levels; an unplanned one, level n's rows
+        of both schemes.
+        """
+        levels, alpha = self._levels, self.alpha
+        k = min(self._chunk_levels, self._plan_end + 1 - n) if planned else 1
         if self._rows is None:
-            self._rows = np.empty((self._chunk_levels, math.prod(self.shape)))
-        # the chunk's rows on every increment they sum, its own included
-        weights = l1plus_block(self._plan, self.alpha, range(n, n + k), range(1, n + k - 1))
-        self._chunk, self._chunk_sums = n, self._rows[:k]
-        self._product(weights[:, :n - 1], 0, self._chunk_sums, add=False)
-        # the weights of the chunk's own increments, [row, increment - n]
-        self._chunk_weights = weights[:, n - 1:].copy()
+            self._rows = np.empty((max(2, self._chunk_levels), math.prod(self.shape)))
+        # the rows on every increment they sum, the chunk's own included
+        weights = l1plus_block(levels, alpha, range(n, n + k), range(1, n + k - 1))
+        self._kept = {("cn", m, levels[m]): (l1plus_diagonal(levels[m] - levels[m - 1], alpha),
+                                             self._rows[m - n].reshape(self.shape))
+                      for m in range(n, n + k)}
+        if planned:
+            # the weights of the chunk's own increments, [row, increment - n]
+            self._chunk, self._chunk_weights = n, weights[:, n - 1:].copy()
+            self._product(weights[:, :n - 1], 0, self._rows[:k], add=False)
+        else:
+            row = l1_row(levels, alpha, n)
+            self._kept[("be", n, levels[n])] = (row[-1], self._rows[1].reshape(self.shape))
+            self._chunk = None
+            self._product(np.vstack((weights, row[:-1])), 0, self._rows[:2], add=False,
+                          piece=self._block_rows)
 
     def _add_committed(self, level):
         """Add the increments just committed into the chunk's next rows (dyadic blocks)."""
         p = level - self._chunk + 1
         d = p & -p
-        rows = self._chunk_sums[p:p + d]
-        if len(rows):
-            self._product(self._chunk_weights[p:p + d, p - d:p], level - d, rows, add=True)
-
-    def _make_pass(self, levels, n):
-        """One pass over the stored increments for both schemes' rows at level n."""
-        weights = np.empty((2, n - 1))
-        if self._pair is None:
-            self._pair = np.empty((2, math.prod(self.shape)))
-        self._kept = {}
-        for i, scheme in enumerate(("cn", "be")):
-            row = (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, n)
-            weights[i] = row[:-1]
-            self._kept[(scheme, n, levels[n])] = (row[-1], self._pair[i])
-        self._product(weights, 0, self._pair, add=False, piece=self._block_rows)
+        weights = self._chunk_weights[p:p + d, p - d:p]
+        if len(weights):
+            self._product(weights, level - d, self._rows[p:p + len(weights)], add=True)
 
     def _product(self, weights, lo, out, add, piece=None):
         """out (+)= weights @ (stored increments lo+1..), a block at a time.
 
         A product also ends at every multiple of ``piece`` increments, so an
-        unplanned pass sums in the same order on every store layout.
+        unplanned chunk sums in the same order on every store layout.
         """
         first, hi = lo, lo + weights.shape[1]
         b = bisect_right(self._starts, lo) - 1
@@ -358,11 +358,12 @@ class CaputoHistory:
             self._store(n, increment)
             if self._levels.size < n + 3:
                 self._levels = np.concatenate((self._levels, np.zeros(self._levels.size)))
-            self._levels[n + 1] = self._levels[n] + float(tau)
-            plan = self._plan
-            if plan is not None and not (n + 1 < plan.size
-                                         and plan[n + 1] == self._levels[n + 1]):
-                self._drop_plan()  # the chunk's rows assumed this level's time
+            levels = self._levels
+            t_next = levels[n] + float(tau)
+            if n + 1 > self._plan_end or levels[n + 1] != t_next:
+                levels[n + 1] = t_next
+                # off the plan: a chunk's rows and kept sums assumed its time
+                self._plan_end, self._chunk, self._kept = 0, None, {}
             elif self._chunk is not None:
                 self._add_committed(n + 1)
         self.n_committed = n + 1
@@ -372,12 +373,11 @@ class CaputoHistory:
         """Store the increment of level n + 1; a new block holds every planned level.
 
         Every block holds a multiple of ``_block_rows`` levels, the pieces of
-        an unplanned pass.
+        an unplanned chunk.
         """
         if not self._blocks or n == self._starts[-1] + len(self._blocks[-1]):
             rows = self._block_rows
-            if self._plan is not None:
-                rows *= max(1, -(-(self._plan.size - 1 - n) // rows))
+            rows *= max(1, -(-(self._plan_end - n) // rows))
             self._starts.append(n)
             self._blocks.append(_store_block((rows,) + self.shape))
         self._blocks[-1][n - self._starts[-1]] = increment

@@ -59,10 +59,10 @@ step size, so one pass forms both schemes' node weights and takes the two
 sums together: H_ref and the ring are the leading and trailing rows of one
 buffer, and a two-row matrix product per column block of it (blocks of the
 same byte size as the sweep's) writes both sums into an output buffer
-allocated with the bank.  The other scheme's sum is kept for a read at the
-same level and step and dropped by the next commit.  An adaptive trial
-costs one pass over the bank, and so does a fixed-mesh step, which asks
-for the second-order sum only.
+allocated with the bank.  The bank keeps no sum between reads: the history
+keeps both, in its one table of kept sums, for a read at the same level
+and step, so an adaptive trial costs one pass over the bank, and so does a
+fixed-mesh step, which asks for the second-order sum only.
 
 The solver's history (``tfmbe.sav.CaputoHistory``) sums an exact prefix
 first, up to its first step of at least dt_min, and then replays it into
@@ -303,10 +303,9 @@ class HistoryBank:
     buffer for the bank's lifetime.  A commit copies its increment into the
     next free ring slot, where the next commit folds it in.
 
-    ``caputo_terms`` reads both schemes' sums in one column-blocked pass
-    over ``h`` and the ring (the pending increment included), into a
-    two-row buffer of the bank, and keeps them for further reads at the
-    same level and step size.
+    ``read`` forms both schemes' sums in one column-blocked pass over ``h``
+    and the ring (the pending increment included), into a two-row output
+    buffer of the bank; it keeps nothing else between calls.
     """
 
     def __init__(self, soe, shape=()):
@@ -330,12 +329,10 @@ class HistoryBank:
         self._blocks = [(slice(i, i + rows), h[i:i + rows], scratch[:n_terms - i])
                         for i in range(0, n_terms, rows)]
         # a read: both schemes' sums, one row each, computed a column block
-        # at a time, and the (n_committed, tau_n) they are for
+        # at a time
         cols = max(1, _COMMIT_BLOCK_BYTES // (store.itemsize * store.shape[0]))
         self._read_cols = [slice(j, j + cols) for j in range(0, size, cols)]
         self._read_out = np.zeros((2, size))
-        self._read_key = None
-        self._read_pairs = None
         self.pending = None
         self.n_committed = 0
 
@@ -367,26 +364,16 @@ class HistoryBank:
         slot[:] = inc.ravel()
         self.pending = (float(tau), slot.reshape(self.shape))
         self.n_committed += 1
-        self._read_key = self._read_pairs = None
 
-    def caputo_terms(self, scheme, tau_n):
-        """(local coefficient, history value) of the fast formula at the trial level.
+    def read(self, tau_n):
+        """{"cn": (a0, hist), "be": (a0, hist)}: both fast formulas at the trial step.
 
-        scheme "cn" is the cell-averaged formula, "be" the collocation one.
-        One pass over the bank gives both schemes' values at ``tau_n``; the
-        other scheme's pair is kept for a read at the same level and step,
-        until the next commit.  The history value is a view of a buffer the
-        bank owns: it holds until the next read at another level or step,
-        and the caller must not modify it.
+        "cn" is the cell-averaged formula, "be" the collocation one, each
+        the pair (local coefficient, history value) at the trial level
+        n_committed + 1.  One pass over the bank forms both.  The history
+        values are views of the bank's output buffer: they hold until the
+        next read, and the caller must not modify them.
         """
-        key = (self.n_committed, tau_n)
-        if self._read_key != key:
-            self._read_pairs = self._read_both(tau_n)
-            self._read_key = key
-        return self._read_pairs[scheme]
-
-    def _read_both(self, tau_n):
-        """{"cn": (a0, hist), "be": (a0, hist)} at the trial step ``tau_n``."""
         alpha = self.soe.alpha
         out = self._read_out
         orders = (3.0 - alpha, 2.0 - alpha)

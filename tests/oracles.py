@@ -109,13 +109,13 @@ def fast_l1plus_apply(bank, tau_n, local_increment):
     the two newest cells carry exact weights, older cells go through the
     exponential sum.
     """
-    a0, hist = bank.caputo_terms("cn", tau_n)
+    a0, hist = bank.read(tau_n)["cn"]
     return a0 * np.asarray(local_increment, dtype=float) + hist
 
 
 def fast_l1_apply(bank, tau_n, local_increment):
     """Fast collocation (t_n) Caputo value at the trial level; shares the bank."""
-    a0, hist = bank.caputo_terms("be", tau_n)
+    a0, hist = bank.read(tau_n)["be"]
     return a0 * np.asarray(local_increment, dtype=float) + hist
 
 

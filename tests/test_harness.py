@@ -695,6 +695,19 @@ def test_cli_empty_n_list_flag_exits_2(capsys):
     assert "argument --N: need positive integers, got ''" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("ode-conv --N 1 --gamma 2", "N = 1: a graded prefix"),
+    ("benchmark --strategy uniform --T 0.0004", "strategy 'uniform' needs"),
+    ("coarsen --grid 8 --T 0.01 --window 3 1", "fit_window (3.0, 1.0) is empty"),
+])
+def test_cli_input_the_driver_rejects_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as stop:
+        cli_main(argv.split())
+    assert stop.value.code == 2
+    cmd, err = argv.split()[0], capsys.readouterr().err
+    assert err.startswith(f"usage: tfmbe {cmd} ") and f"tfmbe {cmd}: error: {message}" in err
+
+
 @pytest.mark.parametrize("cmd,section,flags", [
     ("benchmark", {"grid_n": "16", "T": "0.02"}, ["--grid", "16", "--T", "0.02"]),
     ("ode-conv", {"n_list": "16,32"}, ["--N", "16,32"]),

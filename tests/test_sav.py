@@ -10,8 +10,9 @@ from tfmbe import (Grid2D, ModelParams, SolverError, StateError, be_l1_sav_step,
 import tfmbe.sav as sav
 from tfmbe.kernels import l1_row, l1plus_row
 from tfmbe.sav import CaputoHistory
+from tfmbe.soe import _FOLD_STEPS
 
-from conftest import count_transforms, random_mesh
+from conftest import count_bank_passes, count_prefix_passes, count_transforms, random_mesh
 
 
 @pytest.fixture(scope="module")
@@ -513,7 +514,7 @@ def test_planned_and_unplanned_reads_match_kernel_rows(monkeypatch, shape, extra
         assert reads["planned"][0] == reads["cn"][0]
         for history in (planned, unplanned):
             history.commit(tau, inc, level=level)
-    assert planned._plan is not None  # every read was served by the plan
+    assert planned._plan_end == n  # every read was served by the plan
     assert len(planned._blocks) == 1 and len(unplanned._blocks) == -(-n // 5)
 
 
@@ -541,7 +542,7 @@ def test_plan_after_committed_levels_matches_kernel_rows(monkeypatch, shape):
             assert np.max(np.abs(hist - ref)) <= 1e-13 * scale, level
             assert hist.shape == shape
         history.commit(tau, inc, level=level)
-    assert history._plan is not None
+    assert history._plan_end == n
     assert history._starts == [0, 7, 14]  # the plan sized the third block
     assert len(history._blocks[2]) == 7 * math.ceil((n - 14) / 7)
 
@@ -579,7 +580,60 @@ def test_deviating_from_plan_matches_unplanned(monkeypatch, deviation):
             step = 1.3 * tau if deviates and deviation == "commit-other-tau" else tau
             for history in (planned, unplanned):
                 history.commit(step, inc, level=level)
-        assert planned._plan is None and planned._chunk is None
+        assert planned._plan_end == 0 and planned._chunk is None
+
+
+@pytest.mark.parametrize("mode", ["fast", "direct"])
+def test_one_pass_per_level_and_step(monkeypatch, mode):
+    """Both schemes' sums at one level and step come from one pass, of the bank or the prefix."""
+    alpha, rng, taus, incs = 0.6, np.random.default_rng(9), [], []
+    history = CaputoHistory(alpha, build_soe(alpha, 1e-10, 1e-3, 5.0) if mode == "fast" else None)
+
+    def commit(level):
+        taus.append(0.01 * level)
+        incs.append(rng.standard_normal((6, 6)))
+        history.commit(taus[-1], incs[-1], level=level)
+
+    def assert_read(scheme, tau_n, passes):
+        hist = history.caputo_terms(scheme, tau_n)[1]
+        ref, scale = kernel_row_sum(taus + [tau_n], incs, alpha, scheme, len(taus) + 1)
+        assert np.max(np.abs(hist - ref)) <= (1e-9 if history.soe else 1e-13) * scale
+        assert counter.passes == passes
+
+    for level in range(1, _FOLD_STEPS + 4):
+        commit(level)
+    assert (history.bank is not None) == (mode == "fast")
+    counter = (count_bank_passes(monkeypatch, lambda: history.bank) if mode == "fast" else
+               count_prefix_passes(monkeypatch, history))
+    assert_read("cn", 0.02, 1)
+    assert_read("be", 0.02, 1)  # the pair of the same pass
+    assert_read("be", 0.03, 2)  # another step
+    assert_read("cn", 0.03, 2)
+    commit(_FOLD_STEPS + 4)  # another level, at the same step
+    assert_read("cn", 0.03, 3)
+    assert_read("be", 0.03, 3)
+
+
+def test_estimator_read_at_planned_level():
+    """A "be" read at a planned level, or a plan announced again, replaces the chunk."""
+    n, alpha, at = sav._CHUNK_LEVELS + 4, 0.55, 5  # the first chunk: levels 2.._CHUNK_LEVELS+1
+    rng = np.random.default_rng(4)
+    taus, incs = random_mesh(rng, n).taus, rng.standard_normal((n, 2, 3))
+    history = CaputoHistory(alpha)
+    history.plan(taus)
+    for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
+        if level == at + 3:  # the same steps announced again, mid-chunk
+            history.plan(taus[level - 1:])
+        for scheme in ("be", "cn") if level == at else ("cn",):
+            hist = history.caputo_terms(scheme, tau)[1]
+            if level > 1:
+                ref, scale = kernel_row_sum(taus, incs, alpha, scheme, level)
+                assert np.max(np.abs(hist - ref)) <= 1e-13 * scale, (level, scheme)
+        # the next second-order read, or the new plan's first, starts a planned chunk
+        assert history._chunk == (None if level in (1, at) else 2 if level < at else
+                                  at + 1 if level < at + 3 else at + 3)
+        history.commit(tau, inc, level=level)
+    assert history._plan_end == n  # the plan held
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.8])

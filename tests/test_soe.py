@@ -15,7 +15,6 @@ import tfmbe.soe as soe_module
 from tfmbe.soe import (_COMMIT_BLOCK_BYTES, _FOLD_STEPS, _gauss_jacobi, _panel_rule,
                        _relexp)
 
-from conftest import count_bank_passes, random_mesh
 from oracles import apply_direct, fast_l1_apply, fast_l1plus_apply
 
 
@@ -171,7 +170,7 @@ def test_advance_coefficient_matches_quadrature():
 
 
 def _eager_terms(bank, ref, scheme, tau_n):
-    """``bank.caputo_terms`` read from the eagerly folded states ``ref``.
+    """``bank.read(tau_n)[scheme]`` from the eagerly folded states ``ref``.
 
     A bank that holds only the pending step keeps nothing in deferred
     form, so its read weights its states ``h`` directly.
@@ -179,13 +178,13 @@ def _eager_terms(bank, ref, scheme, tau_n):
     eager = HistoryBank(bank.soe, bank.shape)
     eager.commit(*bank.pending)
     eager.h[...] = ref
-    return eager.caputo_terms(scheme, tau_n)
+    return eager.read(tau_n)[scheme]
 
 
 def _assert_reads_match(bank, ref, tau_n, rtol=1e-13):
     """Both fast formulas of ``bank`` agree with the eager fold ``ref``."""
     for scheme in ("cn", "be"):
-        a0, hist = bank.caputo_terms(scheme, tau_n)
+        a0, hist = bank.read(tau_n)[scheme]
         a0_ref, hist_ref = _eager_terms(bank, ref, scheme, tau_n)
         assert a0 == a0_ref
         assert hist.shape == bank.shape
@@ -233,8 +232,8 @@ def test_commit_batching_invariance():
     for i in range(4, n):
         b.commit(taus[i], incs[i], level=i + 1)
     for scheme in ("cn", "be"):
-        assert np.array_equal(a.caputo_terms(scheme, 0.05)[1],
-                              b.caputo_terms(scheme, 0.05)[1])
+        assert np.array_equal(a.read(0.05)[scheme][1],
+                              b.read(0.05)[scheme][1])
     assert a.pending[0] == b.pending[0]
     _assert_reads_match(a, ref, 0.05)
 
@@ -299,45 +298,11 @@ def test_paired_read_matches_eager_fold_in_either_order(order):
         pending = (tau, inc)
         tau_n = float(rng.uniform(1e-3, 0.1))
         for scheme in order:
-            a0, hist = bank.caputo_terms(scheme, tau_n)
+            a0, hist = bank.read(tau_n)[scheme]
             a0_ref, hist_ref = _eager_terms(bank, ref, scheme, tau_n)
             assert a0 == a0_ref
             assert hist.shape == shape
             assert np.max(np.abs(hist - hist_ref)) <= 1e-13 * np.max(np.abs(hist_ref))
-
-
-def test_paired_read_is_one_pass_per_level_and_step(monkeypatch):
-    soe = build_soe(0.6, 1e-10, 1e-3, 5.0)
-    rng = np.random.default_rng(9)
-    bank = HistoryBank(soe, (6, 6))
-    ref, pending = np.zeros((soe.n_terms, 6, 6)), None
-
-    def commit(level):
-        nonlocal pending
-        tau, inc = 0.01 * level, rng.standard_normal((6, 6))
-        bank.commit(tau, inc, level=level)
-        if pending is not None:
-            _fold_reference(ref, soe, *pending)
-        pending = (tau, inc)
-
-    def assert_read(scheme, tau_n):
-        hist_ref = _eager_terms(bank, ref, scheme, tau_n)[1]
-        hist = bank.caputo_terms(scheme, tau_n)[1]
-        assert np.max(np.abs(hist - hist_ref)) <= 1e-13 * np.max(np.abs(hist_ref))
-
-    for level in range(1, _FOLD_STEPS + 4):
-        commit(level)
-    counter = count_bank_passes(monkeypatch, lambda: bank)
-    assert_read("cn", 0.02)
-    assert_read("be", 0.02)  # the pair of the same pass
-    assert counter.passes == 1
-    assert_read("be", 0.03)  # another step
-    assert_read("cn", 0.03)
-    assert counter.passes == 2
-    commit(_FOLD_STEPS + 4)  # another level, at the same step
-    assert_read("cn", 0.03)
-    assert_read("be", 0.03)
-    assert counter.passes == 3
 
 
 def test_commit_allocates_no_bank_sized_temporary():
@@ -370,7 +335,7 @@ def test_bank_rejects_invalid_step(tau):
         bank.commit(0.1, 1.0, level=level)
     assert np.all(np.isfinite(bank.h))
     for scheme in ("cn", "be"):
-        assert np.all(np.isfinite(bank.caputo_terms(scheme, 0.1)[1]))
+        assert np.all(np.isfinite(bank.read(0.1)[scheme][1]))
 
 
 def test_bank_shape_check():
@@ -402,26 +367,6 @@ def test_constant_signal_gives_zero():
         assert float(fast_l1plus_apply(bank, 0.1, 0.0)) == 0.0
         assert float(fast_l1_apply(bank, 0.1, 0.0)) == 0.0
         bank.commit(0.1, 0.0, level=i)
-
-
-@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
-def test_fast_matches_direct_on_random_mesh(alpha):
-    rng = np.random.default_rng(42)
-    n = 50
-    taus = rng.uniform(1e-3, 2.0 / n, n)
-    levels = np.concatenate([[0.0], np.cumsum(taus)])
-    incs = rng.standard_normal(n)
-    eps = 1e-10
-    soe = build_soe(alpha, eps, 1e-4, 30.0)
-    bank = HistoryBank(soe)
-    bound = 1e-8 * float(np.max(np.abs(incs)))
-    for lvl in range(1, n + 1):
-        tau = levels[lvl] - levels[lvl - 1]
-        fp = float(fast_l1plus_apply(bank, tau, incs[lvl - 1]))
-        f1 = float(fast_l1_apply(bank, tau, incs[lvl - 1]))
-        assert abs(fp - float(apply_direct(levels, alpha, incs, lvl, "l1plus"))) <= bound
-        assert abs(f1 - float(apply_direct(levels, alpha, incs, lvl, "l1"))) <= bound
-        bank.commit(tau, incs[lvl - 1], level=lvl)
 
 
 def test_fast_apply_on_fields():
