@@ -27,5 +27,4 @@ from .diagnostics import (convergence_order, powerlaw_fit, loglinear_fit,
                           singularity_slope)
 from .harness import (ode_convergence, pde_convergence, adaptive_benchmark,
                       coarsening, singularity_run, solve_caputo_ode, table_mesh)
-from .errors import (ModelViolationError, SolverError, StateError,
-                     SOEConstructionError)
+from .errors import SolverError

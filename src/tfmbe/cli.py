@@ -3,7 +3,8 @@
 Each subcommand runs one ``tfmbe.harness`` driver, whose inputs are its flags
 (``_`` spelled ``-``; ``_FLAGS`` holds the four renamed ones).  A JSON config
 section, or a run.json replaying its run, parses as flags ahead of the
-explicit ones; an option set by neither takes the driver's default.
+explicit ones; an option set by neither takes the driver's default.  A
+rejected input (``ValueError``) exits 2, a failed run (``SolverError``) 1.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import json
 import sys
 
 from . import harness
+from .errors import SolverError
 
 
 def _int_list(text):
@@ -127,6 +129,9 @@ def main(argv=None):
         result = getattr(harness, driver)(**opts)
     except ValueError as err:  # an input the driver rejects: a usage error
         sub.choices[cmd].error(str(err))
+    except SolverError as err:  # a failed run; a trajectory's files are written
+        print(f"tfmbe {cmd}: run failed: {err}", file=sys.stderr)
+        return 1
     return printer(result) or 0
 
 

@@ -1,27 +1,16 @@
-"""Exception types shared across the solver modules."""
+"""The one exception type of a failed run.
 
-
-class ModelViolationError(RuntimeError):
-    """A model assumption failed at runtime (e.g. a nonpositive SAV radicand)."""
+An input the package rejects (a bad parameter, a history commit for the
+wrong level, a tolerance the exponential sum cannot reach) raises
+``ValueError``; a run that fails on the way raises ``SolverError``.
+"""
 
 
 class SolverError(RuntimeError):
-    """The decoupled linear solve produced an inadmissible state.
+    """A step produced an inadmissible state; the message names the step.
 
     Raised inside ``run_fixed`` or ``adaptive_run``, it carries the step
     records made before the failure as ``records``.
     """
 
     records = ()
-
-
-class StateError(RuntimeError):
-    """History was committed out of order."""
-
-
-class SOEConstructionError(RuntimeError):
-    """The exponential-sum builder could not reach the requested tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved

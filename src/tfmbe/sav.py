@@ -82,7 +82,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SolverError, StateError
+from .errors import SolverError
 from .kernels import l1_row, l1plus_block, l1plus_diagonal, l1plus_row
 from .soe import _SOE_EPS, HistoryBank, build_soe
 from .spectral import (SLOPE, _noslope_radicand, _slope_radicand, _squared_slope,
@@ -336,10 +336,10 @@ class CaputoHistory:
             b += stop == start + len(block)
 
     def commit(self, tau, increment, level=None):
-        """Append the increment of an accepted step; levels arrive in order."""
+        """Append the increment of an accepted step; a wrong ``level`` is a ValueError."""
         n = self.n_committed
         if level is not None and level != n + 1:
-            raise StateError(f"commit for level {level} but history holds {n}")
+            raise ValueError(f"commit for level {level} but history holds {n}")
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"step size for level {n + 1} must be finite and "
                              f"positive, got {tau}")
@@ -636,8 +636,12 @@ def _sav_step(state, tau_n, source, theta, scheme):
         rhs_h += grid.fft(source(state.t + theta * tau_n))
     w_coef = s_aux * m * state.aux + coupling * grid.dot(w_weighted, phi_h)
 
-    phi_new_h = _rank_one_solve(grid, inv_symbol, rhs_h, w_h, w_weighted, coupling,
-                                w_coef)
+    try:
+        phi_new_h = _rank_one_solve(grid, inv_symbol, rhs_h, w_h, w_weighted, coupling,
+                                    w_coef)
+    except SolverError as err:  # name the step, as the controller's failures do
+        raise SolverError(f"{err} at step {state.n + 1} "
+                          f"(t = {state.t + tau_n:.6g})") from None
     dphi_h = phi_new_h - phi_h
     aux_new = state.aux - 0.5 * grid.dot(w_weighted, dphi_h)
     dphi_weighted = grid.weigh(dphi_h)

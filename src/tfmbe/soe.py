@@ -77,7 +77,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SOEConstructionError, StateError
 from .kernels import rl_weight
 
 __all__ = [
@@ -239,8 +238,8 @@ def build_soe(alpha, eps, dt_min, T):
     below eps (an internal target of eps/16 is attempted first).  A panel
     rule that meets eps/16 is then reduced to fewer terms; the reduced sum
     is returned only if it too is certified at eps/16.  Raises
-    ``SOEConstructionError`` with the achieved error if even the largest
-    rule misses eps.
+    ``ValueError`` naming the achieved error if even the largest rule
+    misses eps.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"fractional order must lie in (0,1), got {alpha}")
@@ -263,9 +262,8 @@ def build_soe(alpha, eps, dt_min, T):
             return _reduced(soe, eps_target)
     if best_err <= eps:
         return best
-    raise SOEConstructionError(
-        f"exponential-sum build reached {best_err:.3e} > eps={eps:.3e} "
-        f"(alpha={alpha}, dt_min={dt_min}, T={T})", achieved=best_err)
+    raise ValueError(f"exponential-sum build reached {best_err:.3e} > eps={eps:.3e} "
+                     f"(alpha={alpha}, dt_min={dt_min}, T={T})")
 
 
 def verify_soe(soe, samples=_VERIFY_SAMPLES):
@@ -337,8 +335,9 @@ class HistoryBank:
         self.n_committed = 0
 
     def commit(self, tau, increment, level=None):
+        """Add a step's increment; a wrong ``level``, tau or shape is a ValueError."""
         if level is not None and level != self.n_committed + 1:
-            raise StateError(
+            raise ValueError(
                 f"commit for level {level} but bank holds {self.n_committed}")
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"step size for level {self.n_committed + 1} must be "

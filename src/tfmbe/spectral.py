@@ -46,8 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelViolationError
-
 __all__ = [
     "Grid2D",
     "ModelParams",
@@ -239,6 +237,7 @@ def sav_radicand(grid, x2, params):
 
     slope:    int (x2 - 1 - beta)^2 / 4 + C0
     no-slope: int (log(1 + x2) + beta x2) / 2 + C0
+    Both integrands are nonnegative, so the radicand is at least C0 > 0.
     """
     if params.model == SLOPE:
         return _slope_radicand(grid, x2 - 1.0 - params.beta, params)
@@ -252,20 +251,12 @@ def _slope_radicand(grid, m, params):
     sqrt(radicand) with the auxiliary scalar to about 1e-6, so a change of
     one ulp in either reads as 1e-10 of the drift.
     """
-    return _positive(0.25 * grid.integrate(m * m) + params.C0, params)
+    return 0.25 * grid.integrate(m * m) + params.C0
 
 
 def _noslope_radicand(grid, x2, log_integral, params):
     """The no-slope model's radicand from x2 and the integral of log(1 + x2)."""
-    return _positive(0.5 * (log_integral + params.beta * grid.integrate(x2))
-                     + params.C0, params)
-
-
-def _positive(radicand, params):
-    if radicand <= 0.0:
-        raise ModelViolationError(
-            f"nonpositive radicand {radicand}; increase C0 (= {params.C0})")
-    return radicand
+    return 0.5 * (log_integral + params.beta * grid.integrate(x2)) + params.C0
 
 
 def _squared_slope(grad):

@@ -699,6 +699,7 @@ def test_cli_empty_n_list_flag_exits_2(capsys):
     ("ode-conv --N 1 --gamma 2", "N = 1: a graded prefix"),
     ("benchmark --strategy uniform --T 0.0004", "strategy 'uniform' needs"),
     ("coarsen --grid 8 --T 0.01 --window 3 1", "fit_window (3.0, 1.0) is empty"),
+    ("soe-verify --eps 1e-15", "exponential-sum build reached"),
 ])
 def test_cli_input_the_driver_rejects_exits_2(capsys, argv, message):
     with pytest.raises(SystemExit) as stop:
@@ -706,6 +707,21 @@ def test_cli_input_the_driver_rejects_exits_2(capsys, argv, message):
     assert stop.value.code == 2
     cmd, err = argv.split()[0], capsys.readouterr().err
     assert err.startswith(f"usage: tfmbe {cmd} ") and f"tfmbe {cmd}: error: {message}" in err
+
+
+def test_cli_failed_run_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def fail(state, aparams, T):
+        raise SolverError("energy_mod = nan at accepted step 3 (t = 0.003)")
+
+    monkeypatch.setattr("tfmbe.harness.adaptive_run", fail)
+    out = tmp_path / "run"
+    assert cli_main(["benchmark", "--grid", "8", "--T", "0.02", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("tfmbe benchmark: run failed: energy_mod = nan at accepted step 3 "
+                   "(t = 0.003)\n")
+    meta = json.loads((out / "run.json").read_text())
+    assert meta["error"] == "energy_mod = nan at accepted step 3 (t = 0.003)"
+    assert (out / "steps.csv").is_file()
 
 
 @pytest.mark.parametrize("cmd,section,flags", [

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tfmbe import (Grid2D, ModelParams, SolverError, StateError, be_l1_sav_step,
+from tfmbe import (Grid2D, ModelParams, SolverError, be_l1_sav_step,
                    build_soe, build_uniform, cn_sav_step, commit_candidate,
                    init_state, make_history, run_fixed, trajectory_observables)
 import tfmbe.sav as sav
@@ -285,7 +285,7 @@ def test_history_commit_order_enforced(alpha, short_levels, with_soe):
         hist.commit(short_then_long(short_levels, level), np.full(2, 0.1 * level),
                     level=level)
     for bad in (3, 5):  # repeated, skipped
-        with pytest.raises(StateError):
+        with pytest.raises(ValueError, match="commit for level"):
             hist.commit(0.05, np.zeros(2), level=bad)
     assert hist.n_committed == 3
     assert (hist.bank is not None) == with_soe
@@ -660,6 +660,14 @@ def test_rank_one_denominator_guard(grid):
     state = init_state(grid, two_mode(grid), params, make_history(0.7))
     cand = cn_sav_step(state, 10.0)
     assert np.all(np.isfinite(cand.phi))
+    # no-slope: the negative coupling can push it below zero at a large step,
+    # and the failure names the step and its t
+    params = ModelParams(M=1.0, eps2=0.1, beta=4.0, C0=1.0, model="noslope")
+    phi0 = np.sin(grid.x) * np.sin(grid.y)
+    state = init_state(grid, phi0, params, make_history(0.7))
+    with pytest.raises(SolverError, match=r"rank-one denominator .* <= 0 at step 1 "
+                                          r"\(t = 100\)$"):
+        cn_sav_step(state, 100.0)
 
 
 def test_rank_one_denominator_below_zero_raises(grid):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tfmbe import HistoryBank, SOEApprox, StateError, build_soe, rl_weight, verify_soe
+from tfmbe import HistoryBank, SOEApprox, build_soe, rl_weight, verify_soe
 import tfmbe.soe as soe_module
 from tfmbe.soe import (_COMMIT_BLOCK_BYTES, _FOLD_STEPS, _gauss_jacobi, _panel_rule,
                        _relexp)
@@ -207,9 +207,9 @@ def test_out_of_order_commit_rejected():
     soe = build_soe(0.5, 1e-8, 1e-3, 5.0)
     bank = HistoryBank(soe)
     bank.commit(0.1, 1.0, level=1)
-    with pytest.raises(StateError):
+    with pytest.raises(ValueError, match="commit for level"):
         bank.commit(0.1, 1.0, level=3)
-    with pytest.raises(StateError):
+    with pytest.raises(ValueError, match="commit for level"):
         bank.commit(0.1, 1.0, level=1)
 
 

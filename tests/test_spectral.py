@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from tfmbe import (Grid2D, ModelParams, ModelViolationError,
-                   noslope_nonlinearity, read_field, sav_u_functional,
-                   sav_v_functional, slope_nonlinearity, write_field)
+from tfmbe import (Grid2D, ModelParams, noslope_nonlinearity, read_field,
+                   sav_u_functional, sav_v_functional, slope_nonlinearity, write_field)
 
 
 @pytest.fixture(scope="module")
@@ -361,11 +360,3 @@ def test_snapshot_rejects_empty_grid(tmp_path, nx, ny):
     path.write_bytes(header + b"\x00" * 8 * 64)
     with pytest.raises(ValueError, match=r"field\.bin: snapshot grid"):
         read_field(path)
-
-
-def test_radicand_guard():
-    # C0 > 0 keeps both radicands positive by construction; the guard is
-    # exercised through the validation of ModelParams instead
-    with pytest.raises(ValueError):
-        ModelParams(C0=-2.0)
-    assert ModelViolationError is not None
