@@ -4,13 +4,16 @@ Each subcommand runs one ``tfmbe.harness`` driver, whose inputs are its flags
 (``_`` spelled ``-``; ``_FLAGS`` holds the four renamed ones).  A JSON config
 section, or a run.json replaying its run, parses as flags ahead of the
 explicit ones; an option set by neither takes the driver's default.  A
-rejected input (``ValueError``) exits 2, a failed run (``SolverError``) 1.
+rejected input (``ValueError``) exits 2, a failed run (``SolverError``) 1,
+with one stderr line: numpy's floating-point warnings are not printed.
 """
 
 import argparse
 import inspect
 import json
 import sys
+
+import numpy as np
 
 from . import harness
 from .errors import SolverError
@@ -126,7 +129,9 @@ def main(argv=None):
     driver, _, printer = _COMMANDS[cmd]
     opts = {k: v for k, v in args.items() if v is not None}
     try:
-        result = getattr(harness, driver)(**opts)
+        # a field that blows up warns before the run fails on it
+        with np.errstate(all="ignore"):
+            result = getattr(harness, driver)(**opts)
     except ValueError as err:  # an input the driver rejects: a usage error
         sub.choices[cmd].error(str(err))
     except SolverError as err:  # a failed run; a trajectory's files are written

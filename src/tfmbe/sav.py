@@ -26,7 +26,8 @@ bit-identical.
 
 The convolution history is one object, ``CaputoHistory``: an exact prefix
 (steps below the exponential sum's dt_min, summed through the kernel rows)
-followed by the bank of ``tfmbe.soe``.  ``make_history(mode="direct")``
+followed by the bank of ``tfmbe.soe``, which takes over the prefix's store
+and folds it into its states in place.  ``make_history(mode="direct")``
 (``--soe-mode direct``) keeps every level exact.  The history takes its
 shape from the first committed increment.  A read is answered from one
 table of kept sums, which the bank's read or a chunk of the exact prefix
@@ -84,7 +85,7 @@ import numpy as np
 
 from .errors import SolverError
 from .kernels import l1_row, l1plus_block, l1plus_diagonal, l1plus_row
-from .soe import _SOE_EPS, HistoryBank, build_soe
+from .soe import _FOLD_STEPS, _SOE_EPS, HistoryBank, build_soe
 from .spectral import (SLOPE, _noslope_radicand, _slope_radicand, _squared_slope,
                        sav_radicand, sav_u_functional, sav_v_functional)
 
@@ -132,7 +133,9 @@ def _store_block(shape):
 
     A private anonymous map, not ``np.empty``: numpy asks for 2 MiB pages
     for arrays of 4 MiB or more, and such a page is resident from the first
-    level written into it, which adds up to 2 MiB to the peak memory.
+    level written into it, which adds up to 2 MiB to the peak memory.  The
+    bank that takes over a fast history's first block writes its rows as it
+    needs them, so the rows past them never become resident.
     """
     # copy access: a private map on POSIX, and accepted on Windows too
     buffer = mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY)
@@ -144,9 +147,13 @@ class CaputoHistory:
 
     Increments are stored and summed exactly through the kernel rows until
     the first committed step of at least the ``soe``'s dt_min (less 1e-12
-    relative, for uniform steps ulps short of it) replays them into the bank.
-    Its fast formulas see lags down to the newest committed step, so a bank
-    read after a step below dt_min raises ``SolverError``.  With no ``soe``
+    relative, for uniform steps ulps short of it).  That commit makes the
+    bank: it takes over the first store block, which was made with room
+    for its rows, folds the stored increments into its states there, a
+    column block at a time, and the other blocks are freed, so no commit
+    holds the history twice.  The bank's fast formulas see lags down to
+    the newest committed step, so a bank read after a step below dt_min
+    raises ``SolverError``.  With no ``soe``
     every level stays exact (O(n) work per level).
     ``alpha == 1`` is the memoryless classical limit (CN / backward Euler).
     The first committed increment fixes the shape of every later one, and
@@ -207,7 +214,8 @@ class CaputoHistory:
         and commits are checked against them; a plan only ever changes how
         the exact prefix is summed.  A store block allocated
         under a plan holds every planned level, so a chunk's first product
-        is one matrix product.  A history with an exponential sum plans
+        is one matrix product; a fast history's first block holds the
+        bank's rows instead.  A history with an exponential sum plans
         chunks of one level (a pass per read, with no estimator row): its
         exact prefix holds only the steps below dt_min (the drivers' 30-step
         graded start), where longer chunks would save little time and their
@@ -224,16 +232,16 @@ class CaputoHistory:
         self._plan_end, self._chunk, self._kept = n + len(taus), None, {}
 
     def _bank_if_due(self, tau):
-        """At the first step of at least dt_min, replay the prefix into a bank."""
+        """At the first step of at least dt_min, fold the prefix into a bank in place.
+
+        The bank takes over the first store block and frees the others.
+        """
         if self.bank is not None or tau < self._floor:
             return
         self._kept, self._rows, self._scratch = {}, None, None
-        self.bank = HistoryBank(self.soe, self.shape)
         # the newest step as given, not via the level times: reads check it
-        taus = np.append(np.diff(self._levels[:self.n_committed]), tau)
-        increments = (row for block in self._blocks for row in block)
-        for tau_k, increment in zip(taus, increments):
-            self.bank.commit(tau_k, increment)
+        prefix = (self._levels[:self.n_committed], tau, self._blocks)
+        self.bank = HistoryBank(self.soe, self.shape, prefix=prefix)
         self._levels = self._starts = self._blocks = None
 
     def caputo_terms(self, scheme, tau_n):
@@ -373,11 +381,17 @@ class CaputoHistory:
         """Store the increment of level n + 1; a new block holds every planned level.
 
         Every block holds a multiple of ``_block_rows`` levels, the pieces of
-        an unplanned chunk.
+        an unplanned chunk.  A fast history's first block holds at least the
+        bank's ``n_terms + _FOLD_STEPS`` rows, plan or not: the bank takes it
+        over as its buffer, and a longer prefix spills into blocks that the
+        switch frees.
         """
         if not self._blocks or n == self._starts[-1] + len(self._blocks[-1]):
+            need = self._plan_end - n
+            if self.soe is not None and not self._blocks:  # the bank's buffer
+                need = self.soe.n_terms + _FOLD_STEPS
             rows = self._block_rows
-            rows *= max(1, -(-(self._plan_end - n) // rows))
+            rows *= max(1, -(-need // rows))
             self._starts.append(n)
             self._blocks.append(_store_block((rows,) + self.shape))
         self._blocks[-1][n - self._starts[-1]] = increment

@@ -65,9 +65,13 @@ and step, so an adaptive trial costs one pass over the bank, and so does a
 fixed-mesh step, which asks for the second-order sum only.
 
 The solver's history (``tfmbe.sav.CaputoHistory``) sums an exact prefix
-first, up to its first step of at least dt_min, and then replays it into
-one bank that carries every later level; ``--soe-mode direct`` keeps every
-level exact and uses no bank.
+first, up to its first step of at least dt_min, and then one bank carries
+every later level; ``--soe-mode direct`` keeps every level exact and uses
+no bank.  The bank takes over the prefix's store, whose first block has
+room for its rows: it folds the stored increments into H in place, one
+column block at a time through the sweep's scratch, with one matrix
+product of their closed-form coefficients, so the history is never held
+twice.
 """
 
 from __future__ import annotations
@@ -304,15 +308,28 @@ class HistoryBank:
     ``read`` forms both schemes' sums in one column-blocked pass over ``h``
     and the ring (the pending increment included), into a two-row output
     buffer of the bank; it keeps nothing else between calls.
+
+    A bank made with ``prefix=(levels, tau, blocks)`` takes over the store
+    of an exact prefix: ``blocks`` hold the increments of levels 1..n in
+    order, one per row, and the first of them, at least ``n_terms +
+    _FOLD_STEPS`` rows long, becomes the bank's buffer; ``levels`` are the
+    times t_0..t_{n-1} and ``tau`` the step of level n.  The increments are
+    folded into H(t_{n-1}) in place, and increment n becomes the pending
+    step, so the bank holds what n commits would have left in it without
+    a buffer of its own.
     """
 
-    def __init__(self, soe, shape=()):
+    def __init__(self, soe, shape=(), prefix=None):
         self.soe = soe
         self.shape = tuple(shape)
         n_terms, size = soe.n_terms, math.prod(self.shape)
         # h and the ring are the leading and trailing rows of one buffer, so
         # that a read is one product over the rows it needs
-        store = np.zeros((n_terms + _FOLD_STEPS, size))
+        if prefix is None:
+            store = np.zeros((n_terms + _FOLD_STEPS, size))
+        else:
+            first = prefix[2][0]  # the first block of the prefix's store
+            store = first.reshape(len(first), size)[:n_terms + _FOLD_STEPS]
         self.h = store[:n_terms].reshape((n_terms,) + self.shape)
         self._store = store
         self._decay = np.ones(n_terms)
@@ -320,8 +337,8 @@ class HistoryBank:
         self._ring = store[n_terms:]
         self._n_ring = 0
         rows = max(1, _COMMIT_BLOCK_BYTES // max(1, store.itemsize * size))
-        scratch = np.empty((min(rows, n_terms), size))
-        h = store[:n_terms]
+        self._scratch = np.empty(min(rows, n_terms) * size)
+        scratch, h = self._scratch.reshape(-1, size), store[:n_terms]
         # (node rows, their view of h, a scratch view of the same shape),
         # built once so that a sweep allocates nothing per block
         self._blocks = [(slice(i, i + rows), h[i:i + rows], scratch[:n_terms - i])
@@ -333,6 +350,45 @@ class HistoryBank:
         self._read_out = np.zeros((2, size))
         self.pending = None
         self.n_committed = 0
+        if prefix is not None:
+            self._fold_prefix(*prefix)
+
+    def _fold_prefix(self, levels, tau, blocks):
+        """h = H(t_{n-1}) from the increments in ``blocks``, increment n pending.
+
+        h = C @ (increments 1..n-1) with C[l, j] = relexp(theta_l tau_j)
+        exp(-theta_l (t_{n-1} - t_j)), formed a column block at a time in
+        the sweep's scratch: the block's columns of every increment are read
+        before the newest increment's go to ring slot 0 and h's are written
+        over the increments' rows.
+        """
+        th, store = self.soe.nodes, self._store
+        n_terms, n, size = th.size, len(levels), store.shape[1]
+        coef = (_relexp(np.multiply.outer(th, np.diff(levels)))
+                * np.exp(-np.multiply.outer(th, levels[-1] - levels[1:])))
+        # (first level - 1, rows of increments 1..n-1) per block, the first
+        # block's always (no rows if n = 1: h = 0), and increment n
+        pieces, start = [], 0
+        for block in blocks:
+            block = block.reshape(len(block), size)
+            if not pieces or start < n - 1:
+                pieces.append((start, block[:n - 1 - start]))
+            if start <= n - 1 < start + len(block):
+                newest = block[n - 1 - start]
+            start += len(block)
+        width = self._scratch.size // n_terms
+        for j in range(0, size, width):
+            cols = slice(j, j + width)
+            out = self._scratch[:n_terms * min(width, size - j)].reshape(n_terms, -1)
+            for lo, incs in pieces:
+                if lo == 0:
+                    np.matmul(coef[:, :len(incs)], incs[:, cols], out=out)
+                else:
+                    out += coef[:, lo:lo + len(incs)] @ incs[:, cols]
+            self._ring[0, cols] = newest[cols]
+            store[:n_terms, cols] = out
+        self.pending = (float(tau), self._ring[0].reshape(self.shape))
+        self.n_committed = n
 
     def commit(self, tau, increment, level=None):
         """Add a step's increment; a wrong ``level``, tau or shape is a ValueError."""

@@ -4,6 +4,8 @@ import functools
 import inspect
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -722,6 +724,19 @@ def test_cli_failed_run_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     meta = json.loads((out / "run.json").read_text())
     assert meta["error"] == "energy_mod = nan at accepted step 3 (t = 0.003)"
     assert (out / "steps.csv").is_file()
+
+
+def test_cli_blown_up_run_prints_one_line(tmp_path, capsys):
+    """A run whose field overflows fails in one stderr line, with no numpy warning."""
+    argv = ["benchmark", "--model", "noslope", "--alpha", "0.2", "--grid", "16",
+            "--T", "0.3", "--out", str(tmp_path / "run")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"tfmbe benchmark: run failed: [^\n]* at accepted step \d+ "
+                        r"\(t = [^\n]*\)\n", err), err
 
 
 @pytest.mark.parametrize("cmd,section,flags", [

@@ -1,13 +1,15 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tfmbe import (Grid2D, ModelParams, SolverError, be_l1_sav_step,
+from tfmbe import (Grid2D, HistoryBank, ModelParams, SolverError, be_l1_sav_step,
                    build_soe, build_uniform, cn_sav_step, commit_candidate,
                    init_state, make_history, run_fixed, trajectory_observables)
 import tfmbe.sav as sav
+import tfmbe.soe as soe_module
 from tfmbe.kernels import l1_row, l1plus_row
 from tfmbe.sav import CaputoHistory
 from tfmbe.soe import _FOLD_STEPS
@@ -416,6 +418,74 @@ def test_hybrid_history_matches_direct():
         direct.commit(tau, inc, level=i)
     assert hybrid.bank.n_committed == taus.size
     assert direct.bank is None
+
+
+@pytest.mark.parametrize("case", ["spilled", "bank-from-level-1", "unplanned"])
+def test_bank_fold_matches_stepwise_commits(monkeypatch, case):
+    """The bank folded from the exact prefix reads as one committed step by step.
+
+    At the switch and for 10 levels after it, both schemes' sums agree to
+    1e-13 of the sum's scale, and the pending step is the same.  "spilled":
+    a planned prefix longer than the first store block (five levels per
+    block), so the fold reads a second one, and folded a few columns at a
+    time; "bank-from-level-1": the first step is already dt_min;
+    "unplanned": a prefix inside the first block.
+    """
+    alpha, shape = 0.6, (4, 5)
+    soe = build_soe(alpha, 1e-10, 1e-2, 1.0)  # 36 terms: two columns per block
+    n_prefix = {"spilled": soe.n_terms + _FOLD_STEPS + 9, "bank-from-level-1": 0,
+                "unplanned": 12}[case]
+    rng = np.random.default_rng(11)
+    taus = np.concatenate((rng.uniform(1e-4, 5e-3, n_prefix), rng.uniform(1e-2, 3e-2, 11)))
+    incs = rng.standard_normal((taus.size,) + shape)
+    history, stepwise = CaputoHistory(alpha, soe), HistoryBank(soe, shape)
+    if case == "spilled":
+        monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 5 * 8 * math.prod(shape))
+        monkeypatch.setattr(soe_module, "_COMMIT_BLOCK_BYTES", 5 * 8 * math.prod(shape))
+        history.plan(taus)
+    for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
+        if level == n_prefix + 1 and case == "spilled":
+            assert len(history._blocks) >= 2
+        history.commit(tau, inc, level=level)
+        stepwise.commit(tau, inc, level=level)
+        assert (history.bank is not None) == (level > n_prefix)
+        if history.bank is None:
+            continue
+        assert history.bank.n_committed == level
+        assert history.bank.pending[0] == stepwise.pending[0]
+        assert np.array_equal(history.bank.pending[1], stepwise.pending[1])
+        tau_n = taus[level] if level < taus.size else 0.02
+        for scheme in ("cn", "be"):
+            a0, hist = history.caputo_terms(scheme, tau_n)
+            a0_ref, ref = stepwise.read(tau_n)[scheme]
+            _, scale = kernel_row_sum(np.append(taus[:level], tau_n), incs, alpha,
+                                      scheme, level + 1)
+            assert a0 == a0_ref
+            assert np.max(np.abs(hist - ref)) <= 1e-13 * scale, (level, scheme)
+
+
+def test_switch_to_bank_holds_the_history_once():
+    """The commit that switches to the bank allocates less than the bank's buffer.
+
+    tracemalloc traces numpy's arrays but not the mapped store of the exact
+    prefix, which the bank takes over as its buffer: a bank that allocated
+    a buffer of its own would allocate its whole size in this commit.
+    """
+    alpha, shape = 0.5, (64, 66)
+    history = CaputoHistory(alpha, build_soe(alpha, 1e-10, 1e-2, 1.0))
+    rng = np.random.default_rng(2)
+    for level in range(1, 6):
+        history.commit(1e-3, rng.standard_normal(shape), level=level)
+    inc = rng.standard_normal(shape)
+    tracemalloc.start()
+    try:
+        history.commit(1e-2, inc, level=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert history.bank is not None
+    nbytes = history.bank._store.nbytes
+    assert peak < nbytes, (peak, nbytes)
 
 
 def test_fast_history_below_dt_min_matches_direct():
