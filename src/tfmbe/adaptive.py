@@ -8,13 +8,14 @@ second-order candidate or retries with the step
 
     tau_ada(e, tau) = rho * sqrt(tol / e) * tau
 
-clamped to [tau_min, tau_max].  One rule: a trial is accepted if e < tol
-or if it is at the floor tau_min, and a rejected one retries at the
-proposal, or at the floor if the proposal is no smaller (rho = 1, e = tol).
-The drivers count the floor steps accepted with e >= tol in run.json:
-there tau_min, not tol, bounds the accuracy.  Rejected trials never touch
-the convolution history, so the committed trajectory is exactly the one a
-fixed run over the accepted steps would produce.
+clamped to [tau_min, tau_max], with the fixed safety factor rho = 0.9.
+One rule: a trial is accepted if e < tol or if it is at the floor
+tau_min, and a rejected one retries at the proposal, which is always
+shorter: it has e >= tol (or e = inf) and rho < 1.  The drivers count
+the floor steps accepted with e >= tol in run.json: there tau_min, not
+tol, bounds the accuracy.  Rejected trials never touch the convolution
+history, so the committed trajectory is exactly the one a fixed run over
+the accepted steps would produce.
 
 A candidate whose norm is not finite gives e = inf: it is rejected above
 the floor and raises ``SolverError`` at it, and so does any step about to
@@ -38,17 +39,18 @@ __all__ = ["AdaptiveParams", "StepRecord", "tau_ada", "adaptive_run", "run_fixed
 # growth factor used when the two candidates coincide (e = 0)
 _ZERO_ERROR_GROWTH = 10.0
 
+# safety factor of every proposal: below 1, so a rejected trial (e >= tol)
+# always proposes a shorter step
+_RHO = 0.9
+
 
 @dataclass(frozen=True)
 class AdaptiveParams:
-    rho: float = 0.9
     tol: float = 1e-3
     tau_min: float = 1e-3
     tau_max: float = 1e-1
 
     def __post_init__(self):
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError(f"safety factor must be in (0,1], got {self.rho}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if not 0.0 < self.tau_min <= self.tau_max:
@@ -67,8 +69,8 @@ def tau_ada(e, tau, params):
     if e < 0 or tau <= 0:
         raise ValueError("need e >= 0 and tau > 0")
     if e == 0.0:
-        return params.rho * tau * _ZERO_ERROR_GROWTH
-    return params.rho * math.sqrt(params.tol / e) * tau
+        return _RHO * tau * _ZERO_ERROR_GROWTH
+    return _RHO * math.sqrt(params.tol / e) * tau
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,7 @@ def adaptive_run(state, aparams, T):
                         if e < aparams.tol else aparams.tau_min
                     commit_candidate(state, cand2)
                     break
-                proposal = min(aparams.clamp(tau_ada(e, tau_n, aparams)), T - state.t)
-                tau_n = proposal if proposal < tau_n else aparams.tau_min
+                tau_n = min(aparams.clamp(tau_ada(e, tau_n, aparams)), T - state.t)
     except SolverError as err:
         err.records = records
         raise

@@ -25,8 +25,8 @@ from operator import attrgetter
 import numpy as np
 
 from . import __version__
-from .adaptive import (AdaptiveParams, StepRecord, _require_horizon, adaptive_run,
-                       run_fixed)
+from .adaptive import (_RHO, AdaptiveParams, StepRecord, _require_horizon,
+                       adaptive_run, run_fixed)
 from .diagnostics import (convergence_order, loglinear_fit, powerlaw_fit,
                           singularity_slope)
 from .errors import SolverError
@@ -82,10 +82,11 @@ CONSTANTS = {
     "pde_convergence": {"tail": "random", **_TABLE_MODEL},
     "adaptive_benchmark": {**_GROWTH_MODEL, "prefix_t0": _PREFIX_T0,
                            "prefix_n0": _PREFIX_N0, "prefix_gamma": _PREFIX_GAMMA,
-                           "uniform_tau": _UNIFORM_TAU, "soe_eps": _SOE_EPS},
+                           "uniform_tau": _UNIFORM_TAU, "soe_eps": _SOE_EPS,
+                           "rho": _RHO, "tau_max": AdaptiveParams.tau_max},
     "coarsening": {"M": _COARSEN_MODEL["M"], "beta": _COARSEN_MODEL["beta"],
                    "epsilon": _COARSEN_EPSILON, "C0": _COARSEN_MODEL["C0"],
-                   "tol": AdaptiveParams.tol, "rho": AdaptiveParams.rho,
+                   "tol": AdaptiveParams.tol, "rho": _RHO,
                    "prefix_n0": _PREFIX_N0, "prefix_gamma": _PREFIX_GAMMA,
                    "ic_amplitude": _COARSEN_AMPLITUDE, "soe_eps": _SOE_EPS,
                    "soe_mode": "fast"},
@@ -454,8 +455,7 @@ def _benchmark_phi0(grid):
 
 
 def adaptive_benchmark(model=SLOPE, alpha=0.7, strategy="adaptive", grid_n=128, T=30.0,
-                       tol=AdaptiveParams.tol, rho=AdaptiveParams.rho,
-                       tau_min=AdaptiveParams.tau_min, tau_max=AdaptiveParams.tau_max,
+                       tol=AdaptiveParams.tol, tau_min=AdaptiveParams.tau_min,
                        soe_mode="fast", out_dir=None, save_field=False):
     """Film-growth benchmark from the smooth two-mode initial state.
 
@@ -469,7 +469,7 @@ def adaptive_benchmark(model=SLOPE, alpha=0.7, strategy="adaptive", grid_n=128, 
     """
     meta = _record("adaptive_benchmark", locals())
     _require_horizon(T)
-    controller = AdaptiveParams(rho=rho, tol=tol, tau_min=tau_min, tau_max=tau_max)
+    controller = AdaptiveParams(tol=tol, tau_min=tau_min)
     grid = Grid2D(grid_n)
     params = ModelParams(model=model, **_GROWTH_MODEL)
     prefix = build_graded(_PREFIX_T0, _PREFIX_N0, _PREFIX_GAMMA)

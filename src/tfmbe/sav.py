@@ -124,7 +124,9 @@ _LEVEL_BLOCK_BYTES = 1 << 22
 # per row for 16, 32, 64 and 128 rows.
 _CHUNK_BYTES = 1 << 21
 _CHUNK_LEVELS = 64
-# bytes of the scratch through which a product adds into rows
+# bytes of the scratch through which a product adds into rows; it stays:
+# numpy temporaries in its place raised graded-direct-64's peak RSS by
+# 0.35 MB in 16 of 16 pairs and were slower in 10 of 16
 _SCRATCH_BYTES = 1 << 18
 
 

@@ -48,10 +48,10 @@ reference step, the per-node decay product P since then, and the last
 H = P * H_ref + Q @ ring, and a read with node weights w takes
 (w * P) . H_ref + (w . Q) . ring.  When the ring is full, the commit
 sweeps the bank once, one block of node rows at a time (a fixed number of
-bytes, sized to stay in cache), with one matrix product per block into a
-scratch block allocated with the bank: commits read and write the bank
-once per ``_FOLD_STEPS`` accepted steps, and none allocates anything the
-size of the bank.
+bytes, sized to stay in cache), with one matrix product per block, whose
+block-sized result is added in place: commits read and write the bank
+once per ``_FOLD_STEPS`` accepted steps, none allocates anything the size
+of the bank, and the bank keeps no scratch.
 
 A read serves both fast formulas.  The two trials of an adaptive step
 (second order, then the estimator) read the history at the same level and
@@ -69,9 +69,8 @@ first, up to its first step of at least dt_min, and then one bank carries
 every later level; ``--soe-mode direct`` keeps every level exact and uses
 no bank.  The bank takes over the prefix's store, whose first block has
 room for its rows: it folds the stored increments into H in place, one
-column block at a time through the sweep's scratch, with one matrix
-product of their closed-form coefficients, so the history is never held
-twice.
+column block at a time, with one matrix product of their closed-form
+coefficients, so the history is never held twice.
 """
 
 from __future__ import annotations
@@ -336,15 +335,13 @@ class HistoryBank:
         self._coef = np.zeros((n_terms, _FOLD_STEPS))
         self._ring = store[n_terms:]
         self._n_ring = 0
-        rows = max(1, _COMMIT_BLOCK_BYTES // max(1, store.itemsize * size))
-        self._scratch = np.empty(min(rows, n_terms) * size)
-        scratch, h = self._scratch.reshape(-1, size), store[:n_terms]
-        # (node rows, their view of h, a scratch view of the same shape),
-        # built once so that a sweep allocates nothing per block
-        self._blocks = [(slice(i, i + rows), h[i:i + rows], scratch[:n_terms - i])
-                        for i in range(0, n_terms, rows)]
+        # node rows a sweep updates per block
+        self._sweep_rows = max(1, _COMMIT_BLOCK_BYTES // max(1, store.itemsize * size))
         # a read: both schemes' sums, one row each, computed a column block
-        # at a time
+        # at a time into an output buffer of the bank.  Measured on
+        # growth-slope-128: one product into a new array per read was slower
+        # in 9 of 10 pairs (median +7%), and column-blocking the sweep as
+        # well cost 0.3 MB and was slower in 7 of 10
         cols = max(1, _COMMIT_BLOCK_BYTES // (store.itemsize * store.shape[0]))
         self._read_cols = [slice(j, j + cols) for j in range(0, size, cols)]
         self._read_out = np.zeros((2, size))
@@ -357,10 +354,10 @@ class HistoryBank:
         """h = H(t_{n-1}) from the increments in ``blocks``, increment n pending.
 
         h = C @ (increments 1..n-1) with C[l, j] = relexp(theta_l tau_j)
-        exp(-theta_l (t_{n-1} - t_j)), formed a column block at a time in
-        the sweep's scratch: the block's columns of every increment are read
-        before the newest increment's go to ring slot 0 and h's are written
-        over the increments' rows.
+        exp(-theta_l (t_{n-1} - t_j)), formed a column block at a time: the
+        block's columns of every increment are read before the newest
+        increment's go to ring slot 0 and h's are written over the
+        increments' rows.
         """
         th, store = self.soe.nodes, self._store
         n_terms, n, size = th.size, len(levels), store.shape[1]
@@ -376,15 +373,14 @@ class HistoryBank:
             if start <= n - 1 < start + len(block):
                 newest = block[n - 1 - start]
             start += len(block)
-        width = self._scratch.size // n_terms
+        # column blocks no larger than a sweep's row block
+        width = min(self._sweep_rows, n_terms) * size // n_terms
+        (_, first), *rest = pieces
         for j in range(0, size, width):
             cols = slice(j, j + width)
-            out = self._scratch[:n_terms * min(width, size - j)].reshape(n_terms, -1)
-            for lo, incs in pieces:
-                if lo == 0:
-                    np.matmul(coef[:, :len(incs)], incs[:, cols], out=out)
-                else:
-                    out += coef[:, lo:lo + len(incs)] @ incs[:, cols]
+            out = coef[:, :len(first)] @ first[:, cols]
+            for lo, incs in rest:
+                out += coef[:, lo:lo + len(incs)] @ incs[:, cols]
             self._ring[0, cols] = newest[cols]
             store[:n_terms, cols] = out
         self.pending = (float(tau), self._ring[0].reshape(self.shape))
@@ -409,10 +405,12 @@ class HistoryBank:
             self._coef[:, m] = _relexp(x)
             self._n_ring = m + 1
             if self._n_ring == _FOLD_STEPS:
-                for block, h, scratch in self._blocks:
-                    np.matmul(self._coef[block], self._ring, out=scratch)
-                    h *= self._decay[block, None]
-                    h += scratch
+                h, step = self._store[:len(self._decay)], self._sweep_rows
+                for i in range(0, len(h), step):
+                    block = slice(i, i + step)
+                    rows = h[block]
+                    rows *= self._decay[block, None]
+                    rows += np.matmul(self._coef[block], self._ring)
                 self._decay.fill(1.0)
                 self._n_ring = 0
         slot = self._ring[self._n_ring]

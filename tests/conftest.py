@@ -1,9 +1,16 @@
 import itertools
+import os
 from collections import Counter
 from types import SimpleNamespace
 
-import numpy as np
-import pytest
+# BLAS and OpenMP on one thread, as in CI and the benchmark, unless the
+# caller chose: set before numpy loads its BLAS, since on a busy 2-vCPU
+# host two threads make the exponential-sum builds 3-12x slower
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def pytest_addoption(parser):

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tfmbe.adaptive as adaptive
@@ -222,8 +222,6 @@ def test_adaptive_run_rejects_bad_horizon(grid, T):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        AdaptiveParams(rho=0.0)
-    with pytest.raises(ValueError):
         AdaptiveParams(tol=-1.0)
     with pytest.raises(ValueError):
         AdaptiveParams(tau_min=0.1, tau_max=0.01)
@@ -242,32 +240,29 @@ def test_params_reject_bad_tau_min(tau_min):
 
 
 def test_tau_ada_values():
-    p = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-6, tau_max=1.0)
+    p = AdaptiveParams(tol=1e-3, tau_min=1e-6, tau_max=1.0)
     assert tau_ada(4e-3, 0.01, p) == pytest.approx(0.0045, rel=1e-12)
     assert tau_ada(1e-3 / 4, 0.01, p) == pytest.approx(0.018, rel=1e-12)
-    unit = AdaptiveParams(rho=1.0, tol=1e-3, tau_min=1e-6, tau_max=1.0)
-    assert tau_ada(1e-3, 0.37, unit) == pytest.approx(0.37, rel=1e-12)
 
 
 def test_tau_ada_zero_error_capped_growth():
-    p = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-6, tau_max=1.0)
+    p = AdaptiveParams(tol=1e-3, tau_min=1e-6, tau_max=1.0)
     assert tau_ada(0.0, 0.01, p) == pytest.approx(0.09, rel=1e-12)
     with pytest.raises(ValueError):
         tau_ada(-1.0, 0.01, p)
 
 
-@given(st.floats(1e-8, 1e2), st.floats(1e-6, 1.0), st.floats(0.1, 1.0),
-       st.floats(1e-6, 1e-1))
+@given(st.floats(1e-8, 1e2), st.floats(1e-6, 1.0), st.floats(1e-6, 1e-1))
 @settings(max_examples=60, deadline=None)
-def test_tau_ada_formula(e, tau, rho, tol):
-    p = AdaptiveParams(rho=rho, tol=tol, tau_min=1e-9, tau_max=1e9)
+def test_tau_ada_formula(e, tau, tol):
+    p = AdaptiveParams(tol=tol, tau_min=1e-9, tau_max=1e9)
     assert tau_ada(e, tau, p) == pytest.approx(
-        rho * math.sqrt(tol / e) * tau, rel=1e-12)
+        0.9 * math.sqrt(tol / e) * tau, rel=1e-12)
 
 
 def test_loose_tolerance_ramps_to_ceiling(grid):
     state = small_state(grid)
-    ap = AdaptiveParams(rho=0.9, tol=1e6, tau_min=1e-3, tau_max=5e-2)
+    ap = AdaptiveParams(tol=1e6, tau_min=1e-3, tau_max=5e-2)
     records = adaptive_run(state, ap, 1.0)
     assert all(r.accepted for r in records)
     taus = [r.tau for r in records]
@@ -279,7 +274,7 @@ def test_loose_tolerance_ramps_to_ceiling(grid):
 
 def test_committed_steps_within_bounds(grid):
     state = small_state(grid)
-    ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1)
+    ap = AdaptiveParams(tol=1e-3, tau_min=1e-3, tau_max=1e-1)
     records = adaptive_run(state, ap, 0.5)
     acc = [r for r in records if r.accepted]
     for r in acc[:-1]:
@@ -292,7 +287,7 @@ def test_rejected_trials_leave_state_unchanged(grid, monkeypatch):
     # trials 2 and 3 are rejected above the floor; trial 4 falls to the floor
     flip_estimates(monkeypatch, {2, 3})
     state = small_state(grid)
-    ap = AdaptiveParams(rho=0.9, tol=1.0, tau_min=1e-3, tau_max=1e-2)
+    ap = AdaptiveParams(tol=1.0, tau_min=1e-3, tau_max=1e-2)
     records = adaptive_run(state, ap, 3e-2)
     rejected = [r for r in records if not r.accepted]
     accepted = [r for r in records if r.accepted]
@@ -309,7 +304,7 @@ def test_floor_trial_accepted_over_tolerance(grid, caplog, monkeypatch):
     # too and is accepted without a warning
     flip_estimates(monkeypatch, {2, 3, 4})
     state = small_state(grid)
-    ap = AdaptiveParams(rho=0.9, tol=1.0, tau_min=1e-3, tau_max=1e-2)
+    ap = AdaptiveParams(tol=1.0, tau_min=1e-3, tau_max=1e-2)
     with caplog.at_level("DEBUG", logger="tfmbe"):
         records = adaptive_run(state, ap, 3e-2)
     assert not [r for r in caplog.records if r.name.startswith("tfmbe")]
@@ -319,23 +314,32 @@ def test_floor_trial_accepted_over_tolerance(grid, caplog, monkeypatch):
     assert records[-1].t == pytest.approx(3e-2, rel=1e-10)
 
 
-def test_rejection_that_proposes_no_smaller_step_retries_at_floor(grid, monkeypatch):
-    # at rho = 1 a trial with e == tol proposes its own step again; it goes
-    # to the floor instead of repeating the rejected trial
-    ap = AdaptiveParams(rho=1.0, tol=1.0, tau_min=1e-3, tau_max=1e-2)
-    relative_error, count = adaptive._relative_error, itertools.count(1)
+@given(st.dictionaries(st.integers(2, 20),
+                       st.one_of(st.floats(1.0, 1e6), st.just(math.inf)), min_size=1))
+@example({2: 1.0, 3: math.inf, 6: 1e6})
+@settings(max_examples=20, deadline=None)
+def test_every_rejection_retries_at_a_shorter_step(errors):
+    # the drawn trials (counted from 1) see an error >= tol, inf included,
+    # when they are above the floor: each is rejected and followed by a
+    # strictly shorter trial of the same step, and the run reaches T
+    ap = AdaptiveParams(tol=1.0, tau_min=1e-3, tau_max=1e-2)
+    relative_error, count, used = adaptive._relative_error, itertools.count(1), []
 
-    def at_tol_on_trial_2(grid, cand2, cand1):
-        e = relative_error(grid, cand2, cand1)
-        return ap.tol if next(count) == 2 else e
+    def drawn(grid, cand2, cand1):
+        e = errors.get(next(count))
+        if e is None or cand2.tau <= ap.tau_min * (1.0 + 1e-12):
+            return relative_error(grid, cand2, cand1)
+        used.append(e)
+        return e
 
-    monkeypatch.setattr(adaptive, "_relative_error", at_tol_on_trial_2)
-    state = small_state(grid)
-    records = adaptive_run(state, ap, 3e-2)
-    trial, retry = records[1:3]
-    assert not trial.accepted and trial.tau > ap.tau_min and trial.e_est == ap.tol
-    assert retry.accepted and retry.n == 2 and retry.tau == ap.tau_min
-    assert state.t == pytest.approx(3e-2, rel=1e-10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adaptive, "_relative_error", drawn)
+        records = adaptive_run(small_state(Grid2D(8)), ap, 0.1)
+    assert [r.e_est for r in records if not r.accepted] == used
+    for trial, retry in zip(records, records[1:]):
+        if not trial.accepted:
+            assert retry.n == trial.n and retry.tau < trial.tau
+    assert records[-1].accepted and records[-1].t == pytest.approx(0.1, rel=1e-10)
 
 
 def test_adaptive_run_rejects_horizon_before_state(grid):
@@ -354,7 +358,7 @@ def test_deterministic_step_sequence(grid):
     seqs = []
     for _ in range(2):
         state = small_state(grid)
-        ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1)
+        ap = AdaptiveParams(tol=1e-3, tau_min=1e-3, tau_max=1e-1)
         records = adaptive_run(state, ap, 0.3)
         seqs.append([(r.n, r.tau, r.accepted, r.e_est) for r in records])
     assert seqs[0] == seqs[1]
@@ -365,7 +369,7 @@ def test_energy_bound_over_adaptive_run(grid):
         state = small_state(grid, model=model)
         e0 = trajectory_observables(state)[0]
         assert state.energy0 == e0
-        ap = AdaptiveParams(rho=0.9, tol=1e-3, tau_min=1e-3, tau_max=1e-1)
+        ap = AdaptiveParams(tol=1e-3, tau_min=1e-3, tau_max=1e-1)
         records = adaptive_run(state, ap, 1.0)
         worst = max(r.energy_mod for r in records if r.accepted)
         assert worst <= e0 + 1e-9 * abs(e0)
@@ -385,7 +389,7 @@ def test_error_estimate_is_real_space_l2_ratio(grid, model):
 
 
 # tolerance loose enough that trial 2 (counted from 1) is above the floor
-LOOSE = AdaptiveParams(rho=0.9, tol=1.0, tau_min=1e-3, tau_max=1e-2)
+LOOSE = AdaptiveParams(tol=1.0, tau_min=1e-3, tau_max=1e-2)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

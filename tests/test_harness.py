@@ -15,7 +15,7 @@ from tfmbe import (Grid2D, ModelParams, SolverError, adaptive_benchmark,
                    pde_convergence, read_field, singularity_run,
                    trajectory_observables)
 from tfmbe.cli import main as cli_main
-from tfmbe.harness import _benchmark_phi0, table_mesh
+from tfmbe.harness import CONSTANTS, _benchmark_phi0, record_inputs, table_mesh
 
 from conftest import count_transforms, flip_estimates
 from oracles import energy_bound_violation
@@ -24,6 +24,12 @@ from oracles import energy_bound_violation
 def test_ode_convergence_rejects_bad_sigma():
     with pytest.raises(ValueError):
         ode_convergence(0.5, -1.0, [16, 32])
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+def test_pde_convergence_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="regularity parameter must be positive"):
+        pde_convergence("slope", 0.8, sigma, 5.0, [4], grid_n=8, T=0.1)
 
 
 def test_order_tables_reject_an_empty_n_list():
@@ -232,6 +238,8 @@ def test_runs_record_the_settings_that_became_constants(tmp_path):
     ode, pde, bench = (_meta(tmp_path / d) for d in "opb")
     assert (ode["T"], ode["tail"], pde["tail"]) == (1.0, "random", "random")
     assert bench["soe_eps"] == 1e-10
+    assert (bench["rho"], bench["tau_max"]) == (0.9, 0.1)
+    assert not {"rho", "tau_max"} & set(bench["inputs"])
 
 
 def test_coarsening_records_model_constants(tmp_path):
@@ -505,9 +513,7 @@ CLI_FLAGS = {
         "--grid": ("grid_n", _I, None, None, _STORE),
         "--T": ("T", _F, None, None, _STORE),
         "--tol": ("tol", _F, None, None, _STORE),
-        "--rho": ("rho", _F, None, None, _STORE),
         "--tau-min": ("tau_min", _F, None, None, _STORE),
-        "--tau-max": ("tau_max", _F, None, None, _STORE),
         "--soe-mode": ("soe_mode", None, ("fast", "direct"), None, _STORE),
         **_SAVE, **_OUT},
     "coarsen": {
@@ -620,9 +626,10 @@ def test_cli_uses_driver_defaults(tmp_path, cmd, flags, driver, args, kwargs):
 @pytest.mark.parametrize("cmd,keys", [("benchmark", {"M": 5.0}),
                                       ("benchmark", {"soe_eps": 1e-8}),
                                       ("ode-conv", {"T": 2.0, "tail": "uniform"}),
-                                      ("pde-conv", {"tail": "uniform"})],
+                                      ("pde-conv", {"tail": "uniform"}),
+                                      ("benchmark", {"rho": 0.9, "tau_max": 0.1})],
                          ids=["benchmark-M", "benchmark-soe_eps", "ode-conv-T-tail",
-                              "pde-conv-tail"])
+                              "pde-conv-tail", "benchmark-rho-tau_max"])
 def test_cli_config_rejects_keys_that_are_not_flags(tmp_path, capsys, cmd, keys):
     # such a key used to be dropped, so the run went on without the setting
     cfg_path = tmp_path / "cfg.json"
@@ -638,7 +645,9 @@ def test_cli_config_rejects_keys_that_are_not_flags(tmp_path, capsys, cmd, keys)
 @pytest.mark.parametrize("cmd,flag", [("benchmark", ["--soe-eps", "1e-8"]),
                                       ("ode-conv", ["--T", "2"]),
                                       ("ode-conv", ["--tail", "uniform"]),
-                                      ("pde-conv", ["--tail", "uniform"])])
+                                      ("pde-conv", ["--tail", "uniform"]),
+                                      ("benchmark", ["--rho", "0.5"]),
+                                      ("benchmark", ["--tau-max", "0.05"])])
 def test_cli_removed_flags_exit_2(capsys, cmd, flag):
     with pytest.raises(SystemExit) as stop:
         cli_main([cmd, *flag])
@@ -821,6 +830,12 @@ def test_cli_replay_rejects_changed_constants(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
+def test_replay_rejects_a_record_without_inputs():
+    record = {"driver": "adaptive_benchmark", **CONSTANTS["adaptive_benchmark"]}
+    with pytest.raises(ValueError, match="predates replayable records"):
+        record_inputs(record, "adaptive_benchmark")
+
+
 def test_cli_replay_rejects_another_drivers_record(tmp_path, capsys):
     path = _benchmark_record(tmp_path)
     with pytest.raises(SystemExit) as stop:
@@ -854,9 +869,8 @@ def test_failed_run_writes_records_up_to_the_bad_step(monkeypatch, tmp_path, bad
 
 
 @pytest.mark.parametrize("strategy", ["uniform", "graded", "adaptive"])
-@pytest.mark.parametrize("bad", [{"tau_min": -1.0}, {"tol": -5.0}, {"rho": 2.0},
-                                 {"tau_min": 0.1, "tau_max": 0.01}],
-                         ids=["tau_min", "tol", "rho", "inverted"])
+@pytest.mark.parametrize("bad", [{"tau_min": -1.0}, {"tol": -5.0}, {"tau_min": 0.2}],
+                         ids=["tau_min", "tol", "inverted"])
 def test_benchmark_checks_controller_inputs_for_every_strategy(monkeypatch, strategy,
                                                                bad):
     import tfmbe.harness as harness
@@ -865,5 +879,5 @@ def test_benchmark_checks_controller_inputs_for_every_strategy(monkeypatch, stra
         raise AssertionError("history built before the controller inputs were checked")
 
     monkeypatch.setattr(harness, "make_history", no_history)
-    with pytest.raises(ValueError, match=r"tolerance|safety factor|tau_min <= tau_max"):
+    with pytest.raises(ValueError, match=r"tolerance|tau_min <= tau_max"):
         adaptive_benchmark("slope", 0.7, strategy=strategy, grid_n=16, T=0.05, **bad)

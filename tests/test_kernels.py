@@ -63,6 +63,12 @@ def test_alpha_validation():
             l1plus_row(mesh, bad, 2)
 
 
+@pytest.mark.parametrize("n", [0, 5])
+def test_row_rejects_level_outside_mesh(n):
+    with pytest.raises(ValueError, match=rf"level {n} outside mesh with 4 steps"):
+        l1_row(build_uniform(1.0, 4), 0.5, n)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
 def test_rows_match_quadrature_oracle(alpha, rng):
     mesh = random_mesh(rng, 10, ratio_lo=0.5, ratio_hi=2.0)

@@ -530,6 +530,20 @@ def test_first_commit_fixes_history_shape(grid, mode):
     assert hist.caputo_terms("cn", 2e-2)[1].shape == (32, 34)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: CaputoHistory(0.0), "fractional order must lie in"),
+    (lambda: CaputoHistory(1.5), "fractional order must lie in"),
+    (lambda: CaputoHistory(0.6, soe=build_soe(0.5, 1e-8, 1e-2, 1.0)),
+     "built for a different order"),
+    (lambda: make_history(0.5, mode="fast"), "needs dt_min and T"),
+    (lambda: make_history(0.5, mode="fast", dt_min=1e-2), "needs dt_min and T"),
+], ids=["alpha-zero", "alpha-above-one", "soe-of-another-order", "fast-unbounded",
+        "fast-without-T"])
+def test_history_rejects_bad_construction(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("mode", ["direct", "fast"])
 def test_history_rejects_increment_of_wrong_shape(mode):
     """Steps below dt_min stay in the exact prefix, which must not broadcast."""

@@ -60,6 +60,26 @@ def test_uncertified_reduction_returns_panel_rule(monkeypatch):
     assert np.array_equal(soe.weights, panel.weights)
 
 
+@pytest.mark.parametrize("case", ["reduction-uncertified", "meets-eps-only"])
+def test_build_returns_a_panel_rule_it_can_certify(monkeypatch, case):
+    real, seen = soe_module.verify_soe, []
+
+    def verify(soe, samples):
+        seen.append(soe)
+        if case == "meets-eps-only":
+            return 0.5e-8  # above eps/16 for every rule, within eps
+        # a reduced sum has fewer terms than the rule verified before it
+        reduced = len(seen) > 1 and soe.n_terms < seen[-2].n_terms
+        return math.inf if reduced else real(soe, samples)
+
+    monkeypatch.setattr(soe_module, "verify_soe", verify)
+    soe = build_soe(0.5, 1e-8, 1e-3, 5.0)
+    if case == "meets-eps-only":  # every order tried, the first rule kept
+        assert len(seen) == 5 and soe is seen[0]
+    else:
+        assert seen[-1].n_terms < soe.n_terms and soe is seen[-2]
+
+
 def _mp_gauss_jacobi(n, beta, x0):
     """40-digit Gauss-Jacobi rule for (1 + x)^beta, nodes polished from x0."""
     import mpmath as mp

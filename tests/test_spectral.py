@@ -353,6 +353,14 @@ def test_snapshot_rejects_truncated_file(tmp_path, cut):
         read_field(path)
 
 
+@pytest.mark.parametrize("shape", [(8, 4), (64,)])
+def test_snapshot_rejects_field_of_wrong_shape(tmp_path, shape):
+    path = tmp_path / "field.bin"
+    with pytest.raises(ValueError, match=r"does not match grid \(8, 8\)"):
+        write_field(path, Grid2D(8), np.ones(shape))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("nx,ny", [(-8, -8), (0, 8)])
 def test_snapshot_rejects_empty_grid(tmp_path, nx, ny):
     path = tmp_path / "field.bin"

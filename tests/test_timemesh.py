@@ -10,6 +10,7 @@ from tfmbe import (TimeMesh, build_graded, build_uniform, extend_random,
 def test_uniform_levels():
     mesh = build_uniform(1.0, 4)
     assert np.allclose(mesh.levels, [0, 0.25, 0.5, 0.75, 1.0], atol=0)
+    assert repr(mesh) == "TimeMesh(N=4, T=1, tau_max=0.25)"
 
 
 def test_uniform_single_step():
@@ -49,6 +50,8 @@ def test_invalid_arguments():
         build_uniform(-1.0, 4)
     with pytest.raises(ValueError):
         build_uniform(1.0, 0)
+    with pytest.raises(ValueError, match="at least two levels"):
+        TimeMesh([0.0])
     with pytest.raises(ValueError):
         TimeMesh([0.1, 0.2])
     with pytest.raises(ValueError):
