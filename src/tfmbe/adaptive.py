@@ -3,19 +3,21 @@
 Each iteration computes a first-order candidate (backward Euler estimator)
 and a second-order candidate from the same committed state, measures their
 relative distance e = ||phi2 - phi1|| / ||phi2|| in the discrete L2 norm
-(by Parseval, on the candidates' half-spectra), and either accepts the
-second-order candidate or retries with the step
+(by Parseval, on the candidates' half-spectra), accepts the second-order
+candidate or not, and proposes the next trial's step
 
     tau_ada(e, tau) = rho * sqrt(tol / e) * tau
 
 clamped to [tau_min, tau_max], with the fixed safety factor rho = 0.9.
 One rule: a trial is accepted if e < tol or if it is at the floor
 tau_min, and a rejected one retries at the proposal, which is always
-shorter: it has e >= tol (or e = inf) and rho < 1.  The drivers count
-the floor steps accepted with e >= tol in run.json: there tau_min, not
-tol, bounds the accuracy.  Rejected trials never touch the convolution
+shorter: it has e >= tol (or e = inf) and rho < 1.  So is the proposal
+of a floor trial accepted with e >= tol: the next step is at the floor.
+The drivers count those steps in run.json: there tau_min, not tol,
+bounds the accuracy.  Rejected trials never touch the convolution
 history, so the committed trajectory is exactly the one a fixed run over
-the accepted steps would produce.
+the accepted steps would produce.  Each trial's StepRecord is appended
+to ``state.records``.
 
 A candidate whose norm is not finite gives e = inf: it is rejected above
 the floor and raises ``SolverError`` at it, and so does any step about to
@@ -101,11 +103,12 @@ class StepRecord:
 
 
 def _record(state, cand, accepted, e_est):
-    """The StepRecord of trial ``cand`` from the committed ``state``.
+    """Append the StepRecord of trial ``cand`` to ``state.records``.
 
     An accepted step whose modified energy is not finite, or exceeds
     ``state.energy0`` by more than 1e-9 of its size, raises
-    ``SolverError`` naming the step: it would be committed otherwise.
+    ``SolverError`` naming the step, and is not recorded: it would be
+    committed otherwise.
     """
     n, t = state.n + 1, state.t + cand.tau
     dphi = cand.phi - state.phi
@@ -116,11 +119,11 @@ def _record(state, cand, accepted, e_est):
     if accepted and e_mod - state.energy0 > 1e-9 * abs(state.energy0):
         raise SolverError(f"energy_mod = {e_mod} above E(0) = {state.energy0} "
                           f"at accepted step {n} (t = {t:.6g})")
-    return StepRecord(
+    state.records.append(StepRecord(
         n=n, t=t, tau=cand.tau,
         energy_mod=e_mod, energy_orig=e_orig, roughness=rough,
         aux=cand.aux, accepted=int(accepted), e_est=e_est,
-        dphi_dt_max=dphi_dt, caputo_dot=float(cand.caputo_dot), sav_drift=drift)
+        dphi_dt_max=dphi_dt, caputo_dot=float(cand.caputo_dot), sav_drift=drift))
 
 
 def _require_horizon(T):
@@ -135,24 +138,18 @@ def run_fixed(state, mesh):
     The mesh levels count from ``state.t`` at entry, so a run continues a
     committed state without accumulating the clock step by step.  The
     mesh's steps are announced to the history (``CaputoHistory.plan``), so
-    one pass over an exact history serves several steps.  Returns
-    the list of StepRecords; a step whose modified energy is not finite
-    raises ``SolverError``, which carries the records before it as
-    ``records``.
+    one pass over an exact history serves several steps.  Returns the
+    StepRecords it appended to ``state.records``; a step whose modified
+    energy is not finite raises ``SolverError``.
     """
-    records = []
-    t0 = state.t
+    start, t0 = len(state.records), state.t
     state.history.plan(mesh.taus)
-    try:
-        for k in range(1, mesh.n_steps + 1):
-            cand = cn_sav_step(state, float(mesh.taus[k - 1]))
-            records.append(_record(state, cand, True, math.nan))
-            commit_candidate(state, cand)
-            state.t = t0 + float(mesh.levels[k])
-    except SolverError as err:
-        err.records = records
-        raise
-    return records
+    for k in range(1, mesh.n_steps + 1):
+        cand = cn_sav_step(state, float(mesh.taus[k - 1]))
+        _record(state, cand, True, math.nan)
+        commit_candidate(state, cand)
+        state.t = t0 + float(mesh.levels[k])
+    return state.records[start:]
 
 
 def _relative_error(grid, cand2, cand1):
@@ -171,39 +168,30 @@ def _relative_error(grid, cand2, cand1):
 def adaptive_run(state, aparams, T):
     """Drive the estimator pair from state.t to T per the accuracy criterion.
 
-    The first trial step is tau_min.  A trial whose error estimate is not
-    finite is rejected; at the floor it raises ``SolverError`` naming the
-    step, as does an accepted step that breaks the energy checks of
-    ``_record``.  Returns the list of StepRecords, rejected trials
-    included; a ``SolverError`` carries the records before the failing
-    trial as ``records``.  ``T`` must be finite and positive and not before
+    The first trial step is tau_min, and every trial, accepted or not,
+    proposes the next one.  A trial whose error estimate is not finite is
+    rejected; at the floor it raises ``SolverError`` naming the step, as
+    does an accepted step that breaks the energy checks of ``_record``.
+    Returns the StepRecords it appended to ``state.records``, rejected
+    trials included.  ``T`` must be finite and positive and not before
     ``state.t`` (within 1e-12 T of it, nothing is left to march).
     """
     _require_horizon(T)
     if T - state.t < -1e-12 * T:
         raise ValueError(f"horizon T = {T} is before the state's time t = {state.t}")
-    records = []
-    tau_next = aparams.tau_min
-    try:
-        while T - state.t > 1e-12 * T:
-            tau_n = min(tau_next, T - state.t)
-            while True:
-                cand2 = cn_sav_step(state, tau_n)
-                cand1 = be_l1_sav_step(state, tau_n)
-                e = _relative_error(state.grid, cand2, cand1)
-                at_floor = tau_n <= aparams.tau_min * (1.0 + 1e-12)
-                if at_floor and not math.isfinite(e):
-                    raise SolverError(f"error estimate e = {e} at floor step "
-                                      f"{state.n + 1} (t = {state.t + tau_n:.6g})")
-                accept = e < aparams.tol or at_floor
-                records.append(_record(state, cand2, accept, e))
-                if accept:
-                    tau_next = aparams.clamp(tau_ada(e, tau_n, aparams)) \
-                        if e < aparams.tol else aparams.tau_min
-                    commit_candidate(state, cand2)
-                    break
-                tau_n = min(aparams.clamp(tau_ada(e, tau_n, aparams)), T - state.t)
-    except SolverError as err:
-        err.records = records
-        raise
-    return records
+    start, tau = len(state.records), aparams.tau_min
+    while T - state.t > 1e-12 * T:
+        tau_n = min(tau, T - state.t)
+        cand2 = cn_sav_step(state, tau_n)
+        cand1 = be_l1_sav_step(state, tau_n)
+        e = _relative_error(state.grid, cand2, cand1)
+        at_floor = tau_n <= aparams.tau_min * (1.0 + 1e-12)
+        if at_floor and not math.isfinite(e):
+            raise SolverError(f"error estimate e = {e} at floor step "
+                              f"{state.n + 1} (t = {state.t + tau_n:.6g})")
+        accept = e < aparams.tol or at_floor
+        _record(state, cand2, accept, e)
+        tau = aparams.clamp(tau_ada(e, tau_n, aparams))
+        if accept:
+            commit_candidate(state, cand2)
+    return state.records[start:]

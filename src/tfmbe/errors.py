@@ -9,8 +9,6 @@ wrong level, a tolerance the exponential sum cannot reach) raises
 class SolverError(RuntimeError):
     """A step produced an inadmissible state; the message names the step.
 
-    Raised inside ``run_fixed`` or ``adaptive_run``, it carries the step
-    records made before the failure as ``records``.
+    The records made before the failure stay on the state, as
+    ``SAVState.records``.
     """
-
-    records = ()

@@ -388,36 +388,45 @@ def _run_trajectory(meta, grid, params, phi0, history, mesh, aparams=None, T=Non
     the records, and a fit that raises ``ValueError`` is NaN, with the first
     such message under ``fits["reason"]``.  A controller run's run.json
     counts the floor steps accepted with e >= tol and gives their largest e
-    (0 when there are none).  A ``SolverError`` still writes ``steps.csv``
+    (0 when there are none).  Every run.json gives the accepted steps'
+    largest SAV drift and telescoping residual (README, Output formats;
+    null for no steps).  A ``SolverError`` still writes ``steps.csv``
     and ``run.json`` (with the message under ``"error"``) for the records
     up to the failing step before it propagates.
     """
     state = init_state(grid, phi0, params, history)
-    records, error = [], None
+    error = None
     try:
-        records += run_fixed(state, mesh)
+        run_fixed(state, mesh)
         if aparams is not None:
-            records += adaptive_run(state, aparams, T)
+            adaptive_run(state, aparams, T)
     except SolverError as err:
-        records, error = records + list(err.records), err
-    report = RunReport(records, dict(meta, energy_mod_initial=state.energy0))
-    report.meta["n_accepted"] = report.n_accepted
+        error = err
+    report = RunReport(state.records, dict(meta, energy_mod_initial=state.energy0))
+    acc, e0 = report.accepted, state.energy0
+    report.meta.update(n_accepted=len(acc), telescoping_residual=None,
+                       sav_drift_max=max((r.sav_drift for r in acc), default=None))
+    if acc:  # |E(N) - E(0) + sum(caputo_dot)/M| over max(|E(0)|, |E(N) - E(0)|)
+        change = acc[-1].energy_mod - e0
+        residual = abs(change + sum(r.caputo_dot for r in acc) / params.M)
+        report.meta["telescoping_residual"] = residual / max(abs(e0), abs(change))
     if aparams is not None:
-        over = [r.e_est for r in report.accepted if r.e_est >= aparams.tol]
+        over = [r.e_est for r in acc if r.e_est >= aparams.tol]
         report.meta.update(floor_accepts_over_tol=len(over),
                            floor_accept_e_max=max(over, default=0.0))
     if error is not None:
         report.meta["error"] = str(error)
-        _emit(out_dir, report)
-        raise error
-    for name, fitter in (fitters or {}).items():
-        try:
-            report.fits[name] = fitter(records)
-        except ValueError as err:
-            report.fits[name] = math.nan
-            report.fits.setdefault("reason", str(err))
-    report.final_phi = state.phi
+    else:
+        for name, fitter in (fitters or {}).items():
+            try:
+                report.fits[name] = fitter(state.records)
+            except ValueError as err:
+                report.fits[name] = math.nan
+                report.fits.setdefault("reason", str(err))
+        report.final_phi = state.phi
     _emit(out_dir, report)
+    if error is not None:
+        raise error
     if save_field and out_dir is not None:
         write_field(os.path.join(out_dir, "field_final.bin"), grid, state.phi)
     return report

@@ -434,8 +434,10 @@ class SAVState:
     convolution history.  The grid and the model parameters are the ones
     ``init_state`` was given: every step, observable and loop reads them
     from here.  ``energy0`` is the modified energy at ``init_state``,
-    which bounds every accepted step's.  ``step_operators`` keeps the
-    linear operators of the last step size each theta was solved at.
+    which bounds every accepted step's.  ``records`` holds the
+    ``StepRecord`` of every trial the time loops made from this state,
+    rejected trials included.  ``step_operators`` keeps the linear
+    operators of the last step size each theta was solved at.
     """
 
     grid: object = field(repr=False)
@@ -450,6 +452,7 @@ class SAVState:
     prev_grad: Optional[np.ndarray] = None
     prev_tau: Optional[float] = None
     energy0: float = math.nan
+    records: list = field(default_factory=list, init=False, repr=False)
     # theta -> (a0, explicit part, inverse symbol) of ``step_operators``
     _operators: dict = field(default_factory=dict, init=False, repr=False)
 

@@ -744,8 +744,14 @@ def test_cli_blown_up_run_prints_one_line(tmp_path, capsys):
         assert cli_main(argv) == 1
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    assert re.fullmatch(r"tfmbe benchmark: run failed: [^\n]* at accepted step \d+ "
-                        r"\(t = [^\n]*\)\n", err), err
+    failed = re.fullmatch(r"tfmbe benchmark: run failed: [^\n]* at accepted step (\d+) "
+                          r"\(t = [^\n]*\)\n", err)
+    assert failed, err
+    # its files hold every accepted step before the failing one
+    with open(tmp_path / "run" / "steps.csv", newline="") as fh:
+        steps = [int(r["n"]) for r in csv.DictReader(fh) if r["accepted"] == "1"]
+    assert len(steps) == _meta(tmp_path / "run")["n_accepted"]
+    assert steps[-1] == int(failed.group(1)) - 1
 
 
 @pytest.mark.parametrize("cmd,section,flags", [
@@ -866,6 +872,34 @@ def test_failed_run_writes_records_up_to_the_bad_step(monkeypatch, tmp_path, bad
     assert len(rows) == 1 + bad_trial - 1  # header, then every trial before it
     assert meta["n_accepted"] == sum(r.split(",")[7] == "1" for r in rows[1:])
     assert not (tmp_path / "field_final.bin").exists()
+
+
+def test_run_json_gives_drift_and_telescoping_residual(tmp_path, monkeypatch):
+    runs = {"b": lambda out: adaptive_benchmark("slope", 0.7, grid_n=16, T=0.05,
+                                                out_dir=out),
+            "c": lambda out: coarsening("slope", 0.7, grid_n=16, T=0.01, seed=1,
+                                        out_dir=out),
+            "s": lambda out: singularity_run(0.4, grid_n=16, N0=8, out_dir=out)}
+    for name, run in runs.items():
+        acc = run(tmp_path / name).accepted
+        meta = _meta(tmp_path / name)
+        e0 = meta["energy_mod_initial"]
+        change = acc[-1].energy_mod - e0
+        residual = (abs(change + sum(r.caputo_dot for r in acc) / meta["M"])
+                    / max(abs(e0), abs(change)))
+        assert meta["telescoping_residual"] == residual < 1e-12, name
+        assert meta["sav_drift_max"] == max(r.sav_drift for r in acc) < 1e-3, name
+    # a run that fails at its first step has accepted none: both are null
+    import tfmbe.adaptive as adaptive
+
+    observables = adaptive.trajectory_observables
+    monkeypatch.setattr(adaptive, "trajectory_observables",
+                        lambda state, head=None: (math.nan, *observables(state, head)[1:]))
+    with pytest.raises(SolverError, match=r"accepted step 1 "):
+        runs["b"](tmp_path / "f")
+    meta = _meta(tmp_path / "f")
+    assert (meta["n_accepted"], meta["sav_drift_max"], meta["telescoping_residual"]) == \
+        (0, None, None)
 
 
 @pytest.mark.parametrize("strategy", ["uniform", "graded", "adaptive"])
