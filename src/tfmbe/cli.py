@@ -27,8 +27,7 @@ def _int_list(text):
 
 
 # argparse keywords (and spelling, under "flag") of the driver inputs that
-# are not number flags spelled like their name; a number flag parses an int
-# for the inputs in ``harness.INT_INPUTS`` and a float for the others
+# are not number flags (of ``harness.number_type``) spelled like their name
 _FLAGS = {
     "n_list": {"flag": "--N", "type": _int_list},
     "grid_n": {"flag": "--grid"},
@@ -117,7 +116,7 @@ def main(argv=None):
             kwargs = dict(_FLAGS.get(name, {}))
             flag = kwargs.pop("flag", "--" + name.replace("_", "-"))
             if not kwargs:  # a number
-                kwargs["type"] = int if name in harness.INT_INPUTS else float
+                kwargs["type"] = harness.number_type(driver, name)
             actions[cmd][name] = p.add_argument(flag, dest=name, **kwargs)
 
     args = vars(parser.parse_args(argv))

@@ -16,6 +16,7 @@ body, ``_run_trajectory``.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -54,7 +55,7 @@ __all__ = [
     "write_run_meta",
     "record_inputs",
     "CONSTANTS",
-    "INT_INPUTS",
+    "number_type",
 ]
 
 # The paper's model parameters, one set per experiment (tables, growth, coarsening)
@@ -69,11 +70,6 @@ _PREFIX_T0, _PREFIX_N0, _PREFIX_GAMMA = 0.01, 30, 3.0
 _UNIFORM_TAU = 1e-3
 # the scalar table's horizon: the paper's interval [0, 1]
 _ODE_T = 1.0
-
-# The driver inputs whose numbers are integers (``n_list`` a list of
-# them); every other number input is a float, on the command line and in
-# run.json
-INT_INPUTS = frozenset({"n_list", "grid_n", "seed", "N0", "samples"})
 
 # Each driver's constants, as run.json records them; a replayed record
 # must still match them
@@ -181,11 +177,17 @@ def write_run_meta(path, meta):
         fh.write("\n")
 
 
-def _parsed(name, value):
+def number_type(driver, name):
+    """int if ``driver``'s default for number input ``name`` is an int or ints, else float."""
+    default = inspect.signature(globals()[driver]).parameters[name].default
+    return int if all(type(v) is int for v in np.atleast_1d(default).tolist()) else float
+
+
+def _parsed(driver, name, value):
     """A driver input as its flag parses it: numbers as int or float, lists as lists."""
     if value is None or isinstance(value, (str, bool, np.bool_)):
         return value
-    number = int if name in INT_INPUTS else float
+    number = number_type(driver, name)
     return [number(v) for v in value] if np.ndim(value) else number(value)
 
 
@@ -199,7 +201,7 @@ def _record(driver, inputs):
     (``alpha=1`` as 1.0, an array ``n_list`` as a list of ints), so a run
     called from Python replays byte for byte.
     """
-    inputs = {k: _parsed(k, v) for k, v in inputs.items() if k != "out_dir"}
+    inputs = {k: _parsed(driver, k, v) for k, v in inputs.items() if k != "out_dir"}
     top = {k: v for k, v in inputs.items() if k not in ("save_field", "fit_window")}
     return {"driver": driver, **top, **CONSTANTS[driver], "inputs": inputs}
 

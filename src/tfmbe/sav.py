@@ -32,11 +32,11 @@ and folds it into its states in place.  ``make_history(mode="direct")``
 shape from the first committed increment.  A read is answered from one
 table of kept sums, which the bank's read or a chunk of the exact prefix
 fills with several sums at once: both schemes' at the trial level, so an
-adaptive trial reads its history once.  A fixed mesh is announced to the
-history (``CaputoHistory.plan``, which ``run_fixed`` calls): the exact
-prefix is then summed a chunk of planned levels at a time, each (level,
-increment) pair once, in a few large matrix products (dyadic blocks), and
-a planned read makes no estimator row.
+adaptive trial reads its history once.  A fixed mesh is announced to, and
+binds, the history (``CaputoHistory.plan``, which ``run_fixed`` calls):
+the exact prefix is summed a chunk of planned levels at a time, each
+(level, increment) pair once, in a few large matrix products (dyadic
+blocks), and a planned read makes no estimator row.
 
 Each solve is decoupled by a rank-one correction: with
 L = a0 I + theta M (eps2 Lap^2 - beta Lap) (diagonal in transform space)
@@ -106,7 +106,7 @@ __all__ = [
 # Convolution history
 # ---------------------------------------------------------------------------
 
-# bytes of a block of the exact prefix that no plan sizes; a block's pages
+# the least bytes of a block of the exact prefix; a block's pages
 # are only touched as levels fill it, and a product makes one np.matmul
 # call per block it reads
 _LEVEL_BLOCK_BYTES = 1 << 22
@@ -168,13 +168,13 @@ class CaputoHistory:
     products over the stored increments.  An unplanned read makes a chunk
     of one level with both schemes' rows, so an adaptive step's estimator
     trial reads the sum the second-order trial's pass formed.  ``plan(taus)``
-    announces the next steps; a second-order read at a planned level then
-    makes a chunk of up to ``_CHUNK_LEVELS`` planned levels, second order
-    only: one product at its first read and one after each commit, so a
-    later planned read finds its row complete.  Every read and every commit
-    compares its level time bit for bit with the plan, and the first
-    mismatch drops the plan and the chunk, so a plan changes the order of
-    the summation but never which levels or weights are summed.  The
+    announces the next steps and binds the history to them: a read or
+    commit at a planned level whose level time differs, bit for bit, from
+    the planned one is a ``ValueError``, raised before anything changes,
+    and the levels past the plan's end are unplanned.  A second-order read
+    at a planned level makes a chunk of up to ``_CHUNK_LEVELS`` planned
+    levels, second order only: one product at its first read and one after
+    each commit, so a later planned read finds its row complete.  The
     returned history value is a view of a buffer the history owns: it holds
     until the history's next read or commit, and the caller must not modify
     it.
@@ -210,28 +210,34 @@ class CaputoHistory:
         self._rows = self._scratch = None
 
     def plan(self, taus):
-        """Announce the step sizes of the levels after the committed ones.
+        """Announce the step sizes of the levels after the committed ones, and bind them.
 
-        The planned level times follow the committed ones, and later reads
-        and commits are checked against them; a plan only ever changes how
-        the exact prefix is summed.  A store block allocated
-        under a plan holds every planned level, so a chunk's first product
-        is one matrix product; a fast history's first block holds the
-        bank's rows instead.  A history with an exponential sum plans
-        chunks of one level (a pass per read, with no estimator row): its
-        exact prefix holds only the steps below dt_min (the drivers' 30-step
-        graded start), where longer chunks would save little time and their
-        rows would add 2 MB (4%) to growth-slope-128's peak memory.  Once
-        the bank holds the history, plans are ignored.
+        A later read or commit at a planned level that misses its planned
+        time is a ``ValueError``, and so is a step here that is not finite
+        and positive (before anything changes).  A history with an
+        exponential sum plans chunks of one level (a pass per read, with no
+        estimator row): its exact prefix holds only the steps below dt_min
+        (the drivers' 30-step graded start), where longer chunks would save
+        little time and their rows would add 2 MB (4%) to growth-slope-128's
+        peak memory.  Once the bank holds the history, plans are ignored.
         """
+        n, taus = self.n_committed, np.asarray(taus, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(taus) & (taus > 0)))
+        if bad.size:
+            raise ValueError(f"planned step size for level {n + 1 + bad[0]} must be "
+                             f"finite and positive, got {taus[bad[0]]}")
         if self.bank is not None or self.alpha == 1.0:
             return
-        n = self.n_committed
         # np.cumsum adds in order, as commit accumulates the level times
         levels = np.cumsum(np.append(self._levels[n], taus))
         self._levels = np.concatenate((self._levels[:n], levels, [0.0]))  # and a trial slot
-        # a dropped chunk's kept rows would miss their later products
+        # the rows of a chunk of the old plan assumed its level times
         self._plan_end, self._chunk, self._kept = n + len(taus), None, {}
+
+    def _off_plan(self, n, tau, t_n):
+        """Raise the ValueError of a step tau that takes level n to t_n, not its planned time."""
+        raise ValueError(f"level {n} is off the plan: a step of {float(tau)!r} reaches "
+                         f"t = {float(t_n)!r}, planned t = {float(self._levels[n])!r}")
 
     def _bank_if_due(self, tau):
         """At the first step of at least dt_min, fold the prefix into a bank in place.
@@ -270,9 +276,9 @@ class CaputoHistory:
             return self._kept[key]
         levels = self._levels
         t_n = levels[n - 1] + tau_n
-        if n > self._plan_end or levels[n] != t_n:
-            levels[n] = t_n  # the trial level; a commit overwrites it
-            self._plan_end, self._chunk = 0, None
+        if n <= self._plan_end and levels[n] != t_n:
+            self._off_plan(n, tau_n, t_n)
+        levels[n] = t_n  # the trial level; a commit overwrites it
         if n == 1:
             return (l1plus_row if scheme == "cn" else l1_row)(levels, self.alpha, 1)[-1], None
         key = (scheme, n, t_n)
@@ -304,8 +310,7 @@ class CaputoHistory:
             row = l1_row(levels, alpha, n)
             self._kept[("be", n, levels[n])] = (row[-1], self._rows[1].reshape(self.shape))
             self._chunk = None
-            self._product(np.vstack((weights, row[:-1])), 0, self._rows[:2], add=False,
-                          piece=self._block_rows)
+            self._product(np.vstack((weights, row[:-1])), 0, self._rows[:2], add=False)
 
     def _add_committed(self, level):
         """Add the increments just committed into the chunk's next rows (dyadic blocks)."""
@@ -315,19 +320,13 @@ class CaputoHistory:
         if len(weights):
             self._product(weights, level - d, self._rows[p:p + len(weights)], add=True)
 
-    def _product(self, weights, lo, out, add, piece=None):
-        """out (+)= weights @ (stored increments lo+1..), a block at a time.
-
-        A product also ends at every multiple of ``piece`` increments, so an
-        unplanned chunk sums in the same order on every store layout.
-        """
+    def _product(self, weights, lo, out, add):
+        """out (+)= weights @ (stored increments lo+1..), a block at a time."""
         first, hi = lo, lo + weights.shape[1]
         b = bisect_right(self._starts, lo) - 1
         while lo < hi:
             start, block = self._starts[b], self._blocks[b]
             stop = min(hi, start + len(block))
-            if piece is not None:
-                stop = min(stop, (lo // piece + 1) * piece)
             incs = block[lo - start:stop - start].reshape(stop - lo, -1)
             w = weights[:, lo - first:stop - first]
             if not add:  # the first block's product is the sum so far
@@ -346,13 +345,17 @@ class CaputoHistory:
             b += stop == start + len(block)
 
     def commit(self, tau, increment, level=None):
-        """Append the increment of an accepted step; a wrong ``level`` is a ValueError."""
+        """Append an accepted step's increment; a bad input is a ValueError, before any change."""
         n = self.n_committed
         if level is not None and level != n + 1:
             raise ValueError(f"commit for level {level} but history holds {n}")
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"step size for level {n + 1} must be finite and "
                              f"positive, got {tau}")
+        if self.bank is None and self.alpha < 1.0:
+            t_next = self._levels[n] + float(tau)
+            if n < self._plan_end and self._levels[n + 1] != t_next:
+                self._off_plan(n + 1, tau, t_next)
         if n == 0:
             self.shape = np.shape(increment)
             row_bytes = 8 * math.prod(self.shape)
@@ -368,13 +371,8 @@ class CaputoHistory:
             self._store(n, increment)
             if self._levels.size < n + 3:
                 self._levels = np.concatenate((self._levels, np.zeros(self._levels.size)))
-            levels = self._levels
-            t_next = levels[n] + float(tau)
-            if n + 1 > self._plan_end or levels[n + 1] != t_next:
-                levels[n + 1] = t_next
-                # off the plan: a chunk's rows and kept sums assumed its time
-                self._plan_end, self._chunk, self._kept = 0, None, {}
-            elif self._chunk is not None:
+            self._levels[n + 1] = t_next
+            if self._chunk is not None:
                 self._add_committed(n + 1)
         self.n_committed = n + 1
         self._bank_if_due(tau)
@@ -382,20 +380,18 @@ class CaputoHistory:
     def _store(self, n, increment):
         """Store the increment of level n + 1; a new block holds every planned level.
 
-        Every block holds a multiple of ``_block_rows`` levels, the pieces of
-        an unplanned chunk.  A fast history's first block holds at least the
-        bank's ``n_terms + _FOLD_STEPS`` rows, plan or not: the bank takes it
-        over as its buffer, and a longer prefix spills into blocks that the
-        switch frees.
+        A new block holds ``max(_block_rows, need)`` levels, ``need`` the
+        planned levels left, or a fast history's first block, plan or not,
+        the bank's ``n_terms + _FOLD_STEPS`` rows: the bank takes it over as
+        its buffer, and a longer prefix spills into blocks that the switch
+        frees.
         """
         if not self._blocks or n == self._starts[-1] + len(self._blocks[-1]):
             need = self._plan_end - n
             if self.soe is not None and not self._blocks:  # the bank's buffer
                 need = self.soe.n_terms + _FOLD_STEPS
-            rows = self._block_rows
-            rows *= max(1, -(-need // rows))
             self._starts.append(n)
-            self._blocks.append(_store_block((rows,) + self.shape))
+            self._blocks.append(_store_block((max(self._block_rows, need),) + self.shape))
         self._blocks[-1][n - self._starts[-1]] = increment
 
 

@@ -818,6 +818,19 @@ def test_python_run_replays_byte_for_byte(tmp_path, cmd, driver, kwargs, recorde
     assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
 
 
+def test_int_inputs_are_those_with_int_defaults():
+    """A number input is an int exactly where its driver's default is an int or ints."""
+    import tfmbe.harness as harness
+    drivers = ("ode_convergence", "pde_convergence", "adaptive_benchmark", "coarsening",
+               "singularity_run", "soe_verify")
+    ints = {(driver, name) for driver in drivers
+            for name in inspect.signature(getattr(harness, driver)).parameters
+            if harness.number_type(driver, name) is int}
+    assert {name for _, name in ints} == {"n_list", "grid_n", "seed", "N0", "samples"}
+    assert harness.number_type("adaptive_benchmark", "T") is float
+    assert harness.number_type("coarsening", "tau_min") is float  # default None
+
+
 def _benchmark_record(tmp_path, **changes):
     assert cli_main(["benchmark", "--grid", "8", "--T", "0.02",
                      "--out", str(tmp_path / "a")]) == 0

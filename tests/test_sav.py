@@ -575,9 +575,9 @@ def kernel_row_sum(taus, incs, alpha, scheme, level):
 def test_planned_and_unplanned_reads_match_kernel_rows(monkeypatch, shape, extra):
     """Planned chunks, an unplanned pass and the kernel rows give the same sums.
 
-    The unplanned history reads in five-level blocks and pieces, the
-    planned one from the single block its plan sized; the mesh is longer
-    than two chunks and, but for three chunks, not a multiple of one.
+    The unplanned history reads in five-level blocks, the planned one from
+    the single block its plan sized; the mesh is longer than two chunks
+    and, but for three chunks, not a multiple of one.
     """
     monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 5 * 8 * math.prod(shape))
     rng = np.random.default_rng(extra)
@@ -628,15 +628,18 @@ def test_plan_after_committed_levels_matches_kernel_rows(monkeypatch, shape):
         history.commit(tau, inc, level=level)
     assert history._plan_end == n
     assert history._starts == [0, 7, 14]  # the plan sized the third block
-    assert len(history._blocks[2]) == 7 * math.ceil((n - 14) / 7)
+    assert len(history._blocks[2]) == n - 14
 
 
 @pytest.mark.parametrize("deviation", ["read-other-tau", "commit-other-tau",
                                        "short-plan"])
 def test_deviating_from_plan_matches_unplanned(monkeypatch, deviation):
-    """From the first deviation from its plan on, a history reads as an unplanned one.
+    """An off-plan read or commit is a ValueError; past the plan's end reads are unplanned.
 
-    The deviation falls on a chunk's first level and in the middle of a chunk.
+    The deviation falls on a chunk's first level and in the middle of a
+    chunk.  The failed read or commit names the level and changes nothing:
+    the history goes on along its plan.  Every read matches the kernel rows
+    to 1e-13 of their scale.
     """
     monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 7 * 8 * 6)
     k = sav._CHUNK_LEVELS
@@ -644,27 +647,51 @@ def test_deviating_from_plan_matches_unplanned(monkeypatch, deviation):
     n, alpha = 2 * k + 5, 0.35
     taus = random_mesh(rng, n).taus
     incs = rng.standard_normal((n, 2, 3))
+
+    def assert_rejected(history, call):
+        def snapshot():
+            return (history.n_committed, history._levels.tolist(), sorted(history._kept),
+                    history._chunk, [b.tolist() for b in history._blocks])
+        before = snapshot()
+        with pytest.raises(ValueError, match=f"level {at} is off the plan"):
+            call()
+        assert snapshot() == before
+
     for at in (k + 2, k + 2 + k // 2):  # the chunks start at levels 2, k + 2, ...
-        planned, unplanned = CaputoHistory(alpha), CaputoHistory(alpha)
-        planned.plan(taus[:at - 1] if deviation == "short-plan" else taus)
+        history = CaputoHistory(alpha)
+        history.plan(taus[:at - 1] if deviation == "short-plan" else taus)
         for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
-            deviates = level == at
-            if deviates and deviation == "read-other-tau":
-                probe = [h.caputo_terms("cn", 1.3 * tau) for h in (planned, unplanned)]
-                assert np.array_equal(probe[0][1], probe[1][1])
-            (a_p, h_p), (a_u, h_u) = (h.caputo_terms("cn", tau)
-                                      for h in (planned, unplanned))
-            assert a_p == a_u
-            identical = level > at if deviation == "commit-other-tau" else level >= at
-            if identical:
-                assert np.array_equal(h_p, h_u), (at, level)
-            elif level > 1:
-                _, scale = kernel_row_sum(taus, incs, alpha, "cn", level)
-                assert np.max(np.abs(h_p - h_u)) <= 1e-13 * scale, (at, level)
-            step = 1.3 * tau if deviates and deviation == "commit-other-tau" else tau
-            for history in (planned, unplanned):
-                history.commit(step, inc, level=level)
-        assert planned._plan_end == 0 and planned._chunk is None
+            if level == at and deviation == "read-other-tau":
+                assert_rejected(history, lambda: history.caputo_terms("cn", 1.3 * tau))
+            _, hist = history.caputo_terms("cn", tau)
+            if level > 1:
+                ref, scale = kernel_row_sum(taus, incs, alpha, "cn", level)
+                assert np.max(np.abs(hist - ref)) <= 1e-13 * scale, (at, level)
+            if level == at and deviation == "commit-other-tau":
+                assert_rejected(history, lambda: history.commit(1.3 * tau, inc, level=level))
+            history.commit(tau, inc, level=level)
+        if deviation == "short-plan":  # the last read made an unplanned chunk
+            assert history._plan_end == at - 1 and history._chunk is None
+        else:
+            assert history._plan_end == n
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
+def test_plan_rejects_invalid_step(bad):
+    """A planned step that is not finite and positive is a ValueError naming its level.
+
+    The history is left as it was, and reads and commits go on unplanned.
+    """
+    history = CaputoHistory(0.5)
+    history.commit(0.1, np.ones(3), level=1)
+    levels = history._levels.tolist()
+    with pytest.raises(ValueError, match=r"level 4 must be finite and positive"):
+        history.plan([0.1, 0.2, bad, 0.1])
+    assert history._plan_end == 0 and history._levels.tolist() == levels
+    _, hist = history.caputo_terms("cn", 0.3)
+    ref, scale = kernel_row_sum([0.1, 0.3], [np.ones(3)], 0.5, "cn", 2)
+    assert np.max(np.abs(hist - ref)) <= 1e-13 * scale
+    history.commit(0.3, np.ones(3), level=2)
 
 
 @pytest.mark.parametrize("mode", ["fast", "direct"])

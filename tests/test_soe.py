@@ -50,6 +50,15 @@ def test_reduced_rule_is_certified_and_monotone(alpha, eps, dt_min, T):
         assert soe.n_terms <= 60
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+def test_reduction_succeeds_at_alpha_06_horizon_2():
+    """The reduction of build_soe(0.6, 1e-10, 1e-2, 2.0) gives up and keeps 154 terms.
+
+    Its neighbours at T = 1.5 and 2.5 reduce to 39 and 42 terms.
+    """
+    assert build_soe(0.6, 1e-10, 1e-2, 2.0).n_terms <= 60
+
+
 def test_uncertified_reduction_returns_panel_rule(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(soe_module, "_reduced", lambda soe, target: soe)
