@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import math
 import mmap
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -106,10 +105,6 @@ __all__ = [
 # Convolution history
 # ---------------------------------------------------------------------------
 
-# the least bytes of a block of the exact prefix; a block's pages
-# are only touched as levels fill it, and a product makes one np.matmul
-# call per block it reads
-_LEVEL_BLOCK_BYTES = 1 << 22
 # A planned history sums its exact prefix a chunk of levels at a time: the
 # chunk's first read fills its rows with one product over every increment
 # committed before it, and the commit at chunk position p (from 1) adds the
@@ -136,8 +131,10 @@ def _store_block(shape):
     A private anonymous map, not ``np.empty``: numpy asks for 2 MiB pages
     for arrays of 4 MiB or more, and such a page is resident from the first
     level written into it, which adds up to 2 MiB to the peak memory.  The
-    bank that takes over a fast history's first block writes its rows as it
-    needs them, so the rows past them never become resident.
+    exact prefix's store has rows for levels a run may never reach (every
+    planned level, or twice the levels it held when it grew), and the bank
+    that takes over a fast history's store writes its rows as it needs
+    them, so only the rows written become resident.
     """
     # copy access: a private map on POSIX, and accepted on Windows too
     buffer = mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY)
@@ -149,11 +146,13 @@ class CaputoHistory:
 
     Increments are stored and summed exactly through the kernel rows until
     the first committed step of at least the ``soe``'s dt_min (less 1e-12
-    relative, for uniform steps ulps short of it).  That commit makes the
-    bank: it takes over the first store block, which was made with room
-    for its rows, folds the stored increments into its states there, a
-    column block at a time, and the other blocks are freed, so no commit
-    holds the history twice.  The bank's fast formulas see lags down to
+    relative, for uniform steps ulps short of it), in one store that grows
+    by doubling, or holds every planned level.  That commit makes the
+    bank: it takes over the store, which was made with room for its rows,
+    and folds the stored increments into its states there, a column block
+    at a time, so no commit holds the history twice; a prefix that
+    outgrew the bank's rows is folded into a buffer of the bank's own and
+    freed.  The bank's fast formulas see lags down to
     the newest committed step, so a bank read after a step below dt_min
     raises ``SolverError``.  With no ``soe``
     every level stays exact (O(n) work per level).
@@ -191,13 +190,12 @@ class CaputoHistory:
         self._floor = math.inf if soe is None else soe.dt_min * (1.0 - 1e-12)
         self.n_committed = 0
         self.bank = None
-        # exact prefix: the committed increments in blocks, each starting at
-        # the level after ``_starts[b]``, so the store grows without copying
-        # what it holds, and the level times t_0..t_n, then the planned ones
-        # up to level ``_plan_end`` (0: no plan), with a slot more for the
-        # trial level (grown by doubling)
-        self._block_rows = self._chunk_levels = None
-        self._starts, self._blocks = [], []
+        # exact prefix: the committed increments, one per row of the store
+        # (replaced by one with at least twice the rows when full), and the
+        # level times t_0..t_n, then the planned ones up to level
+        # ``_plan_end`` (0: no plan), with a slot more for the trial level
+        # (grown by doubling)
+        self._store = self._chunk_levels = None
         self._levels = np.zeros(18)
         self._plan_end = 0
         # the first level of the planned chunk and the weights of its own
@@ -240,17 +238,14 @@ class CaputoHistory:
                          f"t = {float(t_n)!r}, planned t = {float(self._levels[n])!r}")
 
     def _bank_if_due(self, tau):
-        """At the first step of at least dt_min, fold the prefix into a bank in place.
-
-        The bank takes over the first store block and frees the others.
-        """
+        """At the first step of at least dt_min, fold the prefix into a bank in place."""
         if self.bank is not None or tau < self._floor:
             return
         self._kept, self._rows, self._scratch = {}, None, None
         # the newest step as given, not via the level times: reads check it
-        prefix = (self._levels[:self.n_committed], tau, self._blocks)
+        prefix = (self._levels[:self.n_committed], tau, self._store)
         self.bank = HistoryBank(self.soe, self.shape, prefix=prefix)
-        self._levels = self._starts = self._blocks = None
+        self._levels = self._store = None
 
     def caputo_terms(self, scheme, tau_n):
         """Local coefficient and known history sum at the trial level.
@@ -305,44 +300,32 @@ class CaputoHistory:
         if planned:
             # the weights of the chunk's own increments, [row, increment - n]
             self._chunk, self._chunk_weights = n, weights[:, n - 1:].copy()
-            self._product(weights[:, :n - 1], 0, self._rows[:k], add=False)
+            weights = weights[:, :n - 1]
         else:
             row = l1_row(levels, alpha, n)
             self._kept[("be", n, levels[n])] = (row[-1], self._rows[1].reshape(self.shape))
             self._chunk = None
-            self._product(np.vstack((weights, row[:-1])), 0, self._rows[:2], add=False)
+            weights = np.vstack((weights, row[:-1]))
+        np.matmul(weights, self._store[:n - 1], out=self._rows[:len(weights)])
 
     def _add_committed(self, level):
-        """Add the increments just committed into the chunk's next rows (dyadic blocks)."""
+        """Add the increments just committed into the chunk's next rows (dyadic blocks).
+
+        The product is added a few rows at a time through the scratch buffer.
+        """
         p = level - self._chunk + 1
         d = p & -p
         weights = self._chunk_weights[p:p + d, p - d:p]
-        if len(weights):
-            self._product(weights, level - d, self._rows[p:p + len(weights)], add=True)
-
-    def _product(self, weights, lo, out, add):
-        """out (+)= weights @ (stored increments lo+1..), a block at a time."""
-        first, hi = lo, lo + weights.shape[1]
-        b = bisect_right(self._starts, lo) - 1
-        while lo < hi:
-            start, block = self._starts[b], self._blocks[b]
-            stop = min(hi, start + len(block))
-            incs = block[lo - start:stop - start].reshape(stop - lo, -1)
-            w = weights[:, lo - first:stop - first]
-            if not add:  # the first block's product is the sum so far
-                np.matmul(w, incs, out=out)
-                add = True
-            else:  # added a few rows at a time through the scratch buffer
-                if self._scratch is None:
-                    rows = _SCRATCH_BYTES // (8 * incs.shape[1])
-                    self._scratch = np.empty((max(2, min(self._chunk_levels, rows)),
-                                              incs.shape[1]))
-                step = len(self._scratch)
-                for i in range(0, len(out), step):
-                    rows = out[i:i + step]
-                    rows += np.matmul(w[i:i + step], incs, out=self._scratch[:len(rows)])
-            lo = stop
-            b += stop == start + len(block)
+        if not len(weights):
+            return
+        out, incs = self._rows[p:p + len(weights)], self._store[level - d:level]
+        if self._scratch is None:
+            rows = _SCRATCH_BYTES // (8 * incs.shape[1])
+            self._scratch = np.empty((max(2, min(self._chunk_levels, rows)), incs.shape[1]))
+        step = len(self._scratch)
+        for i in range(0, len(out), step):
+            rows = out[i:i + step]
+            rows += np.matmul(weights[i:i + step], incs, out=self._scratch[:len(rows)])
 
     def commit(self, tau, increment, level=None):
         """Append an accepted step's increment; a bad input is a ValueError, before any change."""
@@ -358,17 +341,17 @@ class CaputoHistory:
                 self._off_plan(n + 1, tau, t_next)
         if n == 0:
             self.shape = np.shape(increment)
-            row_bytes = 8 * math.prod(self.shape)
-            self._block_rows = max(1, _LEVEL_BLOCK_BYTES // row_bytes)
             self._chunk_levels = 1 if self.soe is not None else \
-                max(1, min(_CHUNK_LEVELS, _CHUNK_BYTES // row_bytes))
+                max(1, min(_CHUNK_LEVELS, _CHUNK_BYTES // (8 * math.prod(self.shape))))
         elif np.shape(increment) != self.shape:
             raise ValueError(f"increment shape {np.shape(increment)} for level {n + 1} "
                              f"!= history shape {self.shape}")
         if self.bank is not None:
             self.bank.commit(tau, increment)
         elif self.alpha < 1.0:
-            self._store(n, increment)
+            if n == 0 or n == len(self._store):
+                self._grow_store(n)
+            self._store[n] = np.reshape(increment, -1)
             if self._levels.size < n + 3:
                 self._levels = np.concatenate((self._levels, np.zeros(self._levels.size)))
             self._levels[n + 1] = t_next
@@ -377,22 +360,21 @@ class CaputoHistory:
         self.n_committed = n + 1
         self._bank_if_due(tau)
 
-    def _store(self, n, increment):
-        """Store the increment of level n + 1; a new block holds every planned level.
+    def _grow_store(self, n):
+        """Make the first store, or replace the full store of n levels by one of twice the rows.
 
-        A new block holds ``max(_block_rows, need)`` levels, ``need`` the
-        planned levels left, or a fast history's first block, plan or not,
-        the bank's ``n_terms + _FOLD_STEPS`` rows: the bank takes it over as
-        its buffer, and a longer prefix spills into blocks that the switch
-        frees.
+        The new store holds every planned level too; a fast history's first
+        store, plan or not, holds the bank's ``n_terms + _FOLD_STEPS`` rows,
+        so that the bank takes it over as its buffer.
         """
-        if not self._blocks or n == self._starts[-1] + len(self._blocks[-1]):
-            need = self._plan_end - n
-            if self.soe is not None and not self._blocks:  # the bank's buffer
-                need = self.soe.n_terms + _FOLD_STEPS
-            self._starts.append(n)
-            self._blocks.append(_store_block((max(self._block_rows, need),) + self.shape))
-        self._blocks[-1][n - self._starts[-1]] = increment
+        if self.soe is not None and n == 0:
+            rows = self.soe.n_terms + _FOLD_STEPS
+        else:
+            rows = max(1, 2 * n, self._plan_end)
+        store = _store_block((rows, math.prod(self.shape)))
+        if n:
+            store[:n] = self._store
+        self._store = store
 
 
 def make_history(alpha, mode="direct", dt_min=None, T=None):
@@ -613,20 +595,21 @@ def _extrapolated(g, g_prev, r):
     return out
 
 
-def _sav_step(state, tau_n, source, theta, scheme):
+def _sav_step(state, tau_n, source, theta):
     """Theta-weighted SAV trial step of size tau_n from the committed state.
 
-    ``scheme`` ("cn" or "be") names the Caputo kernels.  The linear terms
-    are weighted theta at the new level and 1 - theta at the old one, and
-    ``source`` (optional callable t -> field added to the height equation)
-    is sampled at t + theta * tau_n.  theta = 1/2 freezes the flux at the
-    midpoint extrapolation of phi (taken on the gradients); theta = 1
-    freezes it at phi itself.
+    theta = 1/2 takes the cell-averaged Caputo kernels ("cn"), theta = 1
+    the collocation ones ("be").  The linear terms are weighted theta at
+    the new level and 1 - theta at the old one, and ``source`` (optional
+    callable t -> field added to the height equation) is sampled at
+    t + theta * tau_n.  theta = 1/2 freezes the flux at the midpoint
+    extrapolation of phi (taken on the gradients); theta = 1 freezes it at
+    phi itself.
     """
     if not (math.isfinite(tau_n) and tau_n > 0):
         raise ValueError(f"step size must be finite and positive, got {tau_n}")
     grid, params = state.grid, state.params
-    a0, hist = state.history.caputo_terms(scheme, tau_n)
+    a0, hist = state.history.caputo_terms("be" if theta == 1.0 else "cn", tau_n)
     grad = state.grad
     if theta < 1.0 and state.n > 0:
         grad = _extrapolated(grad, state.prev_grad, tau_n / (2.0 * state.prev_tau))
@@ -669,12 +652,12 @@ def _sav_step(state, tau_n, source, theta, scheme):
 
 def cn_sav_step(state, tau_n, source=None):
     """Second-order trial step (theta = 1/2, cell-averaged kernels)."""
-    return _sav_step(state, tau_n, source, 0.5, "cn")
+    return _sav_step(state, tau_n, source, 0.5)
 
 
 def be_l1_sav_step(state, tau_n):
     """First-order trial step (theta = 1, collocation kernels)."""
-    return _sav_step(state, tau_n, None, 1.0, "be")
+    return _sav_step(state, tau_n, None, 1.0)
 
 
 def commit_candidate(state, cand):

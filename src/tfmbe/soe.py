@@ -67,10 +67,11 @@ fixed-mesh step, which asks for the second-order sum only.
 The solver's history (``tfmbe.sav.CaputoHistory``) sums an exact prefix
 first, up to its first step of at least dt_min, and then one bank carries
 every later level; ``--soe-mode direct`` keeps every level exact and uses
-no bank.  The bank takes over the prefix's store, whose first block has
+no bank.  The bank takes over the prefix's store, one array made with
 room for its rows: it folds the stored increments into H in place, one
 column block at a time, with one matrix product of their closed-form
-coefficients, so the history is never held twice.
+coefficients, so the history is never held twice.  A prefix that outgrew
+the bank's rows is folded into a buffer of the bank's own.
 """
 
 from __future__ import annotations
@@ -308,14 +309,16 @@ class HistoryBank:
     and the ring (the pending increment included), into a two-row output
     buffer of the bank; it keeps nothing else between calls.
 
-    A bank made with ``prefix=(levels, tau, blocks)`` takes over the store
-    of an exact prefix: ``blocks`` hold the increments of levels 1..n in
-    order, one per row, and the first of them, at least ``n_terms +
-    _FOLD_STEPS`` rows long, becomes the bank's buffer; ``levels`` are the
-    times t_0..t_{n-1} and ``tau`` the step of level n.  The increments are
+    A bank made with ``prefix=(levels, tau, store)`` takes over the store
+    of an exact prefix: ``store`` holds the increments of levels 1..n in
+    order, one per row, and if it has the bank's ``n_terms + _FOLD_STEPS``
+    rows it becomes the bank's buffer; ``levels`` are the times
+    t_0..t_{n-1} and ``tau`` the step of level n.  The increments are
     folded into H(t_{n-1}) in place, and increment n becomes the pending
     step, so the bank holds what n commits would have left in it without
-    a buffer of its own.
+    a buffer of its own.  A store with more rows (a prefix that outgrew
+    the bank's) is folded into a buffer of the bank's own, and the bank
+    keeps no reference to it.
     """
 
     def __init__(self, soe, shape=(), prefix=None):
@@ -324,11 +327,10 @@ class HistoryBank:
         n_terms, size = soe.n_terms, math.prod(self.shape)
         # h and the ring are the leading and trailing rows of one buffer, so
         # that a read is one product over the rows it needs
-        if prefix is None:
-            store = np.zeros((n_terms + _FOLD_STEPS, size))
+        if prefix is not None and len(prefix[2]) == n_terms + _FOLD_STEPS:
+            store = prefix[2]
         else:
-            first = prefix[2][0]  # the first block of the prefix's store
-            store = first.reshape(len(first), size)[:n_terms + _FOLD_STEPS]
+            store = np.zeros((n_terms + _FOLD_STEPS, size))
         self.h = store[:n_terms].reshape((n_terms,) + self.shape)
         self._store = store
         self._decay = np.ones(n_terms)
@@ -350,39 +352,27 @@ class HistoryBank:
         if prefix is not None:
             self._fold_prefix(*prefix)
 
-    def _fold_prefix(self, levels, tau, blocks):
-        """h = H(t_{n-1}) from the increments in ``blocks``, increment n pending.
+    def _fold_prefix(self, levels, tau, store):
+        """h = H(t_{n-1}) from the increments in ``store``, increment n pending.
 
         h = C @ (increments 1..n-1) with C[l, j] = relexp(theta_l tau_j)
         exp(-theta_l (t_{n-1} - t_j)), formed a column block at a time: the
         block's columns of every increment are read before the newest
-        increment's go to ring slot 0 and h's are written over the
-        increments' rows.
+        increment's go to ring slot 0 and h's are written, over the
+        increments' rows if the bank took ``store`` over.
         """
-        th, store = self.soe.nodes, self._store
+        th = self.soe.nodes
         n_terms, n, size = th.size, len(levels), store.shape[1]
         coef = (_relexp(np.multiply.outer(th, np.diff(levels)))
                 * np.exp(-np.multiply.outer(th, levels[-1] - levels[1:])))
-        # (first level - 1, rows of increments 1..n-1) per block, the first
-        # block's always (no rows if n = 1: h = 0), and increment n
-        pieces, start = [], 0
-        for block in blocks:
-            block = block.reshape(len(block), size)
-            if not pieces or start < n - 1:
-                pieces.append((start, block[:n - 1 - start]))
-            if start <= n - 1 < start + len(block):
-                newest = block[n - 1 - start]
-            start += len(block)
+        incs, newest = store[:n - 1], store[n - 1]  # no rows if n = 1: h = 0
         # column blocks no larger than a sweep's row block
         width = min(self._sweep_rows, n_terms) * size // n_terms
-        (_, first), *rest = pieces
         for j in range(0, size, width):
             cols = slice(j, j + width)
-            out = coef[:, :len(first)] @ first[:, cols]
-            for lo, incs in rest:
-                out += coef[:, lo:lo + len(incs)] @ incs[:, cols]
+            out = coef @ incs[:, cols]
             self._ring[0, cols] = newest[cols]
-            store[:n_terms, cols] = out
+            self._store[:n_terms, cols] = out
         self.pending = (float(tau), self._ring[0].reshape(self.shape))
         self.n_committed = n
 

@@ -133,7 +133,7 @@ def count_prefix_passes(monkeypatch, history):
     """
     import tfmbe.sav
 
-    counter = PassCounter(lambda: history._blocks[0] if history._blocks else None)
+    counter = PassCounter(lambda: history._store)
     monkeypatch.setattr(tfmbe.sav, "np", counter)
     return counter
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -426,10 +427,11 @@ def test_bank_fold_matches_stepwise_commits(monkeypatch, case):
 
     At the switch and for 10 levels after it, both schemes' sums agree to
     1e-13 of the sum's scale, and the pending step is the same.  "spilled":
-    a planned prefix longer than the first store block (five levels per
-    block), so the fold reads a second one, and folded a few columns at a
-    time; "bank-from-level-1": the first step is already dt_min;
-    "unplanned": a prefix inside the first block.
+    a planned prefix longer than the first store (the bank's rows), so the
+    store grows before the switch and the bank folds it into a buffer of
+    its own, a few columns at a time; "bank-from-level-1": the first step
+    is already dt_min; "unplanned": a prefix inside the first store, which
+    the bank takes over.
     """
     alpha, shape = 0.6, (4, 5)
     soe = build_soe(alpha, 1e-10, 1e-2, 1.0)  # 36 terms: two columns per block
@@ -440,13 +442,16 @@ def test_bank_fold_matches_stepwise_commits(monkeypatch, case):
     incs = rng.standard_normal((taus.size,) + shape)
     history, stepwise = CaputoHistory(alpha, soe), HistoryBank(soe, shape)
     if case == "spilled":
-        monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 5 * 8 * math.prod(shape))
         monkeypatch.setattr(soe_module, "_COMMIT_BLOCK_BYTES", 5 * 8 * math.prod(shape))
         history.plan(taus)
+    stores, make = [], sav._store_block
+    monkeypatch.setattr(sav, "_store_block", lambda shape: stores.append(make(shape)) or stores[-1])
     for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
-        if level == n_prefix + 1 and case == "spilled":
-            assert len(history._blocks) >= 2
         history.commit(tau, inc, level=level)
+        if level == n_prefix + 1:  # the switch
+            rows = soe.n_terms + _FOLD_STEPS
+            assert [len(s) for s in stores] == ([rows, 2 * rows] if case == "spilled" else [rows])
+            assert np.shares_memory(history.bank._store, stores[-1]) == (case != "spilled")
         stepwise.commit(tau, inc, level=level)
         assert (history.bank is not None) == (level > n_prefix)
         if history.bank is None:
@@ -486,6 +491,76 @@ def test_switch_to_bank_holds_the_history_once():
     assert history.bank is not None
     nbytes = history.bank._store.nbytes
     assert peak < nbytes, (peak, nbytes)
+
+
+def test_bank_of_an_outgrown_prefix_frees_it():
+    """A prefix that outgrew the bank's rows is folded into the bank's own buffer, and freed.
+
+    Ninety unplanned steps below dt_min grow the store from the bank's 44
+    rows to 176.  After the switch the bank shares no memory with that
+    store, which nothing holds any more, and both schemes' reads match a
+    bank committed step by step to 1e-13 of the sum's scale.
+    """
+    alpha, shape = 0.6, (4, 5)
+    soe = build_soe(alpha, 1e-10, 1e-2, 1.0)
+    rows = soe.n_terms + _FOLD_STEPS
+    rng = np.random.default_rng(12)
+    taus = np.concatenate((rng.uniform(1e-4, 5e-3, 90), rng.uniform(1e-2, 3e-2, 6)))
+    incs = rng.standard_normal((taus.size,) + shape)
+    history, stepwise = CaputoHistory(alpha, soe), HistoryBank(soe, shape)
+    for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
+        if level == 91:
+            assert len(history._store) == 4 * rows
+            grown = history._store
+            freed = weakref.ref(grown)
+        history.commit(tau, inc, level=level)
+        stepwise.commit(tau, inc, level=level)
+        if level == 91:
+            assert len(history.bank._store) == rows
+            assert not np.shares_memory(history.bank._store, grown)
+            del grown
+            assert history._store is None and freed() is None
+        if history.bank is None:
+            continue
+        tau_n = taus[level] if level < taus.size else 0.02
+        for scheme in ("cn", "be"):
+            hist = history.caputo_terms(scheme, tau_n)[1]
+            _, scale = kernel_row_sum(np.append(taus[:level], tau_n), incs, alpha,
+                                      scheme, level + 1)
+            assert np.max(np.abs(hist - stepwise.read(tau_n)[scheme][1])) <= 1e-13 * scale
+
+
+def test_unplanned_read_is_one_product(monkeypatch):
+    """Every unplanned read of a 128 x 130 direct history is one np.matmul over its store.
+
+    Forty such levels hold 5.3 MB; the reads from level 33 on sum more
+    than 4 MiB of increments.
+    """
+    shape, alpha, rng = (128, 130), 0.5, np.random.default_rng(6)
+    history, products, incs = CaputoHistory(alpha), [], []
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, *args, **kwargs):
+            products.append(args[1])
+            return np.matmul(*args, **kwargs)
+
+    monkeypatch.setattr(sav, "np", Counted())
+    for level in range(1, 41):
+        products.clear()
+        hist = history.caputo_terms("cn", 1e-3)[1]
+        history.caputo_terms("be", 1e-3)
+        if level > 1:
+            assert len(products) == 1, level
+            assert len(products[0]) == level - 1
+            assert np.shares_memory(products[0], history._store)
+        if level == 40:
+            ref, scale = kernel_row_sum(np.full(40, 1e-3), incs, alpha, "cn", 40)
+            assert np.max(np.abs(hist - ref)) <= 1e-13 * scale
+        incs.append(rng.standard_normal(shape))
+        history.commit(1e-3, incs[-1], level=level)
 
 
 def test_fast_history_below_dt_min_matches_direct():
@@ -575,17 +650,18 @@ def kernel_row_sum(taus, incs, alpha, scheme, level):
 def test_planned_and_unplanned_reads_match_kernel_rows(monkeypatch, shape, extra):
     """Planned chunks, an unplanned pass and the kernel rows give the same sums.
 
-    The unplanned history reads in five-level blocks, the planned one from
-    the single block its plan sized; the mesh is longer than two chunks
-    and, but for three chunks, not a multiple of one.
+    The planned history's store is made once, with room for every planned
+    level; the unplanned one's is replaced by one of twice the rows each
+    time it is full.  The mesh is longer than two chunks and, but for three
+    chunks, not a multiple of one.
     """
-    monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 5 * 8 * math.prod(shape))
     rng = np.random.default_rng(extra)
     n, alpha = 2 * sav._CHUNK_LEVELS + extra, 0.6
     taus = random_mesh(rng, n).taus
     incs = rng.standard_normal((n,) + shape)
     planned, unplanned = CaputoHistory(alpha), CaputoHistory(alpha)
     planned.plan(taus)
+    stores = {planned: [], unplanned: []}
     for level, (tau, inc) in enumerate(zip(taus, incs), start=1):
         reads = {"planned": planned.caputo_terms("cn", tau)}
         for scheme in ("cn", "be"):
@@ -598,19 +674,22 @@ def test_planned_and_unplanned_reads_match_kernel_rows(monkeypatch, shape, extra
         assert reads["planned"][0] == reads["cn"][0]
         for history in (planned, unplanned):
             history.commit(tau, inc, level=level)
+            if not stores[history] or history._store is not stores[history][-1]:
+                stores[history].append(history._store)
     assert planned._plan_end == n  # every read was served by the plan
-    assert len(planned._blocks) == 1 and len(unplanned._blocks) == -(-n // 5)
+    assert [len(store) for store in stores[planned]] == [n]
+    grown = [len(store) for store in stores[unplanned]]
+    assert grown == [2 ** i for i in range(len(grown))] and grown[-2] < n <= grown[-1]
 
 
 @pytest.mark.parametrize("shape", [(2, 3), ()], ids=["field", "scalar"])
 def test_plan_after_committed_levels_matches_kernel_rows(monkeypatch, shape):
-    """A plan announced after unplanned levels: chunks read across store blocks.
+    """A plan announced after unplanned levels: the store grows to hold every planned level.
 
-    Seven levels per block: the blocks stored before the plan keep their
-    size, and the plan sizes the next one, so a chunk's first product and
-    its dyadic products read pieces of several blocks.
+    The ten levels stored before the plan fill a store of 16 rows; the
+    store that replaces it has a row for every planned level, so it is
+    the last.
     """
-    monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 7 * 8 * math.prod(shape))
     k, before = sav._CHUNK_LEVELS, 10
     rng = np.random.default_rng(7)
     n, alpha = before + 2 * k + 9, 0.45
@@ -626,9 +705,12 @@ def test_plan_after_committed_levels_matches_kernel_rows(monkeypatch, shape):
             assert np.max(np.abs(hist - ref)) <= 1e-13 * scale, level
             assert hist.shape == shape
         history.commit(tau, inc, level=level)
-    assert history._plan_end == n
-    assert history._starts == [0, 7, 14]  # the plan sized the third block
-    assert len(history._blocks[2]) == n - 14
+        if level == before + 1:
+            assert len(history._store) == 16
+        if level == 17:  # the first store after the plan
+            planned = history._store
+            assert len(planned) == n
+    assert history._plan_end == n and history._store is planned
 
 
 @pytest.mark.parametrize("deviation", ["read-other-tau", "commit-other-tau",
@@ -641,7 +723,6 @@ def test_deviating_from_plan_matches_unplanned(monkeypatch, deviation):
     the history goes on along its plan.  Every read matches the kernel rows
     to 1e-13 of their scale.
     """
-    monkeypatch.setattr(sav, "_LEVEL_BLOCK_BYTES", 7 * 8 * 6)
     k = sav._CHUNK_LEVELS
     rng = np.random.default_rng(3)
     n, alpha = 2 * k + 5, 0.35
@@ -651,7 +732,7 @@ def test_deviating_from_plan_matches_unplanned(monkeypatch, deviation):
     def assert_rejected(history, call):
         def snapshot():
             return (history.n_committed, history._levels.tolist(), sorted(history._kept),
-                    history._chunk, [b.tolist() for b in history._blocks])
+                    history._chunk, history._store.tolist())
         before = snapshot()
         with pytest.raises(ValueError, match=f"level {at} is off the plan"):
             call()

@@ -74,6 +74,29 @@ def test_extend_random_sums_and_determinism():
     assert not np.array_equal(a.levels, c.levels)
 
 
+def test_extend_random_redraws_zero_draws(monkeypatch):
+    """A draw of exactly 0.0, which the generator can return, is drawn again."""
+    draws, make_rng = [], np.random.default_rng
+
+    class ZeroFirst:
+        def __init__(self, seed):
+            self._rng = make_rng(seed)
+
+        def random(self, size):
+            eps = self._rng.random(size)
+            if not draws:
+                eps[[0, 3]] = 0.0
+            draws.append(eps.copy())
+            return eps
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroFirst)
+    mesh = extend_random(build_uniform(1.0, 2), 3.0, 6, seed=4)
+    assert [len(eps) for eps in draws] == [6, 2]  # one redraw of the two zeros
+    assert np.all(draws[1] > 0.0)
+    assert np.all(np.diff(mesh.levels) > 0.0)
+    assert mesh.levels[-1] == 3.0 and mesh.levels.size == 9
+
+
 def test_extend_random_requires_larger_horizon():
     with pytest.raises(ValueError):
         extend_random(build_uniform(1.0, 2), 0.5, 3, seed=0)
